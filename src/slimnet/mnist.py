@@ -149,14 +149,19 @@ def make_splits(train_images, train_labels, test_images, test_labels) -> DataSpl
 
     Slicing is positional and deterministic: records 0..54,999 of the
     training file become the training split, the final 5,000 the
-    validation split.
+    validation split.  Wrong record counts and labels outside 0..9 raise
+    `IdxFormatError`: they are faults of the data files.
     """
     if len(train_images) != TRAIN_SIZE + VALIDATION_SIZE:
-        raise ValueError(f"expected {TRAIN_SIZE + VALIDATION_SIZE} training records, got {len(train_images)}")
+        raise IdxFormatError(f"expected {TRAIN_SIZE + VALIDATION_SIZE} training records, got {len(train_images)}")
     if len(test_images) != TEST_SIZE:
-        raise ValueError(f"expected {TEST_SIZE} test records, got {len(test_images)}")
+        raise IdxFormatError(f"expected {TEST_SIZE} test records, got {len(test_images)}")
     if len(train_labels) != len(train_images) or len(test_labels) != len(test_images):
-        raise ValueError("image/label record counts disagree")
+        raise IdxFormatError("image/label record counts disagree")
+    for split, labels in (("training", train_labels), ("test", test_labels)):
+        labels = np.asarray(labels)
+        if labels.size and (labels.min() < 0 or labels.max() > 9):
+            raise IdxFormatError(f"{split} labels span {labels.min()}..{labels.max()}, outside 0..9")
     train = Dataset(train_images[:TRAIN_SIZE], one_hot_labels(train_labels[:TRAIN_SIZE]))
     validation = Dataset(train_images[TRAIN_SIZE:], one_hot_labels(train_labels[TRAIN_SIZE:]))
     test = Dataset(test_images, one_hot_labels(test_labels))

@@ -66,69 +66,82 @@ def param_arrays(params: Params):
 
 def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = False,
             dropout_rng: np.random.Generator | None = None,
-            dropout_override: float | None = None, activation: str = "relu"):
+            dropout_override: float | None = None, activation: str = "relu",
+            keep_caches: bool = True):
     """Run the chain on a `[N,28,28,C]` batch; returns (logits, caches).
 
-    `caches` holds everything `backward` needs.  Dropout fires only when
-    `training` is true, drawing its masks from `dropout_rng`;
-    `dropout_override` replaces every dropout layer's keep probability.
+    `caches` holds everything `backward` needs.  With `keep_caches=False`
+    it is `None` and nothing is kept for backward: no per-layer state, no
+    pooling argmax (`ops.maxpool_values`), and ReLU overwrites the conv
+    and dense outputs this call allocated.  The logits are bit-identical
+    either way.  Dropout fires only when `training` is true, drawing its
+    masks from `dropout_rng`; `dropout_override` replaces every dropout
+    layer's keep probability.
     """
     names = layer_names(spec)
     last_dense = _last_dense_index(spec)
-    caches: list[dict] = []
+    caches: list[dict] | None = [] if keep_caches else None
     h = np.asarray(x, dtype=np.float64)
     for i, layer in enumerate(spec.layers):
-        cache: dict = {"kind": layer.kind, "name": names[i]}
+        cache: dict | None = {"kind": layer.kind, "name": names[i]} if keep_caches else None
         if layer.kind == "input":
             pass
-        elif layer.kind == "conv":
+        elif layer.kind in ("conv", "dense"):
             p = params[names[i]]
-            cache["x"] = h
-            z = ops.conv2d_forward(h, p)
-            if activation == "relu":
-                cache["z"] = z
-                h = ops.relu(z)
-            else:
-                h = z
+            if cache is not None:
+                cache["x"] = h
+            h = ops.conv2d_forward(h, p) if layer.kind == "conv" else ops.dense_forward(h, p)
+            if activation == "relu" and (layer.kind == "conv" or i != last_dense):
+                if cache is None:
+                    h = ops.relu(h, out=h)
+                else:
+                    cache["z"] = h
+                    h = ops.relu(h)
         elif layer.kind == "maxpool":
-            h, argmax = ops.maxpool_forward(h, layer.window)
-            cache["argmax"] = argmax
-            cache["window"] = layer.window
-        elif layer.kind == "flatten":
-            cache["shape"] = h.shape
-            h = h.reshape(h.shape[0], -1)
-        elif layer.kind == "dense":
-            p = params[names[i]]
-            cache["x"] = h
-            z = ops.dense_forward(h, p)
-            if activation == "relu" and i != last_dense:
-                cache["z"] = z
-                h = ops.relu(z)
+            if cache is None:
+                h = ops.maxpool_values(h, layer.window)
             else:
-                h = z
+                h, cache["argmax"] = ops.maxpool_forward(h, layer.window)
+                cache["window"] = layer.window
+        elif layer.kind == "flatten":
+            if cache is not None:
+                cache["shape"] = h.shape
+            h = h.reshape(h.shape[0], -1)
         elif layer.kind == "dropout":
             keep = dropout_override if dropout_override is not None else layer.keep_prob
             if training and dropout_rng is None:
                 raise ValueError("training-mode dropout needs a dropout_rng")
             h, mask = ops.dropout(h, keep, dropout_rng, training=training)
-            cache["mask"] = mask
-            cache["keep"] = keep
-            cache["training"] = training
-        caches.append(cache)
+            if cache is not None:
+                cache.update(mask=mask, keep=keep, training=training)
+        if caches is not None:
+            caches.append(cache)
     return h, caches
 
 
+def _first_param_index(spec: NetSpec) -> int:
+    return min((i for i, l in enumerate(spec.layers) if l.kind in ("conv", "dense")), default=-1)
+
+
 def backward(spec: NetSpec, params: Params, caches: list[dict], grad_logits: np.ndarray):
-    """Reverse the chain; returns ({name: (grad_w, grad_b)}, grad_input)."""
+    """Reverse the chain; returns ({name: (grad_w, grad_b)}, grad_input).
+
+    Nothing below the first conv or dense layer is processed, and that
+    layer's conv input gradient is not computed, so `grad_input` is
+    `None` for any chain with parameters.  Weight and bias gradients are
+    bit-identical to a full pass.
+    """
+    first = _first_param_index(spec)
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     g = grad_logits
-    for layer, cache in zip(reversed(spec.layers), reversed(caches)):
+    for i in reversed(range(len(spec.layers))):
+        layer, cache = spec.layers[i], caches[i]
         if layer.kind == "input":
             continue
         if layer.kind == "conv":
             if "z" in cache:
                 g = ops.relu_backward(cache["z"], g)
-            g, gw, gb = ops.conv2d_backward(cache["x"], params[cache["name"]], g)
+            g, gw, gb = ops.conv2d_backward(cache["x"], params[cache["name"]], g, input_grad=i != first)
             grads[cache["name"]] = (gw, gb)
         elif layer.kind == "maxpool":
             g = ops.maxpool_backward(g, cache["argmax"], cache["window"])
@@ -142,4 +155,6 @@ def backward(spec: NetSpec, params: Params, caches: list[dict], grad_logits: np.
         elif layer.kind == "dropout":
             if cache["training"] and cache["keep"] < 1.0:
                 g = ops.dropout_backward(g, cache["mask"], cache["keep"])
+        if i == first:
+            return grads, None
     return grads, g

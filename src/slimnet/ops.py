@@ -7,9 +7,14 @@ Conventions
 * Convolution kernels are `[kh, kw, C_in, C_out]`; stride is fixed at 1
   with SAME zero padding, so spatial extent is preserved.
 * Pooling windows are square with stride equal to the window, and the
-  input extent must divide evenly.
-* Every function is pure: randomness (dropout) comes from an explicitly
-  passed `numpy.random.Generator`.
+  input extent must divide evenly.  `maxpool_forward` also returns the
+  argmax its backward needs; `maxpool_values` returns the maxima alone.
+* `conv2d_backward(..., input_grad=False)` skips the col2im input
+  gradient and returns `None` in its place, for a layer whose input
+  needs no gradient.
+* Every function is pure (`relu` writes into `out` only when given
+  one): randomness (dropout) comes from an explicitly passed
+  `numpy.random.Generator`.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ __all__ = [
     "conv2d_forward",
     "conv2d_backward",
     "maxpool_forward",
+    "maxpool_values",
     "maxpool_backward",
     "dense_forward",
     "dense_backward",
@@ -146,8 +152,13 @@ def conv2d_forward(x, params: ConvParams) -> np.ndarray:
     return y if had_batch else y[0]
 
 
-def conv2d_backward(x, params: ConvParams, grad_out):
-    """Gradients of `conv2d_forward` w.r.t. input, weights and bias."""
+def conv2d_backward(x, params: ConvParams, grad_out, *, input_grad: bool = True):
+    """Gradients of `conv2d_forward` w.r.t. input, weights and bias.
+
+    Returns `(grad_x, grad_w, grad_b)`.  With `input_grad=False` the
+    col2im pass is skipped and `grad_x` is `None`; `grad_w` and `grad_b`
+    are the same arrays either way.
+    """
     x = _as_f64(x)
     grad_out = _as_f64(grad_out)
     x4, had_batch = _batched(x, 3)
@@ -166,6 +177,8 @@ def conv2d_backward(x, params: ConvParams, grad_out):
     cols = _im2col(x4, kh, kw)
     grad_w = (cols.T @ g_mat).reshape(w.shape)
     grad_b = g_mat.sum(axis=0)
+    if not input_grad:
+        return None, grad_w, grad_b
     # col2im: scatter each window-column gradient back onto the padded input
     grad_cols = (g_mat @ w.reshape(-1, params.out_channels).T).reshape(n, h, wd, kh, kw, cin)
     (pt, pb), (pl, pr) = _same_pad(kh), _same_pad(kw)
@@ -185,25 +198,45 @@ def _pool_windows(x4: np.ndarray, window: int) -> np.ndarray:
     return xr.transpose(0, 1, 3, 2, 4, 5).reshape(n, ho, wo, window * window, c)
 
 
+def _pool_input(x, window: int) -> tuple[np.ndarray, bool]:
+    x4, had_batch = _batched(_as_f64(x), 3)
+    h, w = x4.shape[1:3]
+    if window < 1:
+        raise ShapeError(f"maxpool: window must be positive, got {window}")
+    if h % window or w % window:
+        raise ShapeError(f"maxpool: spatial extent {h}x{w} not divisible by window {window}")
+    return x4, had_batch
+
+
 def maxpool_forward(x, window: int):
     """Max pool with stride = window.  Returns (output, argmax).
 
     `argmax` holds each window's flat row-major winner index; ties go to
     the first such element, which makes the backward pass deterministic.
     """
-    x = _as_f64(x)
-    x4, had_batch = _batched(x, 3)
-    n, h, w, c = x4.shape
-    if window < 1:
-        raise ShapeError(f"maxpool: window must be positive, got {window}")
-    if h % window or w % window:
-        raise ShapeError(f"maxpool: spatial extent {h}x{w} not divisible by window {window}")
+    x4, had_batch = _pool_input(x, window)
     win = _pool_windows(x4, window)
     idx = np.argmax(win, axis=3)
     y = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
     if not had_batch:
         return y[0], idx[0]
     return y, idx
+
+
+def maxpool_values(x, window: int) -> np.ndarray:
+    """The output of `maxpool_forward` without its argmax, for inference.
+
+    Takes the elementwise maximum over the window*window strided slices
+    in row-major window order.  A tie keeps the earlier element (numpy's
+    `maximum` returns its second operand on a tie), and a NaN propagates,
+    so the result is bit-identical to `maxpool_forward`'s output.
+    """
+    x4, had_batch = _pool_input(x, window)
+    y = x4[:, ::window, ::window, :].copy()
+    for k in range(1, window * window):
+        dy, dx = divmod(k, window)
+        np.maximum(x4[:, dy::window, dx::window, :], y, out=y)
+    return y if had_batch else y[0]
 
 
 def maxpool_backward(grad_out, argmax, window: int) -> np.ndarray:
@@ -255,8 +288,9 @@ def dense_backward(x, params: DenseParams, grad_out):
     return grad_x, grad_w, grad_b
 
 
-def relu(x) -> np.ndarray:
-    return np.maximum(_as_f64(x), 0.0)
+def relu(x, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0), written into `out` when given (`out=x` is in place)."""
+    return np.maximum(_as_f64(x), 0.0, out=out)
 
 
 def relu_backward(x, grad_out) -> np.ndarray:

@@ -164,14 +164,14 @@ def evaluate(spec: NetSpec, params: Params, images: np.ndarray, labels: np.ndarr
              *, activation: str = "relu", batch_size: int = 1000) -> float:
     """Argmax classification accuracy with dropout disabled.
 
-    `labels` may be one-hot `[N,10]` or integer `[N]`.  Consumes no RNG
-    and never mutates `params`.
+    `labels` may be one-hot `[N,10]` or integer `[N]`.  Consumes no RNG,
+    never mutates `params` or `images`, and keeps no backward state.
     """
     truth = labels.argmax(axis=1) if labels.ndim == 2 else labels
     hits = 0
     for start in range(0, len(images), batch_size):
         xb = images[start : start + batch_size]
-        logits, _ = forward(spec, params, xb, training=False, activation=activation)
+        logits, _ = forward(spec, params, xb, training=False, activation=activation, keep_caches=False)
         hits += int((logits.argmax(axis=1) == truth[start : start + len(xb)]).sum())
     return hits / len(images)
 

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slimnet.cli import (
@@ -11,6 +12,7 @@ from slimnet.cli import (
     EXIT_SPEC,
     main,
 )
+from slimnet.mnist import CANONICAL_FILES, write_idx_images, write_idx_labels
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -92,6 +94,20 @@ def test_train_missing_data_dir_lists_files(tmp_path, capsys, monkeypatch):
     )
     assert code == EXIT_DATA
     assert "train-images-idx3-ubyte" in err
+
+
+def test_train_wrong_record_count_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for split in ("train", "test"):
+        write_idx_images(data / CANONICAL_FILES[f"{split}_images"], np.zeros((100, 28, 28), dtype=np.uint8))
+        write_idx_labels(data / CANONICAL_FILES[f"{split}_labels"], np.zeros(100, dtype=np.uint8))
+    code, _, err = run_cli(
+        capsys, "train", "optimized", "--data-dir", str(data),
+        "--iterations", "1", "--out", str(tmp_path / "out"),
+    )
+    assert code == EXIT_DATA
+    assert "data error: expected 60000 training records, got 100" in err
 
 
 def test_train_zero_iterations_chance_accuracy(synth_data_dir, tmp_path, capsys):

@@ -144,6 +144,18 @@ def test_make_splits_rejects_wrong_sizes():
         make_splits(ti, tl[:59999], xi, xl)
 
 
+@pytest.mark.parametrize("bad", [10, -1])
+def test_make_splits_rejects_out_of_range_labels(bad):
+    ti, tl, xi, xl = _fake_corpus()
+    tl[123] = bad
+    with pytest.raises(IdxFormatError, match="training labels"):
+        make_splits(ti, tl, xi, xl)
+    tl[123] = 0
+    xl[-1] = bad
+    with pytest.raises(IdxFormatError, match="test labels"):
+        make_splits(ti, tl, xi, xl)
+
+
 def test_load_data_dir_lists_missing_files(tmp_path):
     with pytest.raises(MissingDataError, match="train-images-idx3-ubyte"):
         load_data_dir(tmp_path)

@@ -87,6 +87,17 @@ def test_conv_backward_matches_finite_differences(rng):
     assert max_rel_err(gb, num_gb) <= 1e-4
 
 
+@pytest.mark.parametrize("shape", [(5, 5, 3), (2, 5, 5, 3)])
+def test_conv_backward_input_grad_off_keeps_weight_grads(rng, shape):
+    x = rng.uniform(-1, 1, size=shape)
+    p = ops.ConvParams(rng.uniform(-1, 1, size=(3, 3, 3, 4)), rng.uniform(-1, 1, size=4))
+    g = rng.uniform(-1, 1, size=shape[:-1] + (4,))
+    gx, gw, gb = ops.conv2d_backward(x, p, g)
+    skipped, gw_only, gb_only = ops.conv2d_backward(x, p, g, input_grad=False)
+    assert gx.shape == shape and skipped is None
+    assert gw_only.tobytes() == gw.tobytes() and gb_only.tobytes() == gb.tobytes()
+
+
 def test_conv_backward_shape_mismatch_rejected(rng):
     x = rng.uniform(size=(4, 4, 2))
     p = ops.ConvParams(rng.uniform(size=(3, 3, 2, 2)), rng.uniform(size=2))
@@ -96,28 +107,47 @@ def test_conv_backward_shape_mismatch_rejected(rng):
 
 # --- pooling ---------------------------------------------------------------
 
+# The pooled values of the training pool and of the values-only inference pool.
+POOLS = (lambda x, w: ops.maxpool_forward(x, w)[0], ops.maxpool_values)
+
 
 def test_maxpool_shapes_match_ledger_cases(rng):
-    assert ops.maxpool_forward(rng.uniform(size=(28, 28, 32)), 2)[0].shape == (14, 14, 32)
-    assert ops.maxpool_forward(rng.uniform(size=(28, 28, 2)), 4)[0].shape == (7, 7, 2)
+    for pool in POOLS:
+        assert pool(rng.uniform(size=(28, 28, 32)), 2).shape == (14, 14, 32)
+        assert pool(rng.uniform(size=(28, 28, 2)), 4).shape == (7, 7, 2)
+        assert pool(rng.uniform(size=(3, 28, 28, 2)), 4).shape == (3, 7, 7, 2)
 
 
 def test_maxpool_constant_input():
-    y, _ = ops.maxpool_forward(np.full((4, 4, 3), 2.5), 2)
-    np.testing.assert_array_equal(y, np.full((2, 2, 3), 2.5))
+    for pool in POOLS:
+        for window in (1, 2, 3, 4):
+            y = pool(np.full((12, 12, 3), 2.5), window)
+            np.testing.assert_array_equal(y, np.full((12 // window, 12 // window, 3), 2.5))
 
 
 def test_maxpool_rejects_indivisible_extent(rng):
-    with pytest.raises(ops.ShapeError, match="divisible"):
-        ops.maxpool_forward(rng.uniform(size=(28, 28, 1)), 3)
+    for pool in POOLS:
+        with pytest.raises(ops.ShapeError, match="divisible"):
+            pool(rng.uniform(size=(28, 28, 1)), 3)
+        with pytest.raises(ops.ShapeError, match="positive"):
+            pool(rng.uniform(size=(28, 28, 1)), 0)
 
 
-def test_maxpool_tie_break_first_in_row_major():
+def test_maxpool_tie_break_first_in_row_major(rng):
     x = np.zeros((2, 2, 1))  # all tied: winner must be window position 0
     _, idx = ops.maxpool_forward(x, 2)
     assert idx[0, 0, 0] == 0
     g = ops.maxpool_backward(np.ones((1, 1, 1)), idx, 2)
     assert g[0, 0, 0] == 1.0 and g.sum() == 1.0
+    # The values-only pool keeps the same winner: on a grid of signed zeros,
+    # two levels and a NaN most windows tie, and -0.0 against 0.0 shows which
+    # tied element was kept.
+    x = rng.choice([-0.0, 0.0, 0.5, 1.0], size=(2, 12, 12, 3), p=[0.4, 0.4, 0.1, 0.1])
+    x[0, 5, 7, 1] = np.nan
+    for window in (1, 2, 3, 4):
+        y, _ = ops.maxpool_forward(x, window)
+        assert ops.maxpool_values(x, window).tobytes() == y.tobytes()
+        assert ops.maxpool_values(x[1], window).tobytes() == y[1].tobytes()
 
 
 def test_maxpool_backward_zero_grad():
@@ -200,6 +230,9 @@ def test_relu_basic():
     np.testing.assert_array_equal(ops.relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
     x = np.array([0.5, 1.0, 7.0])
     np.testing.assert_array_equal(ops.relu(x), x)
+    z = np.array([-1.0, 0.0, 2.0])
+    assert ops.relu(z, out=z) is z
+    np.testing.assert_array_equal(z, [0.0, 0.0, 2.0])
 
 
 def test_relu_backward_zero_at_kink():

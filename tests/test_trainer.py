@@ -272,9 +272,21 @@ def test_evaluate_is_side_effect_free(synth_data):
     spec = optimized_spec()
     params = init_params(spec, TrainConfig(), substream(11, "init"))
     before = {n: a.copy() for n, a in param_arrays(params)}
-    evaluate(spec, params, synth_data.test.images[:100], synth_data.test.labels[:100])
+    images = synth_data.test.images[:100].copy()
+    evaluate(spec, params, images, synth_data.test.labels[:100])
     for name, arr in param_arrays(params):
         np.testing.assert_array_equal(arr, before[name])
+    np.testing.assert_array_equal(images, synth_data.test.images[:100])
+
+
+def test_evaluate_short_last_batch_matches_caching_forward(synth_data):
+    spec = optimized_spec()
+    params = init_params(spec, TrainConfig(), substream(11, "init"))
+    images = synth_data.test.images[:20]
+    preds = np.concatenate([forward(spec, params, images[s : s + 7])[0].argmax(axis=1) for s in range(0, 20, 7)])
+    labels = preds.copy()
+    labels[[0, 9, 19]] = (labels[[0, 9, 19]] + 1) % 10  # one miss per batch of 7, 7, 6
+    assert evaluate(spec, params, images, labels, batch_size=7) == 17 / 20
 
 
 def test_evaluate_deterministic_and_chance_level():
