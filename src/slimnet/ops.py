@@ -136,7 +136,11 @@ def _im2col(x4: np.ndarray, kh: int, kw: int) -> np.ndarray:
 
 
 def conv2d_forward(x, params: ConvParams) -> np.ndarray:
-    """Stride-1 SAME convolution; output spatial size equals input's."""
+    """Stride-1 SAME convolution; output spatial size equals input's.
+
+    The bias is added in place to the fresh im2col product, so no second
+    output-sized array is allocated; the sum is the same.
+    """
     x = _as_f64(x)
     x4, had_batch = _batched(x, 3)
     w, b = params.weights, params.bias
@@ -147,7 +151,8 @@ def conv2d_forward(x, params: ConvParams) -> np.ndarray:
         )
     n, h, wd, _ = x4.shape
     cols = _im2col(x4, params.kernel_h, params.kernel_w)
-    y = cols @ w.reshape(-1, params.out_channels) + b
+    y = cols @ w.reshape(-1, params.out_channels)
+    y += b
     y = y.reshape(n, h, wd, params.out_channels)
     return y if had_batch else y[0]
 
@@ -255,7 +260,11 @@ def maxpool_backward(grad_out, argmax, window: int) -> np.ndarray:
 
 
 def dense_forward(x, params: DenseParams) -> np.ndarray:
-    """Affine map `x @ W + b` for `[F]` or `[N, F]` inputs."""
+    """Affine map `x @ W + b` for `[F]` or `[N, F]` inputs.
+
+    The bias is added in place to the fresh product, so no second
+    output-sized array is allocated; the sum is the same.
+    """
     x = _as_f64(x)
     if x.ndim not in (1, 2):
         raise ShapeError(f"dense: expected vector or batch of vectors, got shape {x.shape}")
@@ -264,7 +273,9 @@ def dense_forward(x, params: DenseParams) -> np.ndarray:
             f"dense: input length {x.shape[-1]} does not match in_features "
             f"{params.in_features} (weights {params.weights.shape})"
         )
-    return x @ params.weights + params.bias
+    y = x @ params.weights
+    y += params.bias
+    return y
 
 
 def dense_backward(x, params: DenseParams, grad_out):

@@ -109,34 +109,55 @@ def init_adam_state(params: Params) -> AdamState:
     return AdamState(m=zeros, v={k: np.zeros_like(a) for k, a in zeros.items()}, t=0)
 
 
-def adam_step(params: Params, grads: dict, state: AdamState, config: TrainConfig):
-    """One bias-corrected Adam update.  Returns fresh (params, state).
+def adam_step(params: Params, grads: dict, state: AdamState, config: TrainConfig) -> None:
+    """One bias-corrected Adam update, in place.  Returns `None`.
+
+    Writes into the arrays of `params`, `state.m` and `state.v`, and
+    increments `state.t`.  Each element sees the reference formula's
+    operations in its order (multiply, then divide by the bias
+    correction), so results are bit-identical to the out-of-place update
+    `arr - lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)`.
 
     `grads` maps layer name to `(grad_weights, grad_bias)` as produced by
-    `network.backward`.  Non-finite gradients abort with the layer named.
+    `network.backward`.  Every gradient is checked before anything is
+    written: a non-finite one raises `TrainingDiverged` naming the first
+    bad tensor ("fc1.w"), and a missing key or a mismatched shape raises
+    `KeyError` or `ValueError`, leaving params and moments untouched.
     """
-    t = state.t + 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    lr, eps = config.learning_rate, config.adam_epsilon
-    new_params: Params = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
+    tensors = []
     for name, p in params.items():
         gw, gb = grads[name]
-        updated = []
         for suffix, arr, g in (("w", p.weights, gw), ("b", p.bias, gb)):
             key = f"{name}.{suffix}"
-            if not np.all(np.isfinite(g)):
+            m, v = state.m[key], state.v[key]
+            if not g.shape == m.shape == v.shape == arr.shape:
+                raise ValueError(
+                    f"{key}: gradient {g.shape} and moments {m.shape}, {v.shape} must match {arr.shape}"
+                )
+            if not (np.isfinite(g.min()) and np.isfinite(g.max())):  # NaN propagates through both
                 raise TrainingDiverged(f"non-finite gradient in {key}")
-            m = b1 * state.m[key] + (1 - b1) * g
-            v = b2 * state.v[key] + (1 - b2) * g * g
-            m_hat = m / (1 - b1**t)
-            v_hat = v / (1 - b2**t)
-            updated.append(arr - lr * m_hat / (np.sqrt(v_hat) + eps))
-            new_m[key] = m
-            new_v[key] = v
-        new_params[name] = type(p)(*updated)
-    return new_params, AdamState(m=new_m, v=new_v, t=t)
+            tensors.append((arr, g, m, v))
+    state.t += 1
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    lr, eps = config.learning_rate, config.adam_epsilon
+    c1, c2 = 1 - b1**state.t, 1 - b2**state.t
+    for arr, g, m, v in tensors:
+        # Scratch is per call: held across steps it would stay alive through evaluate.
+        s, d = np.empty_like(arr), np.empty_like(arr)
+        np.multiply(m, b1, out=m)
+        np.multiply(g, 1 - b1, out=s)
+        np.add(m, s, out=m)
+        np.multiply(v, b2, out=v)
+        np.multiply(g, 1 - b2, out=s)
+        np.multiply(s, g, out=s)
+        np.add(v, s, out=v)
+        np.divide(m, c1, out=s)
+        np.multiply(s, lr, out=s)
+        np.divide(v, c2, out=d)
+        np.sqrt(d, out=d)
+        np.add(d, eps, out=d)
+        np.divide(s, d, out=s)
+        np.subtract(arr, s, out=arr)
 
 
 class _MinibatchSampler:
@@ -216,7 +237,7 @@ def train(spec: NetSpec, data, config: TrainConfig) -> TrainResult:
                 raise TrainingDiverged("minibatch loss is non-finite", iteration=it)
             grads, _ = backward(spec, params, caches, grad_logits)
             try:
-                params, state = adam_step(params, grads, state, config)
+                adam_step(params, grads, state, config)
             except TrainingDiverged as exc:
                 raise TrainingDiverged(str(exc), iteration=it) from None
             if config.loss_log_every and it % config.loss_log_every == 0:

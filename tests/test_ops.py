@@ -223,6 +223,25 @@ def test_dense_backward_matches_finite_differences(rng):
     np.testing.assert_array_equal(gb, probe)
 
 
+@pytest.mark.parametrize("x_shape", [(6,), (4, 6)])
+def test_dense_bias_add_is_the_out_of_place_sum(rng, x_shape):
+    x = rng.normal(size=x_shape)
+    w, b = rng.normal(size=(6, 5)), rng.normal(size=5)
+    p = ops.DenseParams(w.copy(), b.copy())
+    assert ops.dense_forward(x, p).tobytes() == (x @ w + b).tobytes()
+    assert p.weights.tobytes() == w.tobytes() and p.bias.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("x_shape", [(5, 5, 2), (3, 5, 5, 2)])
+def test_conv_bias_add_is_the_out_of_place_sum(rng, x_shape):
+    x = rng.normal(size=x_shape)
+    w, b = rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4)
+    p = ops.ConvParams(w.copy(), b.copy())
+    product = ops.conv2d_forward(x, ops.ConvParams(w, np.zeros(4)))  # + 0.0 leaves a nonzero b's sum unchanged
+    assert ops.conv2d_forward(x, p).tobytes() == (product + b).tobytes()
+    assert p.weights.tobytes() == w.tobytes() and p.bias.tobytes() == b.tobytes()
+
+
 # --- relu, dropout, softmax -----------------------------------------------------
 
 

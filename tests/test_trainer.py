@@ -1,19 +1,28 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from slimnet.container import load_checkpoint, save_checkpoint
 from slimnet.mnist import Dataset, DataSplits, one_hot_labels
-from slimnet.netspec import LayerSpec, NetSpec, baseline_spec, dropped_conv2_spec, optimized_spec
-from slimnet.network import forward, param_arrays
+from slimnet.netspec import LayerSpec, NetSpec, baseline_spec, dropped_conv2_spec, load_spec, optimized_spec
+from slimnet.network import backward, forward, param_arrays
+from slimnet.ops import softmax_xent
 from slimnet.rng import substream
 from slimnet.trainer import (
+    AdamState,
     TrainConfig,
     TrainingDiverged,
+    _MinibatchSampler,
     adam_step,
     evaluate,
     init_adam_state,
     init_params,
     train,
 )
+
+SPEC_PATHS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
 
 
 def tiny_spec():
@@ -36,6 +45,21 @@ def tiny_data(n_train=120, n_test=60, seed=0):
         return Dataset(rng.uniform(size=(n, 8, 8, 1)), one_hot_labels(rng.integers(0, 10, n)))
 
     return DataSplits(train=split(n_train), validation=split(30), test=split(n_test))
+
+
+def tiny_dropout_spec():
+    return NetSpec(
+        "tiny-dropout",
+        (
+            LayerSpec.input(8, 8, 1),
+            LayerSpec.conv(3, 2),
+            LayerSpec.maxpool(2),
+            LayerSpec.flatten(),
+            LayerSpec.dense(16),
+            LayerSpec.dropout(0.5),
+            LayerSpec.dense(10),
+        ),
+    )
 
 
 # --- config -----------------------------------------------------------------
@@ -122,17 +146,19 @@ def test_adam_zero_gradient_leaves_params():
     params, _ = scalar_setup(0.0)
     grads = {"fc1": (np.zeros_like(params["fc1"].weights), np.zeros_like(params["fc1"].bias))}
     state = init_adam_state(params)
-    new_params, new_state = adam_step(params, grads, state, TrainConfig())
-    np.testing.assert_array_equal(new_params["fc1"].weights, params["fc1"].weights)
-    assert new_state.t == 1
+    before = params["fc1"].weights.copy()
+    adam_step(params, grads, state, TrainConfig())
+    np.testing.assert_array_equal(params["fc1"].weights, before)
+    assert state.t == 1
 
 
 def test_adam_first_step_magnitude():
     lr = 1e-4
     params, grads = scalar_setup(0.37)
     state = init_adam_state(params)
-    new_params, _ = adam_step(params, grads, state, TrainConfig(learning_rate=lr))
-    delta = params["fc1"].weights - new_params["fc1"].weights
+    before = params["fc1"].weights.copy()
+    adam_step(params, grads, state, TrainConfig(learning_rate=lr))
+    delta = before - params["fc1"].weights
     expected = lr / (1 + TrainConfig().adam_epsilon / 0.37)
     np.testing.assert_allclose(delta, expected, rtol=1e-12)
 
@@ -144,8 +170,8 @@ def test_adam_two_steps_match_hand_rolled_oracle():
     theta0 = params["fc1"].weights.copy()
     state = init_adam_state(params)
     cfg = TrainConfig(learning_rate=lr)
-    p1, s1 = adam_step(params, grads, state, cfg)
-    p2, s2 = adam_step(p1, grads, s1, cfg)
+    adam_step(params, grads, state, cfg)
+    adam_step(params, grads, state, cfg)
 
     # independent scalar recurrence
     theta, m, v = 0.0, 0.0, 0.0
@@ -153,8 +179,8 @@ def test_adam_two_steps_match_hand_rolled_oracle():
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         theta -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-    np.testing.assert_allclose(p2["fc1"].weights - theta0, theta, atol=1e-12)
-    assert s2.t == 2
+    np.testing.assert_allclose(params["fc1"].weights - theta0, theta, atol=1e-12)
+    assert state.t == 2
 
 
 def test_adam_rejects_nan_grads_naming_layer():
@@ -162,6 +188,154 @@ def test_adam_rejects_nan_grads_naming_layer():
     grads["fc1"] = (np.full_like(params["fc1"].weights, np.nan), grads["fc1"][1])
     with pytest.raises(TrainingDiverged, match="fc1.w"):
         adam_step(params, grads, init_adam_state(params), TrainConfig())
+
+
+def reference_adam_step(params, grads, state, config):
+    """The out-of-place update, in its original operation order."""
+    t = state.t + 1
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    lr, eps = config.learning_rate, config.adam_epsilon
+    new_params, new_m, new_v = {}, {}, {}
+    for name, p in params.items():
+        gw, gb = grads[name]
+        updated = []
+        for suffix, arr, g in (("w", p.weights, gw), ("b", p.bias, gb)):
+            key = f"{name}.{suffix}"
+            m = b1 * state.m[key] + (1 - b1) * g
+            v = b2 * state.v[key] + (1 - b2) * g * g
+            m_hat = m / (1 - b1**t)
+            v_hat = v / (1 - b2**t)
+            updated.append(arr - lr * m_hat / (np.sqrt(v_hat) + eps))
+            new_m[key] = m
+            new_v[key] = v
+        new_params[name] = type(p)(*updated)
+    return new_params, AdamState(m=new_m, v=new_v, t=t)
+
+
+def make_grads(params, kind, rng):
+    def one(arr):
+        if kind == "zero":
+            return np.zeros_like(arr)
+        if kind == "random":
+            return rng.normal(0.0, 0.01, arr.shape)
+        # sign-mixed: alternating signs over 15 decades of magnitude, with signed zeros
+        g = rng.uniform(1.0, 2.0, arr.shape) * 10.0 ** rng.integers(-12, 4, arr.shape)
+        g.flat[1::2] *= -1
+        g.flat[::5] = 0.0
+        g.flat[2::5] = -0.0
+        return g
+
+    return {name: (one(p.weights), one(p.bias)) for name, p in params.items()}
+
+
+def optimizer_arrays(params, state):
+    """Every array an Adam step writes, keyed by name."""
+    arrays = dict(param_arrays(params))
+    arrays.update({f"m.{k}": a for k, a in state.m.items()})
+    arrays.update({f"v.{k}": a for k, a in state.v.items()})
+    return arrays
+
+
+def assert_same_bits(ours: dict, theirs: dict):
+    assert ours.keys() == theirs.keys()
+    for key, a in ours.items():
+        b = theirs[key]
+        assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64)), key
+
+
+@pytest.mark.parametrize("kind", ["random", "zero", "sign-mixed"])
+@pytest.mark.parametrize("spec_path", SPEC_PATHS, ids=lambda p: p.stem)
+def test_adam_in_place_is_bit_identical_to_reference(spec_path, kind):
+    cfg = TrainConfig()
+    params = init_params(load_spec(spec_path), cfg, substream(21, "init"))
+    state = init_adam_state(params)
+    ref_params = {n: type(p)(p.weights.copy(), p.bias.copy()) for n, p in params.items()}
+    ref_state = init_adam_state(ref_params)
+    rng = np.random.default_rng(5)
+    for step_kind in ("random", kind, kind, kind):  # a first random step makes the moments nonzero
+        grads = make_grads(params, step_kind, rng)
+        adam_step(params, grads, state, cfg)
+        ref_params, ref_state = reference_adam_step(ref_params, grads, ref_state, cfg)
+        assert state.t == ref_state.t
+        assert_same_bits(optimizer_arrays(params, state), optimizer_arrays(ref_params, ref_state))
+
+
+def test_adam_step_writes_into_the_callers_arrays():
+    params = init_params(optimized_spec(), TrainConfig(), substream(22, "init"))
+    state = init_adam_state(params)
+    arrays = optimizer_arrays(params, state)
+    before = {k: a.copy() for k, a in arrays.items()}
+    assert adam_step(params, make_grads(params, "random", np.random.default_rng(1)), state, TrainConfig()) is None
+    assert state.t == 1
+    after = optimizer_arrays(params, state)
+    for key, arr in arrays.items():
+        assert after[key] is arr, key
+        assert not np.array_equal(arr, before[key]), key
+
+
+@pytest.mark.parametrize(
+    "key, fault, error",
+    [
+        ("fc2.b", np.nan, TrainingDiverged),  # the last tensor updated
+        ("fc1.w", np.inf, TrainingDiverged),
+        ("conv1.w", -np.inf, TrainingDiverged),
+        ("fc1.b", "shape", ValueError),
+    ],
+)
+def test_adam_bad_gradient_raises_before_any_write(key, fault, error):
+    params = init_params(optimized_spec(), TrainConfig(), substream(23, "init"))
+    state = init_adam_state(params)
+    rng = np.random.default_rng(2)
+    adam_step(params, make_grads(params, "random", rng), state, TrainConfig())
+    grads = make_grads(params, "random", rng)
+    name, suffix = key.split(".")
+    gw, gb = grads[name]
+    if fault == "shape":
+        gb = gb[:-1]
+    elif suffix == "w":
+        gw.flat[-1] = fault
+    else:
+        gb.flat[-1] = fault
+    grads[name] = (gw, gb)
+    before = {k: a.copy() for k, a in optimizer_arrays(params, state).items()}
+    with pytest.raises(error, match=re.escape(key)):
+        adam_step(params, grads, state, TrainConfig())
+    assert state.t == 1
+    assert_same_bits(optimizer_arrays(params, state), before)
+
+
+def test_train_checkpoint_bytes_match_reference_adam_loop(tmp_path):
+    spec, data = tiny_dropout_spec(), tiny_data()
+    cfg = TrainConfig(iterations=6, batch_size=10, seed=9)
+    res = train(spec, data, cfg)
+    save_checkpoint(tmp_path / "in_place.ntbx", res.params, res.adam_state, res.iterations_run)
+
+    params = init_params(spec, cfg, substream(cfg.seed, "init"))
+    state = init_adam_state(params)
+    sampler = _MinibatchSampler(len(data.train.images), cfg.batch_size, substream(cfg.seed, "shuffle"))
+    drop = substream(cfg.seed, "dropout")
+    for _ in range(cfg.iterations):
+        idx = sampler.next_batch()
+        logits, caches = forward(spec, params, data.train.images[idx], training=True, dropout_rng=drop)
+        _, grad = softmax_xent(logits, data.train.labels[idx])
+        grads, _ = backward(spec, params, caches, grad)
+        params, state = reference_adam_step(params, grads, state, cfg)
+    save_checkpoint(tmp_path / "reference.ntbx", params, state, cfg.iterations)
+    assert (tmp_path / "in_place.ntbx").read_bytes() == (tmp_path / "reference.ntbx").read_bytes()
+
+
+def test_loaded_checkpoint_steps_in_place_like_memory(tmp_path):
+    spec, data = tiny_dropout_spec(), tiny_data()
+    cfg = TrainConfig(iterations=3, batch_size=10, seed=10)
+    res = train(spec, data, cfg)
+    save_checkpoint(tmp_path / "ck.ntbx", res.params, res.adam_state, res.iterations_run)
+    ck = load_checkpoint(tmp_path / "ck.ntbx")
+    assert all(a.flags.writeable for a in optimizer_arrays(ck.params, ck.adam).values())
+    grads = make_grads(res.params, "random", np.random.default_rng(3))
+    adam_step(res.params, grads, res.adam_state, cfg)
+    adam_step(ck.params, grads, ck.adam, cfg)
+    assert ck.adam.t == res.adam_state.t == 4
+    assert_same_bits(optimizer_arrays(ck.params, ck.adam), optimizer_arrays(res.params, res.adam_state))
 
 
 # --- train / evaluate ----------------------------------------------------------
@@ -261,11 +435,11 @@ def test_adam_step_size_within_provable_bound(synth_data):
         logits, caches = net_forward(spec, params, data.train.images[idx], training=True, dropout_rng=drop)
         _, grad = softmax_xent(logits, data.train.labels[idx])
         grads, _ = net_backward(spec, params, caches, grad)
-        new_params, state = adam_step(params, grads, state, cfg)
+        before = [arr.copy() for _, arr in param_arrays(params)]
+        adam_step(params, grads, state, cfg)
         bound = adam_step_bound(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, state.t)
-        for (_, old), (_, new) in zip(param_arrays(params), param_arrays(new_params)):
+        for old, (_, new) in zip(before, param_arrays(params)):
             assert np.abs(new - old).max() <= bound * (1 + 1e-6)
-        params = new_params
 
 
 def test_evaluate_is_side_effect_free(synth_data):
