@@ -70,13 +70,15 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = Fa
             keep_caches: bool = True):
     """Run the chain on a `[N,28,28,C]` batch; returns (logits, caches).
 
-    `caches` holds everything `backward` needs.  With `keep_caches=False`
-    it is `None` and nothing is kept for backward: no per-layer state, no
-    pooling argmax (`ops.maxpool_values`), and ReLU overwrites the conv
-    and dense outputs this call allocated.  The logits are bit-identical
-    either way.  Dropout fires only when `training` is true, drawing its
-    masks from `dropout_rng`; `dropout_override` replaces every dropout
-    layer's keep probability.
+    `caches` holds everything `backward` needs.  ReLU overwrites the conv
+    and dense outputs this call allocated, and the cache keeps that one
+    array (`"relu"`) for `ops.relu_backward`: relu(z) > 0 exactly where
+    z > 0.  With `keep_caches=False` `caches` is `None` and nothing is
+    kept for backward: no per-layer state and no pooling argmax
+    (`ops.maxpool_values`).  The logits are bit-identical either way.
+    Dropout runs only when `training` is true, drawing its masks from
+    `dropout_rng`; otherwise it is skipped.  `dropout_override` replaces
+    every dropout layer's keep probability.
     """
     names = layer_names(spec)
     last_dense = _last_dense_index(spec)
@@ -92,11 +94,9 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = Fa
                 cache["x"] = h
             h = ops.conv2d_forward(h, p) if layer.kind == "conv" else ops.dense_forward(h, p)
             if activation == "relu" and (layer.kind == "conv" or i != last_dense):
-                if cache is None:
-                    h = ops.relu(h, out=h)
-                else:
-                    cache["z"] = h
-                    h = ops.relu(h)
+                h = ops.relu(h, out=h)
+                if cache is not None:
+                    cache["relu"] = h
         elif layer.kind == "maxpool":
             if cache is None:
                 h = ops.maxpool_values(h, layer.window)
@@ -109,11 +109,14 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = Fa
             h = h.reshape(h.shape[0], -1)
         elif layer.kind == "dropout":
             keep = dropout_override if dropout_override is not None else layer.keep_prob
-            if training and dropout_rng is None:
-                raise ValueError("training-mode dropout needs a dropout_rng")
-            h, mask = ops.dropout(h, keep, dropout_rng, training=training)
+            if training:
+                if dropout_rng is None:
+                    raise ValueError("training-mode dropout needs a dropout_rng")
+                h, mask = ops.dropout(h, keep, dropout_rng)
+                if cache is not None:
+                    cache["mask"] = mask
             if cache is not None:
-                cache.update(mask=mask, keep=keep, training=training)
+                cache.update(keep=keep, training=training)
         if caches is not None:
             caches.append(cache)
     return h, caches
@@ -139,8 +142,8 @@ def backward(spec: NetSpec, params: Params, caches: list[dict], grad_logits: np.
         if layer.kind == "input":
             continue
         if layer.kind == "conv":
-            if "z" in cache:
-                g = ops.relu_backward(cache["z"], g)
+            if "relu" in cache:
+                g = ops.relu_backward(cache["relu"], g)
             g, gw, gb = ops.conv2d_backward(cache["x"], params[cache["name"]], g, input_grad=i != first)
             grads[cache["name"]] = (gw, gb)
         elif layer.kind == "maxpool":
@@ -148,8 +151,8 @@ def backward(spec: NetSpec, params: Params, caches: list[dict], grad_logits: np.
         elif layer.kind == "flatten":
             g = g.reshape(cache["shape"])
         elif layer.kind == "dense":
-            if "z" in cache:
-                g = ops.relu_backward(cache["z"], g)
+            if "relu" in cache:
+                g = ops.relu_backward(cache["relu"], g)
             g, gw, gb = ops.dense_backward(cache["x"], params[cache["name"]], g)
             grads[cache["name"]] = (gw, gb)
         elif layer.kind == "dropout":

@@ -305,7 +305,11 @@ def relu(x, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def relu_backward(x, grad_out) -> np.ndarray:
-    """Pass gradient where input > 0; the subgradient at 0 is taken as 0."""
+    """Pass gradient where input > 0; the subgradient at 0 is taken as 0.
+
+    `x` may be the ReLU's input or its output: relu(x) > 0 exactly where
+    x > 0, NaN and signed zeros included.
+    """
     x = _as_f64(x)
     grad_out = _as_f64(grad_out)
     if x.shape != grad_out.shape:
@@ -325,14 +329,18 @@ def dropout(x, keep_prob: float, rng: np.random.Generator, training: bool = True
     if not training or keep_prob == 1.0:
         return x, np.ones_like(x)
     mask = (rng.random(x.shape) < keep_prob).astype(np.float64)
-    return x * mask / keep_prob, mask
+    y = x * mask
+    y /= keep_prob
+    return y, mask
 
 
 def dropout_backward(grad_out, mask, keep_prob: float) -> np.ndarray:
     grad_out = _as_f64(grad_out)
     if grad_out.shape != mask.shape:
         raise ShapeError(f"dropout_backward: grad_out shape {grad_out.shape} != mask shape {mask.shape}")
-    return grad_out * mask / keep_prob
+    g = grad_out * mask
+    g /= keep_prob
+    return g
 
 
 def _check_one_hot(labels: np.ndarray):

@@ -32,6 +32,12 @@ __all__ = [
 ]
 
 
+# Elements per Adam block: 128 KiB per float64 operand, so the blocks of the
+# four operands and the two scratch arrays (768 KiB) stay in L2.  On
+# dropped-conv2's 6.4M parameters, blocks of 4096 or 262144 were 10-25% slower.
+_ADAM_BLOCK = 16384
+
+
 class TrainingDiverged(RuntimeError):
     """Loss or a gradient went non-finite."""
 
@@ -113,9 +119,14 @@ def adam_step(params: Params, grads: dict, state: AdamState, config: TrainConfig
     """One bias-corrected Adam update, in place.  Returns `None`.
 
     Writes into the arrays of `params`, `state.m` and `state.v`, and
-    increments `state.t`.  Each element sees the reference formula's
-    operations in its order (multiply, then divide by the bias
-    correction), so results are bit-identical to the out-of-place update
+    increments `state.t`.  Each tensor is updated in blocks of
+    `_ADAM_BLOCK` elements, so the only scratch is two block-sized arrays
+    per call, never one the size of a parameter; the operands may have
+    any memory layout (an F-ordered weight with C-ordered moments is
+    updated in place, not through a copy).  Each element sees the
+    reference formula's operations in its order (multiply, then divide by
+    the bias correction), so results are bit-identical to the
+    out-of-place update
     `arr - lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)`.
 
     `grads` maps layer name to `(grad_weights, grad_bias)` as produced by
@@ -141,23 +152,29 @@ def adam_step(params: Params, grads: dict, state: AdamState, config: TrainConfig
     b1, b2 = config.adam_beta1, config.adam_beta2
     lr, eps = config.learning_rate, config.adam_epsilon
     c1, c2 = 1 - b1**state.t, 1 - b2**state.t
+    scratch_s, scratch_d = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
     for arr, g, m, v in tensors:
-        # Scratch is per call: held across steps it would stay alive through evaluate.
-        s, d = np.empty_like(arr), np.empty_like(arr)
-        np.multiply(m, b1, out=m)
-        np.multiply(g, 1 - b1, out=s)
-        np.add(m, s, out=m)
-        np.multiply(v, b2, out=v)
-        np.multiply(g, 1 - b2, out=s)
-        np.multiply(s, g, out=s)
-        np.add(v, s, out=v)
-        np.divide(m, c1, out=s)
-        np.multiply(s, lr, out=s)
-        np.divide(v, c2, out=d)
-        np.sqrt(d, out=d)
-        np.add(d, eps, out=d)
-        np.divide(s, d, out=s)
-        np.subtract(arr, s, out=arr)
+        with np.nditer(
+            [arr, g, m, v], flags=["external_loop", "buffered", "zerosize_ok"],
+            op_flags=[["readwrite"], ["readonly"], ["readwrite"], ["readwrite"]],
+            order="C", buffersize=_ADAM_BLOCK,
+        ) as blocks:
+            for a, gb, mb, vb in blocks:
+                s, d = scratch_s[: a.size], scratch_d[: a.size]
+                np.multiply(mb, b1, out=mb)
+                np.multiply(gb, 1 - b1, out=s)
+                np.add(mb, s, out=mb)
+                np.multiply(vb, b2, out=vb)
+                np.multiply(gb, 1 - b2, out=s)
+                np.multiply(s, gb, out=s)
+                np.add(vb, s, out=vb)
+                np.divide(mb, c1, out=s)
+                np.multiply(s, lr, out=s)
+                np.divide(vb, c2, out=d)
+                np.sqrt(d, out=d)
+                np.add(d, eps, out=d)
+                np.divide(s, d, out=s)
+                np.subtract(a, s, out=a)
 
 
 class _MinibatchSampler:
@@ -243,11 +260,17 @@ def train(spec: NetSpec, data, config: TrainConfig) -> TrainResult:
             if config.loss_log_every and it % config.loss_log_every == 0:
                 loss_trace.append((it, loss))
             if config.eval_every and it % config.eval_every == 0:
+                caches = grads = None  # see the release before the final evaluate
                 eval_trace.append(
                     (it, evaluate(spec, params, data.validation.images, data.validation.labels,
                                   activation=config.activation))
                 )
 
+    # Evaluation does not hold the last step's activations and gradients.  They
+    # are released only here: freed after every step, their pages went back
+    # to the OS and were faulted in again by the next step (on the optimized
+    # net, 5-8x the minor page faults and 16-19% more CPU time).
+    caches = grads = None
     test_accuracy = evaluate(spec, params, data.test.images, data.test.labels,
                              activation=config.activation)
     return TrainResult(

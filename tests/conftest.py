@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,24 @@ def require_mnist():
             "canonical files under ./data)"
         )
     return directory
+
+
+def peak_alloc_bytes(fn) -> int:
+    """Peak bytes allocated while `fn()` runs, above what was live when it began.
+
+    Counts what `tracemalloc` sees, which includes numpy's array buffers.
+    """
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -35,8 +35,8 @@ def full_backward(spec, params, caches, g):
     grads = {}
     for layer, cache in zip(reversed(spec.layers), reversed(caches)):
         if layer.kind in ("conv", "dense"):
-            if "z" in cache:
-                g = ops.relu_backward(cache["z"], g)
+            if "relu" in cache:
+                g = ops.relu_backward(cache["relu"], g)
             op = ops.conv2d_backward if layer.kind == "conv" else ops.dense_backward
             g, gw, gb = op(cache["x"], params[cache["name"]], g)
             grads[cache["name"]] = (gw, gb)
@@ -62,7 +62,7 @@ def test_cache_free_forward_gives_identical_logits(path, activation):
     assert free.tobytes() == logits.tobytes()
     assert x.tobytes() == before.tobytes()
     if activation == "relu":
-        assert (caches[1]["z"] <= 0).mean() > 0.5  # the input is tie-heavy after conv1's ReLU
+        assert (caches[1]["relu"] <= 0).mean() > 0.5  # the input is tie-heavy after conv1's ReLU
 
 
 @pytest.mark.parametrize("spec", [*map(load_spec, SPECS), dense_only_spec()], ids=lambda s: s.name)
@@ -78,3 +78,45 @@ def test_backward_stops_at_first_weights_with_identical_gradients(spec):
     for name, (gw, gb) in ref.items():
         assert grads[name][0].tobytes() == gw.tobytes(), name
         assert grads[name][1].tobytes() == gb.tobytes(), name
+
+
+def test_training_forward_keeps_one_array_per_activated_layer():
+    spec = NetSpec(
+        "stacked",
+        (
+            LayerSpec.input(8, 8, 1),
+            LayerSpec.conv(3, 2),
+            LayerSpec.conv(3, 3),
+            LayerSpec.flatten(),
+            LayerSpec.dense(16),
+            LayerSpec.dense(12),
+            LayerSpec.dense(10),
+        ),
+    )
+    params = init_params(spec, substream(8, "init"))
+    x = np.random.default_rng(8).normal(size=(4, 8, 8, 1))
+    _, caches = forward(spec, params, x, training=True, dropout_rng=substream(8, "dropout"))
+    activated = [c for c in caches if "relu" in c]
+    assert [c["name"] for c in activated] == ["conv1", "conv2", "fc1", "fc2"]
+    assert all(c.keys() == {"kind", "name", "x", "relu"} for c in activated)
+    assert caches[2]["x"] is caches[1]["relu"]  # conv1 -> conv2
+    assert caches[5]["x"] is caches[4]["relu"]  # fc1 -> fc2
+    assert np.shares_memory(caches[4]["x"], caches[2]["relu"])  # conv2 -> flatten -> fc1
+    assert "relu" not in caches[6]  # the logits
+
+
+def test_evaluation_forward_skips_dropout(monkeypatch):
+    spec = load_spec(SPECS[0])
+    assert any(layer.kind == "dropout" for layer in spec.layers)
+    params = init_params(spec, substream(9, "init"))
+    x = tie_heavy_batch(5, seed=9)
+    expected, _ = forward(spec, params, x, keep_caches=False)
+
+    def no_dropout(*args, **kwargs):
+        raise AssertionError("ops.dropout called in evaluation mode")
+
+    monkeypatch.setattr(ops, "dropout", no_dropout)
+    logits, caches = forward(spec, params, x)
+    assert logits.tobytes() == expected.tobytes()
+    assert [c.keys() for c in caches if c["kind"] == "dropout"] == [{"kind", "name", "keep", "training"}]
+    assert forward(spec, params, x, keep_caches=False)[0].tobytes() == expected.tobytes()

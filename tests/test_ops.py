@@ -268,6 +268,28 @@ def test_relu_backward_matches_finite_differences(rng):
     assert max_rel_err(g, num) <= 1e-4
 
 
+def test_relu_backward_reads_the_same_mask_from_output_as_from_input(rng):
+    z = np.concatenate([rng.normal(size=40), [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324]])
+    g = rng.normal(size=z.shape)
+    from_input = ops.relu_backward(z, g)
+    out = z.copy()
+    assert ops.relu_backward(ops.relu(out, out=out), g).tobytes() == from_input.tobytes()
+
+
+def test_dropout_scales_the_fresh_product_bitwise(rng):
+    keep = 0.7  # x / 0.7 and x * (1 / 0.7) differ in a quarter of the elements
+    x = rng.normal(size=(9, 37)) * 10.0 ** rng.integers(-300, 300, size=(9, 37))
+    x_before = x.copy()
+    y, mask = ops.dropout(x, keep, np.random.default_rng(4), training=True)
+    ref_mask = (np.random.default_rng(4).random(x.shape) < keep).astype(np.float64)
+    assert mask.tobytes() == ref_mask.tobytes()
+    assert y.tobytes() == (x * ref_mask / keep).tobytes()
+    g = rng.normal(size=x.shape) * 10.0 ** rng.integers(-300, 300, size=x.shape)
+    g_before = g.copy()
+    assert ops.dropout_backward(g, mask, keep).tobytes() == (g * ref_mask / keep).tobytes()
+    assert x.tobytes() == x_before.tobytes() and g.tobytes() == g_before.tobytes()
+
+
 def test_dropout_keep_one_is_identity(rng):
     x = rng.uniform(size=(5, 5))
     y, mask = ops.dropout(x, 1.0, rng, training=True)

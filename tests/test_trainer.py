@@ -1,16 +1,19 @@
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from slimnet import trainer
 from slimnet.container import load_checkpoint, save_checkpoint
 from slimnet.mnist import Dataset, DataSplits, one_hot_labels
 from slimnet.netspec import LayerSpec, NetSpec, baseline_spec, dropped_conv2_spec, load_spec, optimized_spec
 from slimnet.network import backward, forward, param_arrays
-from slimnet.ops import softmax_xent
+from slimnet.ops import DenseParams, softmax_xent
 from slimnet.rng import substream
 from slimnet.trainer import (
+    _ADAM_BLOCK,
     AdamState,
     TrainConfig,
     TrainingDiverged,
@@ -21,6 +24,7 @@ from slimnet.trainer import (
     init_params,
     train,
 )
+from tests.conftest import peak_alloc_bytes
 
 SPEC_PATHS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
 
@@ -283,7 +287,18 @@ def test_adam_step_writes_into_the_callers_arrays():
     ],
 )
 def test_adam_bad_gradient_raises_before_any_write(key, fault, error):
-    params = init_params(optimized_spec(), TrainConfig(), substream(23, "init"))
+    assert_bad_gradient_raises_before_any_write(optimized_spec(), key, fault, error)
+
+
+def test_adam_nan_in_the_last_block_raises_before_any_write():
+    spec = dropped_conv2_spec()
+    assert init_params(spec, TrainConfig(), substream(23, "init"))["fc1"].weights.size > 3 * _ADAM_BLOCK
+    assert_bad_gradient_raises_before_any_write(spec, "fc1.w", np.nan, TrainingDiverged)
+
+
+def assert_bad_gradient_raises_before_any_write(spec, key, fault, error):
+    """Put `fault` into the last element of `key`'s gradient (or cut it short) on step 2."""
+    params = init_params(spec, TrainConfig(), substream(23, "init"))
     state = init_adam_state(params)
     rng = np.random.default_rng(2)
     adam_step(params, make_grads(params, "random", rng), state, TrainConfig())
@@ -302,6 +317,72 @@ def test_adam_bad_gradient_raises_before_any_write(key, fault, error):
         adam_step(params, grads, state, TrainConfig())
     assert state.t == 1
     assert_same_bits(optimizer_arrays(params, state), before)
+
+
+def one_tensor_setup(weights):
+    """A lone dense layer holding `weights`, with C-ordered zero moments."""
+    params = {"fc1": DenseParams(weights, np.zeros(weights.shape[1]))}
+    arrays = dict(param_arrays(params))
+    return params, AdamState(m={k: np.zeros(a.shape) for k, a in arrays.items()},
+                             v={k: np.zeros(a.shape) for k, a in arrays.items()})
+
+
+@pytest.mark.parametrize(
+    "shape, order",
+    [
+        ((1, 1), "C"),
+        ((_ADAM_BLOCK - 1, 1), "C"),
+        ((_ADAM_BLOCK, 1), "C"),
+        ((1, _ADAM_BLOCK + 1), "C"),
+        ((3 * _ADAM_BLOCK + 7, 1), "C"),
+        ((129, 400), "F"),  # more than three blocks, not contiguous in the moments' order
+    ],
+    ids=["1", "B-1", "B", "B+1", "3B+7", "F-ordered"],
+)
+def test_blocked_adam_is_bit_identical_at_block_edges(shape, order):
+    rng = np.random.default_rng(6)
+    params, state = one_tensor_setup(np.asarray(rng.normal(0.0, 0.1, shape), order=order))
+    arrays = optimizer_arrays(params, state)
+    assert params["fc1"].weights.flags.c_contiguous == (order == "C")
+    ref_params = {"fc1": DenseParams(params["fc1"].weights.copy(), params["fc1"].bias.copy())}
+    ref_state = init_adam_state(ref_params)
+    for step_kind in ("random", "sign-mixed", "zero", "random"):
+        grads = make_grads(params, step_kind, rng)
+        adam_step(params, grads, state, TrainConfig())
+        ref_params, ref_state = reference_adam_step(ref_params, grads, ref_state, TrainConfig())
+        after = optimizer_arrays(params, state)
+        assert all(after[key] is arr for key, arr in arrays.items())
+        assert_same_bits(after, optimizer_arrays(ref_params, ref_state))
+    assert state.t == 4
+
+
+def test_adam_step_allocates_no_parameter_sized_scratch():
+    params = init_params(dropped_conv2_spec(), TrainConfig(), substream(24, "init"))
+    state = init_adam_state(params)
+    grads = make_grads(params, "random", np.random.default_rng(4))
+    assert params["fc1"].weights.nbytes > 48 * 2**20
+    assert peak_alloc_bytes(lambda: adam_step(params, grads, state, TrainConfig())) < 2**20
+
+
+def test_train_holds_no_step_state_through_evaluate(monkeypatch):
+    refs, evaluations = [], []
+    real_backward, real_evaluate = trainer.backward, trainer.evaluate
+
+    def recording_backward(spec, params, caches, grad_logits):
+        grads, grad_input = real_backward(spec, params, caches, grad_logits)
+        refs.extend(weakref.ref(a) for pair in grads.values() for a in pair)
+        refs.extend(weakref.ref(c[k]) for c in caches for k in ("relu", "argmax", "mask") if k in c)
+        return grads, grad_input
+
+    def checking_evaluate(*args, **kwargs):
+        assert refs and all(ref() is None for ref in refs)
+        evaluations.append(args)
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "backward", recording_backward)
+    monkeypatch.setattr(trainer, "evaluate", checking_evaluate)
+    train(tiny_dropout_spec(), tiny_data(), TrainConfig(iterations=4, batch_size=10, seed=3, eval_every=2))
+    assert len(evaluations) == 3  # after steps 2 and 4, then the test split
 
 
 def test_train_checkpoint_bytes_match_reference_adam_loop(tmp_path):
