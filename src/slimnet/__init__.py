@@ -3,7 +3,7 @@ threshold-constrained architecture reduction."""
 
 __version__ = "0.1.0"
 
-from .accounting import ComplexityReport, analyze, count_memory, count_params, diff_reports
+from .accounting import ComplexityReport, analyze, diff_reports
 from .netspec import (
     LayerSpec,
     NetSpec,
@@ -37,7 +37,7 @@ from .mnist import DataSplits, load_data_dir, load_idx_images, load_idx_labels, 
 
 __all__ = [
     "__version__",
-    "ComplexityReport", "analyze", "count_memory", "count_params", "diff_reports",
+    "ComplexityReport", "analyze", "diff_reports",
     "LayerSpec", "NetSpec", "SpecError", "parse_spec", "serialize_spec", "spec_id",
     "propagate_shapes", "baseline_spec", "dropped_conv2_spec", "optimized_spec",
     "optimized_3x3_spec",

@@ -26,8 +26,6 @@ __all__ = [
     "ReportRow",
     "ComplexityReport",
     "ArchComparison",
-    "count_params",
-    "count_memory",
     "analyze",
     "diff_reports",
 ]
@@ -164,24 +162,6 @@ def _filter_desc(layer, in_shape) -> str:
     if layer.kind == "maxpool":
         return f"{layer.window}x{layer.window}"
     return ""
-
-
-def count_params(spec: NetSpec, convention: str = "paper_compat") -> list[int]:
-    """Per-layer trainable-parameter counts under `convention`."""
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention '{convention}'; expected one of {CONVENTIONS}")
-    shapes = propagate_shapes(spec)
-    counts = []
-    for i, layer in enumerate(spec.layers):
-        in_shape = shapes[i - 1] if i else None
-        counts.append(_param_cell(layer, in_shape, convention)[0])
-    return counts
-
-
-def count_memory(spec: NetSpec) -> list[int]:
-    """Per-layer activation memory in elements (0 for view layers)."""
-    shapes = propagate_shapes(spec)
-    return [_memory_cell(layer, shapes[i])[0] for i, layer in enumerate(spec.layers)]
 
 
 def analyze(spec: NetSpec, convention: str = "paper_compat") -> ComplexityReport:

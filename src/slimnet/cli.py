@@ -3,7 +3,7 @@
 Subcommands: `analyze` (complexity ledger), `train`, `search`,
 `gradcheck`, plus `--replay <manifest>` to re-execute a recorded run.
 Every run writes a manifest with the resolved arguments so results can
-be reproduced byte for byte in deterministic (single-worker) mode.
+be reproduced byte for byte.
 
 Exit codes: 0 success, 2 spec/parse problem, 3 missing or malformed
 data, 4 training divergence, 5 infeasible search threshold, 1 any other
@@ -26,15 +26,7 @@ from .container import save_checkpoint
 from .golden import GOLDEN_LEDGERS, check_against_golden, display_ratio
 from .gradcheck import LAYERS, run_suite
 from .mnist import MissingDataError, IdxFormatError, load_data_dir
-from .netspec import (
-    NetSpec,
-    SpecError,
-    baseline_spec,
-    dropped_conv2_spec,
-    load_spec,
-    optimized_3x3_spec,
-    optimized_spec,
-)
+from .netspec import PRESETS, NetSpec, SpecError, load_spec
 from .ops import ShapeError
 from .search import (
     SearchError,
@@ -54,13 +46,6 @@ EXIT_DIVERGED = 4
 EXIT_INFEASIBLE = 5
 
 DATA_DIR_ENV = "SLIMNET_DATA_DIR"
-
-PRESETS = {
-    "baseline": baseline_spec,
-    "dropped-conv2": dropped_conv2_spec,
-    "optimized": optimized_spec,
-    "optimized-3x3": optimized_3x3_spec,
-}
 
 
 def _resolve_spec(token: str) -> NetSpec:
@@ -197,13 +182,11 @@ def cmd_search(args, argv) -> int:
         resolved += ["--iterations", str(args.iterations)]
     if args.exhaustive:
         resolved += ["--exhaustive"]
-    resolved += ["--workers", str(args.workers)]
 
     out_dir = Path(args.out)
     resolved += ["--out", str(out_dir)]
     _write_manifest(out_dir, "search", resolved)
-    output = run_search(plan, oracle, out_dir=out_dir, workers=args.workers,
-                        exhaustive=args.exhaustive)
+    output = run_search(plan, oracle, out_dir=out_dir, exhaustive=args.exhaustive)
     print(f"swept {len(output.results)} runs; ledger at {output.ledger_path}")
     print(f"frontier points: {len(output.frontier)} (frontier.csv, curves.csv written)")
     print(output.selection.describe())
@@ -269,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, help="worst-case accuracy threshold (default 0.95)")
     p.add_argument("--seeds", help="comma-separated seeds, e.g. 0,1,2")
     p.add_argument("--iterations", type=int, help="override the schedule's iteration count")
-    p.add_argument("--workers", type=int, default=1, help="parallel candidate workers")
     p.add_argument("--exhaustive", action="store_true",
                    help="sweep the full knob lattice instead of the staged procedure")
     p.add_argument("--out", default="runs/search", help="output directory (default runs/search)")

@@ -1,6 +1,7 @@
 """Finite-difference verification of every backward kernel.
 
-Each check builds a random small instance, computes analytical gradients,
+Each check builds a random small instance (a batch of one sample, since
+every op takes a leading batch axis), computes analytical gradients,
 and compares every entry against a central difference (step 1e-5) of the
 forward map in double precision.  Relative error uses a 1e-6 floor so
 exact-zero gradients compare cleanly.  Inputs are sampled away from ReLU
@@ -69,14 +70,10 @@ def _away_from_zero(rng, shape, margin=1e-2):
 
 
 def _separated_windows(rng, shape, window, min_gap=1e-3):
-    """Random array whose pooling windows have no near-ties."""
-    x = rng.uniform(-1.0, 1.0, size=shape)
-    win = ops._pool_windows(x[None, ...], window)[0]
-    order = np.sort(win, axis=2)
-    while (np.diff(order, axis=2) < min_gap).any():
-        x = rng.uniform(-1.0, 1.0, size=shape)
-        win = ops._pool_windows(x[None, ...], window)[0]
-        order = np.sort(win, axis=2)
+    """Random `[1, *shape]` batch whose pooling windows have no near-ties."""
+    x = rng.uniform(-1.0, 1.0, size=shape)[None]
+    while (np.diff(np.sort(ops._pool_windows(x, window), axis=3), axis=3) < min_gap).any():
+        x = rng.uniform(-1.0, 1.0, size=shape)[None]
     return x
 
 
@@ -91,9 +88,9 @@ def _check_conv(rng, fault: bool) -> float:
     cin = int(rng.integers(1, 5))
     cout = int(rng.integers(1, 5))
     k = int(rng.choice([1, 3, 5]))
-    x = rng.uniform(-1, 1, size=(h, wdt, cin))
+    x = rng.uniform(-1, 1, size=(h, wdt, cin))[None]
     p = ops.ConvParams(rng.uniform(-1, 1, size=(k, k, cin, cout)), rng.uniform(-1, 1, size=cout))
-    probe = rng.uniform(-1, 1, size=(h, wdt, cout))
+    probe = rng.uniform(-1, 1, size=(h, wdt, cout))[None]
     gx, gw, gb = ops.conv2d_backward(x, p, probe)
     if fault:
         gw = -gw
@@ -110,9 +107,9 @@ def _check_conv(rng, fault: bool) -> float:
 def _check_dense(rng, fault: bool) -> float:
     fin = int(rng.integers(2, 8))
     fout = int(rng.integers(1, 6))
-    x = rng.uniform(-1, 1, size=fin)
+    x = rng.uniform(-1, 1, size=fin)[None]
     p = ops.DenseParams(rng.uniform(-1, 1, size=(fin, fout)), rng.uniform(-1, 1, size=fout))
-    probe = rng.uniform(-1, 1, size=fout)
+    probe = rng.uniform(-1, 1, size=fout)[None]
     gx, gw, gb = ops.dense_backward(x, p, probe)
     if fault:
         gw = -gw
@@ -139,7 +136,7 @@ def _check_maxpool(rng, fault: bool) -> float:
     ho = int(rng.integers(1, 3))
     c = int(rng.integers(1, 4))
     x = _separated_windows(rng, (ho * k, ho * k, c), k)
-    probe = rng.uniform(-1, 1, size=(ho, ho, c))
+    probe = rng.uniform(-1, 1, size=(ho, ho, c))[None]
     _, argmax = ops.maxpool_forward(x, k)
     g = ops.maxpool_backward(probe, argmax, k)
     if fault:
@@ -153,7 +150,7 @@ def _check_dropout(rng, fault: bool) -> float:
     x = rng.uniform(-1, 1, size=(4, 4))
     keep = float(rng.uniform(0.3, 0.9))
     mask_rng_seed = int(rng.integers(0, 2**32))
-    _, mask = ops.dropout(x, keep, np.random.default_rng(mask_rng_seed), training=True)
+    _, mask = ops.dropout(x, keep, np.random.default_rng(mask_rng_seed))
     probe = rng.uniform(-1, 1, size=x.shape)
     g = ops.dropout_backward(probe, mask, keep)
     if fault:
@@ -162,9 +159,9 @@ def _check_dropout(rng, fault: bool) -> float:
 
 
 def _check_softmax(rng, fault: bool) -> float:
-    logits = rng.uniform(-2, 2, size=10)
-    label = np.zeros(10)
-    label[int(rng.integers(0, 10))] = 1.0
+    logits = rng.uniform(-2, 2, size=10)[None]
+    label = np.zeros((1, 10))
+    label[0, int(rng.integers(0, 10))] = 1.0
     _, grad = ops.softmax_xent(logits, label)
     if fault:
         grad = -grad

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "SpecError",
@@ -32,10 +33,8 @@ __all__ = [
     "dropped_conv2_spec",
     "optimized_spec",
     "optimized_3x3_spec",
+    "PRESETS",
 ]
-
-KINDS = ("input", "conv", "maxpool", "dense", "dropout", "flatten")
-
 
 class SpecError(ValueError):
     """Invalid architecture description.  Carries the offending layer/line."""
@@ -172,33 +171,32 @@ def validate_classifier(spec: NetSpec, num_classes: int = 10) -> list[tuple[int,
     return shapes
 
 
-def spec_id(spec: NetSpec) -> str:
-    """Stable, human-readable identifier derived solely from the layers."""
-    parts = []
-    for layer in spec.layers:
-        if layer.kind == "input":
-            parts.append(f"in{layer.height}x{layer.width}x{layer.channels}")
-        elif layer.kind == "conv":
-            parts.append(f"c{layer.kernel}.{layer.out_channels}")
-        elif layer.kind == "maxpool":
-            parts.append(f"p{layer.window}")
-        elif layer.kind == "flatten":
-            parts.append("fl")
-        elif layer.kind == "dense":
-            parts.append(f"fc{layer.out_features}")
-        elif layer.kind == "dropout":
-            parts.append(f"do{layer.keep_prob:g}")
-    return "-".join(parts)
-
-
 # --- text format ------------------------------------------------------------
 
-_INT_FIELDS = {
-    "input": {"h": "height", "w": "width", "c": "channels"},
-    "conv": {"k": "kernel", "out": "out_channels"},
-    "maxpool": {"window": "window"},
-    "dense": {"out": "out_features"},
+
+class _Format(NamedTuple):
+    """A layer kind's text fields, as `(key, attribute, type)`, and its `spec_id` token."""
+
+    fields: tuple[tuple[str, str, type], ...]
+    token: str
+
+
+_FORMATS = {
+    "input": _Format((("h", "height", int), ("w", "width", int), ("c", "channels", int)),
+                     "in{height}x{width}x{channels}"),
+    "conv": _Format((("k", "kernel", int), ("out", "out_channels", int)), "c{kernel}.{out_channels}"),
+    "maxpool": _Format((("window", "window", int),), "p{window}"),
+    "flatten": _Format((), "fl"),
+    "dense": _Format((("out", "out_features", int),), "fc{out_features}"),
+    "dropout": _Format((("keep", "keep_prob", float),), "do{keep_prob:g}"),
 }
+
+_TYPE_NAME = {int: "an integer", float: "a number"}
+
+
+def spec_id(spec: NetSpec) -> str:
+    """Stable, human-readable identifier derived solely from the layers."""
+    return "-".join(_FORMATS[layer.kind].token.format(**vars(layer)) for layer in spec.layers)
 
 
 def parse_spec(text: str, name: str = "") -> NetSpec:
@@ -212,29 +210,23 @@ def parse_spec(text: str, name: str = "") -> NetSpec:
         if line.startswith("name:"):
             spec_name = line[len("name:") :].strip()
             continue
-        tokens = line.split()
-        kind = tokens[0]
-        if kind not in KINDS:
+        kind, *tokens = line.split()
+        if kind not in _FORMATS:
             raise SpecError(f"unknown layer kind '{kind}'", line=lineno)
+        known = {key: (attr, typ) for key, attr, typ in _FORMATS[kind].fields}
         fields: dict[str, float | int] = {}
-        for tok in tokens[1:]:
+        for tok in tokens:
             if "=" not in tok:
                 raise SpecError(f"expected key=value, got '{tok}'", line=lineno)
             key, _, val = tok.partition("=")
-            if kind == "dropout" and key == "keep":
-                try:
-                    fields["keep_prob"] = float(val)
-                except ValueError:
-                    raise SpecError(f"dropout keep must be a number, got '{val}'", line=lineno) from None
-            elif kind in _INT_FIELDS and key in _INT_FIELDS[kind]:
-                try:
-                    fields[_INT_FIELDS[kind][key]] = int(val)
-                except ValueError:
-                    raise SpecError(f"{kind} {key} must be an integer, got '{val}'", line=lineno) from None
-            else:
+            if key not in known:
                 raise SpecError(f"unknown field '{key}' for layer kind '{kind}'", line=lineno)
-        required = {"keep_prob"} if kind == "dropout" else set(_INT_FIELDS.get(kind, {}).values())
-        missing = required - fields.keys()
+            attr, typ = known[key]
+            try:
+                fields[attr] = typ(val)
+            except ValueError:
+                raise SpecError(f"{kind} {key} must be {_TYPE_NAME[typ]}, got '{val}'", line=lineno) from None
+        missing = {attr for attr, _ in known.values()} - fields.keys()
         if missing:
             raise SpecError(f"{kind} is missing field(s): {', '.join(sorted(missing))}", line=lineno)
         layers.append(LayerSpec(kind, **fields))
@@ -244,22 +236,11 @@ def parse_spec(text: str, name: str = "") -> NetSpec:
 
 
 def serialize_spec(spec: NetSpec) -> str:
-    lines = []
-    if spec.name:
-        lines.append(f"name: {spec.name}")
+    lines = [f"name: {spec.name}"] if spec.name else []
     for layer in spec.layers:
-        if layer.kind == "input":
-            lines.append(f"input h={layer.height} w={layer.width} c={layer.channels}")
-        elif layer.kind == "conv":
-            lines.append(f"conv k={layer.kernel} out={layer.out_channels}")
-        elif layer.kind == "maxpool":
-            lines.append(f"maxpool window={layer.window}")
-        elif layer.kind == "flatten":
-            lines.append("flatten")
-        elif layer.kind == "dense":
-            lines.append(f"dense out={layer.out_features}")
-        elif layer.kind == "dropout":
-            lines.append(f"dropout keep={layer.keep_prob:g}")
+        fields = [f"{key}={format(getattr(layer, attr), 'g' if typ is float else '')}"
+                  for key, attr, typ in _FORMATS[layer.kind].fields]
+        lines.append(" ".join([layer.kind, *fields]))
     return "\n".join(lines) + "\n"
 
 
@@ -340,3 +321,12 @@ def optimized_3x3_spec() -> NetSpec:
             LayerSpec.dense(10),
         ),
     )
+
+
+# name -> stock architecture; the CLI and search plans resolve preset names here
+PRESETS = {
+    "baseline": baseline_spec,
+    "dropped-conv2": dropped_conv2_spec,
+    "optimized": optimized_spec,
+    "optimized-3x3": optimized_3x3_spec,
+}

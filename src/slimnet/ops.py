@@ -2,8 +2,8 @@
 
 Conventions
 -----------
-* Activations are float64 arrays laid out `[H, W, C]`, optionally with a
-  leading batch axis `[N, H, W, C]`.  Vectors are `[F]` or `[N, F]`.
+* Activations are float64 batches laid out `[N, H, W, C]`; vectors are
+  `[N, F]`.  Each op that needs a rank checks it and raises `ShapeError`.
 * Convolution kernels are `[kh, kw, C_in, C_out]`; stride is fixed at 1
   with SAME zero padding, so spatial extent is preserved.
 * Pooling windows are square with stride equal to the window, and the
@@ -50,13 +50,10 @@ def _as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _batched(x: np.ndarray, rank: int) -> tuple[np.ndarray, bool]:
-    """Add a singleton batch axis when `x` is a single sample."""
-    if x.ndim == rank:
-        return x[None, ...], False
-    if x.ndim == rank + 1:
-        return x, True
-    raise ShapeError(f"expected rank {rank} or {rank + 1} array, got shape {x.shape}")
+def _rank(x: np.ndarray, rank: int, op: str) -> np.ndarray:
+    if x.ndim != rank:
+        raise ShapeError(f"{op}: expected a rank {rank} batch, got shape {x.shape}")
+    return x
 
 
 @dataclass
@@ -141,20 +138,18 @@ def conv2d_forward(x, params: ConvParams) -> np.ndarray:
     The bias is added in place to the fresh im2col product, so no second
     output-sized array is allocated; the sum is the same.
     """
-    x = _as_f64(x)
-    x4, had_batch = _batched(x, 3)
+    x = _rank(_as_f64(x), 4, "conv2d")
     w, b = params.weights, params.bias
-    if x4.shape[3] != params.in_channels:
+    if x.shape[3] != params.in_channels:
         raise ShapeError(
-            f"conv2d: input has {x4.shape[3]} channels but kernel expects "
+            f"conv2d: input has {x.shape[3]} channels but kernel expects "
             f"{params.in_channels} (input {x.shape}, kernel {w.shape})"
         )
-    n, h, wd, _ = x4.shape
-    cols = _im2col(x4, params.kernel_h, params.kernel_w)
+    n, h, wd, _ = x.shape
+    cols = _im2col(x, params.kernel_h, params.kernel_w)
     y = cols @ w.reshape(-1, params.out_channels)
     y += b
-    y = y.reshape(n, h, wd, params.out_channels)
-    return y if had_batch else y[0]
+    return y.reshape(n, h, wd, params.out_channels)
 
 
 def conv2d_backward(x, params: ConvParams, grad_out, *, input_grad: bool = True):
@@ -164,22 +159,20 @@ def conv2d_backward(x, params: ConvParams, grad_out, *, input_grad: bool = True)
     col2im pass is skipped and `grad_x` is `None`; `grad_w` and `grad_b`
     are the same arrays either way.
     """
-    x = _as_f64(x)
+    x = _rank(_as_f64(x), 4, "conv2d_backward")
     grad_out = _as_f64(grad_out)
-    x4, had_batch = _batched(x, 3)
-    g4, _ = _batched(grad_out, 3)
     w = params.weights
-    n, h, wd, _ = x4.shape
+    n, h, wd, _ = x.shape
     expect = (n, h, wd, params.out_channels)
-    if g4.shape != expect:
+    if grad_out.shape != expect:
         raise ShapeError(f"conv2d_backward: grad_out shape {grad_out.shape} does not match output {expect}")
-    if x4.shape[3] != params.in_channels:
+    if x.shape[3] != params.in_channels:
         raise ShapeError(
-            f"conv2d_backward: input has {x4.shape[3]} channels but kernel expects {params.in_channels}"
+            f"conv2d_backward: input has {x.shape[3]} channels but kernel expects {params.in_channels}"
         )
     kh, kw, cin = params.kernel_h, params.kernel_w, params.in_channels
-    g_mat = g4.reshape(n * h * wd, params.out_channels)
-    cols = _im2col(x4, kh, kw)
+    g_mat = grad_out.reshape(n * h * wd, params.out_channels)
+    cols = _im2col(x, kh, kw)
     grad_w = (cols.T @ g_mat).reshape(w.shape)
     grad_b = g_mat.sum(axis=0)
     if not input_grad:
@@ -191,8 +184,7 @@ def conv2d_backward(x, params: ConvParams, grad_out, *, input_grad: bool = True)
     for dy in range(kh):
         for dx in range(kw):
             grad_xp[:, dy : dy + h, dx : dx + wd, :] += grad_cols[:, :, :, dy, dx, :]
-    grad_x = grad_xp[:, pt : pt + h, pl : pl + wd, :]
-    return (grad_x if had_batch else grad_x[0]), grad_w, grad_b
+    return grad_xp[:, pt : pt + h, pl : pl + wd, :], grad_w, grad_b
 
 
 def _pool_windows(x4: np.ndarray, window: int) -> np.ndarray:
@@ -203,14 +195,14 @@ def _pool_windows(x4: np.ndarray, window: int) -> np.ndarray:
     return xr.transpose(0, 1, 3, 2, 4, 5).reshape(n, ho, wo, window * window, c)
 
 
-def _pool_input(x, window: int) -> tuple[np.ndarray, bool]:
-    x4, had_batch = _batched(_as_f64(x), 3)
-    h, w = x4.shape[1:3]
+def _pool_input(x, window: int) -> np.ndarray:
+    x = _rank(_as_f64(x), 4, "maxpool")
+    h, w = x.shape[1:3]
     if window < 1:
         raise ShapeError(f"maxpool: window must be positive, got {window}")
     if h % window or w % window:
         raise ShapeError(f"maxpool: spatial extent {h}x{w} not divisible by window {window}")
-    return x4, had_batch
+    return x
 
 
 def maxpool_forward(x, window: int):
@@ -219,12 +211,9 @@ def maxpool_forward(x, window: int):
     `argmax` holds each window's flat row-major winner index; ties go to
     the first such element, which makes the backward pass deterministic.
     """
-    x4, had_batch = _pool_input(x, window)
-    win = _pool_windows(x4, window)
+    win = _pool_windows(_pool_input(x, window), window)
     idx = np.argmax(win, axis=3)
     y = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    if not had_batch:
-        return y[0], idx[0]
     return y, idx
 
 
@@ -236,41 +225,36 @@ def maxpool_values(x, window: int) -> np.ndarray:
     `maximum` returns its second operand on a tie), and a NaN propagates,
     so the result is bit-identical to `maxpool_forward`'s output.
     """
-    x4, had_batch = _pool_input(x, window)
-    y = x4[:, ::window, ::window, :].copy()
+    x = _pool_input(x, window)
+    y = x[:, ::window, ::window, :].copy()
     for k in range(1, window * window):
         dy, dx = divmod(k, window)
-        np.maximum(x4[:, dy::window, dx::window, :], y, out=y)
-    return y if had_batch else y[0]
+        np.maximum(x[:, dy::window, dx::window, :], y, out=y)
+    return y
 
 
 def maxpool_backward(grad_out, argmax, window: int) -> np.ndarray:
     """Route each output gradient to its saved argmax position."""
-    grad_out = _as_f64(grad_out)
-    g4, had_batch = _batched(grad_out, 3)
-    idx = argmax[None, ...] if not had_batch else argmax
-    if idx.shape != g4.shape:
+    grad_out = _rank(_as_f64(grad_out), 4, "maxpool_backward")
+    if argmax.shape != grad_out.shape:
         raise ShapeError(f"maxpool_backward: argmax shape {argmax.shape} does not match grad_out {grad_out.shape}")
-    n, ho, wo, c = g4.shape
+    n, ho, wo, c = grad_out.shape
     buf = np.zeros((n, ho, wo, window * window, c))
-    np.put_along_axis(buf, idx[:, :, :, None, :], g4[:, :, :, None, :], axis=3)
+    np.put_along_axis(buf, argmax[:, :, :, None, :], grad_out[:, :, :, None, :], axis=3)
     gx = buf.reshape(n, ho, wo, window, window, c).transpose(0, 1, 3, 2, 4, 5)
-    gx = gx.reshape(n, ho * window, wo * window, c)
-    return gx if had_batch else gx[0]
+    return gx.reshape(n, ho * window, wo * window, c)
 
 
 def dense_forward(x, params: DenseParams) -> np.ndarray:
-    """Affine map `x @ W + b` for `[F]` or `[N, F]` inputs.
+    """Affine map `x @ W + b` for an `[N, F]` batch.
 
     The bias is added in place to the fresh product, so no second
     output-sized array is allocated; the sum is the same.
     """
-    x = _as_f64(x)
-    if x.ndim not in (1, 2):
-        raise ShapeError(f"dense: expected vector or batch of vectors, got shape {x.shape}")
-    if x.shape[-1] != params.in_features:
+    x = _rank(_as_f64(x), 2, "dense")
+    if x.shape[1] != params.in_features:
         raise ShapeError(
-            f"dense: input length {x.shape[-1]} does not match in_features "
+            f"dense: input length {x.shape[1]} does not match in_features "
             f"{params.in_features} (weights {params.weights.shape})"
         )
     y = x @ params.weights
@@ -280,23 +264,16 @@ def dense_forward(x, params: DenseParams) -> np.ndarray:
 
 def dense_backward(x, params: DenseParams, grad_out):
     """Gradients of `dense_forward` w.r.t. input, weights and bias."""
-    x = _as_f64(x)
+    x = _rank(_as_f64(x), 2, "dense_backward")
     grad_out = _as_f64(grad_out)
-    if grad_out.shape[-1] != params.out_features or grad_out.ndim != x.ndim:
+    if grad_out.shape != (x.shape[0], params.out_features):
         raise ShapeError(
             f"dense_backward: grad_out shape {grad_out.shape} does not match output "
-            f"of length {params.out_features}"
+            f"{(x.shape[0], params.out_features)}"
         )
-    if x.shape[-1] != params.in_features:
-        raise ShapeError(f"dense_backward: input length {x.shape[-1]} != in_features {params.in_features}")
-    grad_x = grad_out @ params.weights.T
-    if x.ndim == 1:
-        grad_w = np.outer(x, grad_out)
-        grad_b = grad_out.copy()
-    else:
-        grad_w = x.T @ grad_out
-        grad_b = grad_out.sum(axis=0)
-    return grad_x, grad_w, grad_b
+    if x.shape[1] != params.in_features:
+        raise ShapeError(f"dense_backward: input length {x.shape[1]} != in_features {params.in_features}")
+    return grad_out @ params.weights.T, x.T @ grad_out, grad_out.sum(axis=0)
 
 
 def relu(x, out: np.ndarray | None = None) -> np.ndarray:
@@ -317,16 +294,16 @@ def relu_backward(x, grad_out) -> np.ndarray:
     return grad_out * (x > 0.0)
 
 
-def dropout(x, keep_prob: float, rng: np.random.Generator, training: bool = True):
+def dropout(x, keep_prob: float, rng: np.random.Generator):
     """Inverted dropout: kept activations are scaled by 1/keep_prob.
 
-    Returns `(output, mask)`; in eval mode the op is the identity and the
-    mask is all ones.  `keep_prob` must lie in (0, 1].
+    Returns `(output, mask)`; with `keep_prob` 1 the op is the identity
+    and the mask is all ones.  `keep_prob` must lie in (0, 1].
     """
     x = _as_f64(x)
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"dropout: keep_prob must be in (0, 1], got {keep_prob}")
-    if not training or keep_prob == 1.0:
+    if keep_prob == 1.0:
         return x, np.ones_like(x)
     mask = (rng.random(x.shape) < keep_prob).astype(np.float64)
     y = x * mask
@@ -354,24 +331,18 @@ def _check_one_hot(labels: np.ndarray):
 def softmax_xent(logits, one_hot_label):
     """Softmax cross-entropy loss and its gradient w.r.t. the logits.
 
-    For a single logit vector returns `(loss, softmax - label)`.  For a
-    `[N, C]` batch returns the mean loss and `(softmax - labels) / N`, so
-    the gradient is exactly that of the returned scalar.  Stabilized by
+    For an `[N, C]` batch returns the mean loss and `(softmax - labels) / N`,
+    so the gradient is exactly that of the returned scalar.  Stabilized by
     max subtraction.
     """
-    z = _as_f64(logits)
+    z = _rank(_as_f64(logits), 2, "softmax_xent")
     y = _as_f64(one_hot_label)
     if z.shape != y.shape:
         raise ShapeError(f"softmax_xent: logits shape {z.shape} != label shape {y.shape}")
-    if z.ndim not in (1, 2):
-        raise ShapeError(f"softmax_xent: expected rank 1 or 2 logits, got shape {z.shape}")
     _check_one_hot(y)
     zs = z - z.max(axis=-1, keepdims=True)
     ez = np.exp(zs)
     p = ez / ez.sum(axis=-1, keepdims=True)
     logp = zs - np.log(ez.sum(axis=-1, keepdims=True))
     losses = -(y * logp).sum(axis=-1)
-    if z.ndim == 1:
-        return float(losses), p - y
-    n = z.shape[0]
-    return float(losses.mean()), (p - y) / n
+    return float(losses.mean()), (p - y) / z.shape[0]

@@ -20,7 +20,6 @@ import json
 import logging
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -28,11 +27,13 @@ from typing import Callable, NamedTuple
 from .accounting import analyze
 from .golden import RECORDED_ACCURACY
 from .netspec import (
+    PRESETS,
     LayerSpec,
     NetSpec,
     SpecError,
     baseline_spec,
     optimized_3x3_spec,
+    parse_spec,
     propagate_shapes,
     save_spec,
     spec_id,
@@ -291,12 +292,12 @@ def _ledger_line(r: CandidateResult) -> str:
     )
 
 
-def _parse_ledger_line(line: str) -> CandidateResult:
+def _parse_ledger_line(raw: bytes, lineno: int) -> CandidateResult:
     fields = {}
-    for token in line.split():
-        key, _, value = token.partition("=")
-        fields[key] = value
     try:
+        for token in raw.decode("utf-8").split():
+            key, _, value = token.partition("=")
+            fields[key] = value
         return CandidateResult(
             tag=fields["tag"],
             ident=fields["id"],
@@ -309,82 +310,96 @@ def _parse_ledger_line(line: str) -> CandidateResult:
             diverged=bool(int(fields["diverged"])),
         )
     except KeyError as exc:
-        raise SearchError(f"malformed ledger line (missing {exc}): {line!r}") from None
+        raise SearchError(f"malformed ledger line {lineno} (missing {exc}): {raw!r}") from None
+    except ValueError as exc:
+        raise SearchError(f"malformed ledger line {lineno} ({exc}): {raw!r}") from None
+
+
+def _read_ledger(data: bytes) -> tuple[list[CandidateResult], int]:
+    """The records in a ledger's bytes, and how many of those bytes hold them.
+
+    A crash in the middle of a write leaves an unterminated final line.
+    When that line does not parse it is dropped with a warning and the
+    byte count stops before it; any other malformed line raises
+    `SearchError` naming its line number.
+    """
+    *lines, tail = data.split(b"\n")
+    records = [
+        _parse_ledger_line(line, lineno)
+        for lineno, line in enumerate(lines, start=1)
+        if line.strip() and not line.lstrip().startswith(b"#")
+    ]
+    if not tail.strip():
+        return records, len(data)
+    try:
+        records.append(_parse_ledger_line(tail, len(lines) + 1))
+    except SearchError as exc:
+        logger.warning("dropping the unterminated last ledger line left by an interrupted write: %s", exc)
+        return records, len(data) - len(tail)
+    return records, len(data)
 
 
 def load_ledger(path) -> list[CandidateResult]:
-    results = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                results.append(_parse_ledger_line(line))
-    return results
+    return _read_ledger(Path(path).read_bytes())[0]
 
 
 def run_sweep(candidates: list[Candidate], oracle: Oracle, seeds=(0,),
-              ledger_path=None, workers: int = 1) -> list[CandidateResult]:
+              ledger_path=None) -> list[CandidateResult]:
     """Run every (candidate, seed) pair not already in the ledger.
 
     New records are appended to `ledger_path` as they finish, so an
-    interrupted sweep resumes where it stopped.  The returned list always
-    covers all pairs in candidate x seed order regardless of resume state.
+    interrupted sweep resumes where it stopped.  Only records of the
+    oracle's own schedule are reused; a record of another schedule
+    raises `SearchError`.  The returned list always covers all pairs in
+    candidate x seed order regardless of resume state.
     """
+    schedule_id = getattr(oracle, "schedule_id", "unknown")
     done: dict[tuple[str, int], CandidateResult] = {}
+    data = b""
     if ledger_path is not None and Path(ledger_path).exists():
-        for rec in load_ledger(ledger_path):
-            done[(rec.tag, rec.seed)] = rec
+        data = Path(ledger_path).read_bytes()
+    records, kept = _read_ledger(data)
+    for rec in records:
+        if rec.schedule_id != schedule_id:
+            raise SearchError(
+                f"ledger {ledger_path} holds tag {rec.tag} seed {rec.seed} under schedule "
+                f"{rec.schedule_id}, but this sweep runs schedule {schedule_id}"
+            )
+        done[(rec.tag, rec.seed)] = rec
 
     by_tag = {c.tag: c.spec for c in candidates}
     accounts = {tag: analyze(spec) for tag, spec in by_tag.items()}
-    schedule_id = getattr(oracle, "schedule_id", "unknown")
-
-    def make_record(tag: str, seed: int, outcome: RunOutcome) -> CandidateResult:
-        report = accounts[tag]
-        return CandidateResult(
-            tag=tag,
-            ident=report.spec_ident,
-            params=report.total_params,
-            memory=report.total_memory,
-            accuracy=outcome.accuracy,
-            seed=seed,
-            schedule_id=schedule_id,
-            wall_time=outcome.wall_time,
-            diverged=outcome.diverged,
-        )
-
     pending = [(c.tag, seed) for c in candidates for seed in seeds if (c.tag, seed) not in done]
 
     ledger_file = open(ledger_path, "a", encoding="utf-8") if ledger_path is not None else None
     try:
-        if workers > 1 and len(pending) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(oracle, tag, by_tag[tag], seed): (tag, seed) for tag, seed in pending
-                }
-                for future, (tag, seed) in futures.items():
-                    rec = make_record(tag, seed, future.result())
-                    done[(tag, seed)] = rec
-                    if ledger_file:
-                        ledger_file.write(_ledger_line(rec) + "\n")
-                        ledger_file.flush()
-        else:
-            for tag, seed in pending:
-                rec = make_record(tag, seed, oracle(tag, by_tag[tag], seed))
-                done[(tag, seed)] = rec
-                if ledger_file:
-                    ledger_file.write(_ledger_line(rec) + "\n")
-                    ledger_file.flush()
+        if ledger_file:
+            ledger_file.truncate(kept)  # drops a partial last line
+            if kept and data[kept - 1 : kept] != b"\n":
+                ledger_file.write("\n")  # ends a last line that parsed but lost its newline
+        for tag, seed in pending:
+            outcome = oracle(tag, by_tag[tag], seed)
+            report = accounts[tag]
+            rec = CandidateResult(
+                tag=tag,
+                ident=report.spec_ident,
+                params=report.total_params,
+                memory=report.total_memory,
+                accuracy=outcome.accuracy,
+                seed=seed,
+                schedule_id=schedule_id,
+                wall_time=outcome.wall_time,
+                diverged=outcome.diverged,
+            )
+            done[(tag, seed)] = rec
+            if ledger_file:
+                ledger_file.write(_ledger_line(rec) + "\n")
+                ledger_file.flush()
     finally:
         if ledger_file:
             ledger_file.close()
 
-    out = []
-    for c in candidates:
-        for seed in seeds:
-            rec = done[(c.tag, seed)]
-            out.append(replace(rec, spec=by_tag[c.tag]))
-    return out
+    return [replace(done[(c.tag, seed)], spec=by_tag[c.tag]) for c in candidates for seed in seeds]
 
 
 # --- selection and frontier ----------------------------------------------------
@@ -562,7 +577,7 @@ class SearchOutput:
     selected_spec_path: Path | None
 
 
-def run_search(plan: SearchPlan, oracle: Oracle, out_dir=None, workers: int = 1,
+def run_search(plan: SearchPlan, oracle: Oracle, out_dir=None,
                exhaustive: bool = False) -> SearchOutput:
     """Sweep, select, and write the ledger/frontier/curves artifacts."""
     candidates = exhaustive_candidates(plan) if exhaustive else enumerate_candidates(plan)
@@ -573,8 +588,7 @@ def run_search(plan: SearchPlan, oracle: Oracle, out_dir=None, workers: int = 1,
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
         ledger_path = out_path / "results.ledger"
-    results = run_sweep(candidates, oracle, seeds=plan.seeds, ledger_path=ledger_path,
-                        workers=workers)
+    results = run_sweep(candidates, oracle, seeds=plan.seeds, ledger_path=ledger_path)
     selection = select_minimal(results, plan.threshold)
     frontier = build_frontier(results)
     curves = export_curves(results)
@@ -599,20 +613,12 @@ def run_search(plan: SearchPlan, oracle: Oracle, out_dir=None, workers: int = 1,
 
 
 def _resolve_base(token: str) -> NetSpec:
-    from . import netspec
-
-    presets = {
-        "baseline": netspec.baseline_spec,
-        "dropped-conv2": netspec.dropped_conv2_spec,
-        "optimized": netspec.optimized_spec,
-        "optimized-3x3": netspec.optimized_3x3_spec,
-    }
-    if token in presets:
-        return presets[token]()
+    if token in PRESETS:
+        return PRESETS[token]()
     if "\n" in token:
-        return netspec.parse_spec(token)
+        return parse_spec(token)
     raise SearchError(
-        f"plan base '{token}' is neither a preset ({', '.join(presets)}) nor inline spec text"
+        f"plan base '{token}' is neither a preset ({', '.join(PRESETS)}) nor inline spec text"
     )
 
 

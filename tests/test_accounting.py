@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slimnet.accounting import analyze, count_memory, count_params, diff_reports
+from slimnet.accounting import analyze, diff_reports
 from slimnet.golden import COMPARISON, GOLDEN_LEDGERS, check_against_golden
 from slimnet.netspec import (
     LayerSpec,
@@ -79,11 +79,11 @@ def test_view_layers_count_zero():
 
 
 def test_count_params_single_cells():
-    conv_only = NetSpec("c", (LayerSpec.input(28, 28, 1), LayerSpec.conv(5, 32)))
-    assert count_params(conv_only) == [0, 800]
-    assert count_memory(conv_only) == [784, 25088]
-    input_only = NetSpec("i", (LayerSpec.input(28, 28, 1),))
-    assert count_memory(input_only) == [784]
+    conv_only = analyze(NetSpec("c", (LayerSpec.input(28, 28, 1), LayerSpec.conv(5, 32))))
+    assert [r.param_count for r in conv_only.rows] == [0, 800]
+    assert [r.memory_elements for r in conv_only.rows] == [784, 25088]
+    input_only = analyze(NetSpec("i", (LayerSpec.input(28, 28, 1),)))
+    assert [r.memory_elements for r in input_only.rows] == [784]
 
 
 def test_with_biases_convention():
@@ -96,8 +96,6 @@ def test_with_biases_convention():
 def test_unknown_convention_rejected():
     with pytest.raises(ValueError, match="convention"):
         analyze(baseline_spec(), "flops")
-    with pytest.raises(ValueError, match="convention"):
-        count_params(baseline_spec(), "flops")
 
 
 # --- comparisons ------------------------------------------------------------------

@@ -229,11 +229,21 @@ def test_search_plan_file_and_workers(tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan))
     code, out, _ = run_cli(
-        capsys, "search", "--plan", str(plan_path), "--oracle", "table",
-        "--workers", "3", "--out", str(tmp_path / "out"),
+        capsys, "search", "--plan", str(plan_path), "--oracle", "table", "--out", str(tmp_path / "out"),
     )
     assert code == EXIT_OK
     assert "13,874" in out
+    # the sweep runs one candidate at a time: `--workers` is gone, and a manifest
+    # that recorded it no longer replays
+    manifest_path = tmp_path / "out" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert "--workers" not in manifest["argv"]
+    manifest["argv"] += ["--workers", "1"]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(SystemExit) as exc:
+        main(["--replay", str(manifest_path), "--out", str(tmp_path / "redo")])
+    assert exc.value.code == EXIT_SPEC
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_search_trained_oracle_end_to_end(synth_data_dir, tmp_path, capsys):

@@ -8,6 +8,7 @@ from slimnet.netspec import (
     baseline_spec,
     dropped_conv2_spec,
     load_spec,
+    optimized_3x3_spec,
     optimized_spec,
     parse_spec,
     propagate_shapes,
@@ -15,6 +16,7 @@ from slimnet.netspec import (
     spec_id,
     validate_classifier,
 )
+from slimnet.search import default_plan, enumerate_candidates
 
 
 def test_baseline_shapes_match_ledger_column():
@@ -147,8 +149,63 @@ def test_parse_error_carries_line_number():
         parse_spec(text)
 
 
+@pytest.mark.parametrize(
+    "layer,line,token",
+    [
+        (LayerSpec.input(28, 14, 3), "input h=28 w=14 c=3", "in28x14x3"),
+        (LayerSpec.conv(5, 32), "conv k=5 out=32", "c5.32"),
+        (LayerSpec.maxpool(4), "maxpool window=4", "p4"),
+        (LayerSpec.flatten(), "flatten", "fl"),
+        (LayerSpec.dense(1024), "dense out=1024", "fc1024"),
+        (LayerSpec.dropout(0.5), "dropout keep=0.5", "do0.5"),
+        (LayerSpec.dropout(0.125), "dropout keep=0.125", "do0.125"),
+        (LayerSpec.dropout(1.0), "dropout keep=1", "do1"),
+    ],
+)
+def test_layer_text_and_id_token_pinned(layer, line, token):
+    # `id=` is the sweep ledger's aggregation and resume key: it must not drift
+    spec = NetSpec("", (layer,))
+    assert serialize_spec(spec) == line + "\n"
+    assert serialize_spec(NetSpec("n", (layer,))) == f"name: n\n{line}\n"
+    assert spec_id(spec) == token
+    assert parse_spec(line).layers == (layer,)
+
+
 def test_spec_id_stable():
-    assert spec_id(optimized_spec()) == "in28x28x1-c5.2-p4-fl-fc128-do0.5-fc10"
+    assert [spec_id(f()) for f in (baseline_spec, dropped_conv2_spec, optimized_spec, optimized_3x3_spec)] == [
+        "in28x28x1-c5.32-p2-c5.64-p2-fl-fc1024-do0.5-fc10",
+        "in28x28x1-c5.32-p2-fl-fc1024-do0.5-fc10",
+        "in28x28x1-c5.2-p4-fl-fc128-do0.5-fc10",
+        "in28x28x1-c3.2-p4-fl-fc128-do0.5-fc10",
+    ]
+    assert [(c.tag, spec_id(c.spec)) for c in enumerate_candidates(default_plan())] == [
+        ("drop_conv2=false", "in28x28x1-c5.32-p2-c5.64-p2-fl-fc1024-do0.5-fc10"),
+        ("drop_conv2=true", "in28x28x1-c5.32-p2-fl-fc1024-do0.5-fc10"),
+        ("fc1_width=1024", "in28x28x1-c5.32-p2-fl-fc1024-do0.5-fc10"),
+        ("fc1_width=512", "in28x28x1-c5.32-p2-fl-fc512-do0.5-fc10"),
+        ("fc1_width=256", "in28x28x1-c5.32-p2-fl-fc256-do0.5-fc10"),
+        ("fc1_width=128", "in28x28x1-c5.32-p2-fl-fc128-do0.5-fc10"),
+        ("fc1_width=64", "in28x28x1-c5.32-p2-fl-fc64-do0.5-fc10"),
+        ("fc1_width=32", "in28x28x1-c5.32-p2-fl-fc32-do0.5-fc10"),
+        ("conv1=5x5x32", "in28x28x1-c5.32-p2-fl-fc128-do0.5-fc10"),
+        ("conv1=5x5x16", "in28x28x1-c5.16-p2-fl-fc128-do0.5-fc10"),
+        ("conv1=5x5x8", "in28x28x1-c5.8-p2-fl-fc128-do0.5-fc10"),
+        ("conv1=5x5x4", "in28x28x1-c5.4-p2-fl-fc128-do0.5-fc10"),
+        ("conv1=5x5x2", "in28x28x1-c5.2-p2-fl-fc128-do0.5-fc10"),
+        ("conv1=3x3x32", "in28x28x1-c3.32-p2-fl-fc128-do0.5-fc10"),
+        ("conv1=3x3x16", "in28x28x1-c3.16-p2-fl-fc128-do0.5-fc10"),
+        ("conv1=3x3x8", "in28x28x1-c3.8-p2-fl-fc128-do0.5-fc10"),
+        ("conv1=3x3x4", "in28x28x1-c3.4-p2-fl-fc128-do0.5-fc10"),
+        ("conv1=3x3x2", "in28x28x1-c3.2-p2-fl-fc128-do0.5-fc10"),
+        ("conv1=1x1x32", "in28x28x1-c1.32-p2-fl-fc128-do0.5-fc10"),
+        ("conv1=1x1x16", "in28x28x1-c1.16-p2-fl-fc128-do0.5-fc10"),
+        ("conv1=1x1x8", "in28x28x1-c1.8-p2-fl-fc128-do0.5-fc10"),
+        ("conv1=1x1x4", "in28x28x1-c1.4-p2-fl-fc128-do0.5-fc10"),
+        ("conv1=1x1x2", "in28x28x1-c1.2-p2-fl-fc128-do0.5-fc10"),
+        ("pool_window=2", "in28x28x1-c5.2-p2-fl-fc128-do0.5-fc10"),
+        ("pool_window=4", "in28x28x1-c5.2-p4-fl-fc128-do0.5-fc10"),
+        ("extra=optimized-3x3", "in28x28x1-c3.2-p4-fl-fc128-do0.5-fc10"),
+    ]
 
 
 # --- randomized round-trip property -------------------------------------------

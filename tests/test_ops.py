@@ -6,38 +6,38 @@ from slimnet.gradcheck import numerical_gradient, max_rel_err
 
 
 def test_conv_same_padding_preserves_spatial_size(rng):
-    x = rng.uniform(size=(28, 28, 1))
+    x = rng.uniform(size=(1, 28, 28, 1))
     p = ops.ConvParams(rng.uniform(size=(5, 5, 1, 32)), rng.uniform(size=32))
-    assert ops.conv2d_forward(x, p).shape == (28, 28, 32)
+    assert ops.conv2d_forward(x, p).shape == (1, 28, 28, 32)
 
 
 def test_conv_identity_kernel():
     v = 3.25
     p = ops.ConvParams(np.ones((1, 1, 1, 1)), np.zeros(1))
-    y = ops.conv2d_forward(np.full((1, 1, 1), v), p)
-    assert y.shape == (1, 1, 1)
-    assert y[0, 0, 0] == v
+    y = ops.conv2d_forward(np.full((1, 1, 1, 1), v), p)
+    assert y.shape == (1, 1, 1, 1)
+    assert y[0, 0, 0, 0] == v
 
 
 def test_conv_hand_computed_zero_padding():
     # all-ones 3x3 input and kernel: each output counts the in-bounds taps
-    x = np.ones((3, 3, 1))
+    x = np.ones((1, 3, 3, 1))
     p = ops.ConvParams(np.ones((3, 3, 1, 1)), np.zeros(1))
-    y = ops.conv2d_forward(x, p)[:, :, 0]
+    y = ops.conv2d_forward(x, p)[0, :, :, 0]
     expected = np.array([[4, 6, 4], [6, 9, 6], [4, 6, 4]], dtype=float)
     np.testing.assert_array_equal(y, expected)
 
 
 def test_conv_bias_added_per_channel(rng):
-    x = np.zeros((4, 4, 2))
+    x = np.zeros((1, 4, 4, 2))
     bias = np.array([1.5, -2.0, 0.25])
     p = ops.ConvParams(rng.uniform(size=(3, 3, 2, 3)), bias)
     y = ops.conv2d_forward(x, p)
-    np.testing.assert_allclose(y, np.broadcast_to(bias, (4, 4, 3)))
+    np.testing.assert_allclose(y, np.broadcast_to(bias, (1, 4, 4, 3)))
 
 
 def test_conv_channel_mismatch_names_both_shapes(rng):
-    x = rng.uniform(size=(4, 4, 3))
+    x = rng.uniform(size=(1, 4, 4, 3))
     p = ops.ConvParams(rng.uniform(size=(3, 3, 2, 4)), rng.uniform(size=4))
     with pytest.raises(ops.ShapeError, match=r"3.*2"):
         ops.conv2d_forward(x, p)
@@ -48,20 +48,20 @@ def test_conv_batched_matches_per_sample(rng):
     p = ops.ConvParams(rng.uniform(size=(3, 3, 2, 4)), rng.uniform(size=4))
     batched = ops.conv2d_forward(x, p)
     for i in range(5):
-        np.testing.assert_allclose(batched[i], ops.conv2d_forward(x[i], p))
+        np.testing.assert_allclose(batched[i : i + 1], ops.conv2d_forward(x[i : i + 1], p))
 
 
 def test_conv_backward_zero_grad_gives_zeros(rng):
-    x = rng.uniform(size=(4, 4, 2))
+    x = rng.uniform(size=(1, 4, 4, 2))
     p = ops.ConvParams(rng.uniform(size=(3, 3, 2, 2)), rng.uniform(size=2))
-    gx, gw, gb = ops.conv2d_backward(x, p, np.zeros((4, 4, 2)))
+    gx, gw, gb = ops.conv2d_backward(x, p, np.zeros((1, 4, 4, 2)))
     assert not gx.any() and not gw.any() and not gb.any()
 
 
 def test_conv_backward_identity_kernel_chain_rule(rng):
-    x = rng.uniform(size=(3, 3, 1))
+    x = rng.uniform(size=(1, 3, 3, 1))
     p = ops.ConvParams(np.ones((1, 1, 1, 1)), np.zeros(1))
-    g = rng.uniform(size=(3, 3, 1))
+    g = rng.uniform(size=(1, 3, 3, 1))
     gx, gw, gb = ops.conv2d_backward(x, p, g)
     np.testing.assert_allclose(gx, g)
     np.testing.assert_allclose(gw[0, 0, 0, 0], (x * g).sum())
@@ -69,9 +69,9 @@ def test_conv_backward_identity_kernel_chain_rule(rng):
 
 
 def test_conv_backward_matches_finite_differences(rng):
-    x = rng.uniform(-1, 1, size=(4, 4, 2))
+    x = rng.uniform(-1, 1, size=(1, 4, 4, 2))
     p = ops.ConvParams(rng.uniform(-1, 1, size=(3, 3, 2, 2)), rng.uniform(-1, 1, size=2))
-    probe = rng.uniform(-1, 1, size=(4, 4, 2))
+    probe = rng.uniform(-1, 1, size=(1, 4, 4, 2))
     gx, gw, gb = ops.conv2d_backward(x, p, probe)
     num_gx = numerical_gradient(lambda v: float((ops.conv2d_forward(v, p) * probe).sum()), x.copy())
     num_gw = numerical_gradient(
@@ -87,7 +87,7 @@ def test_conv_backward_matches_finite_differences(rng):
     assert max_rel_err(gb, num_gb) <= 1e-4
 
 
-@pytest.mark.parametrize("shape", [(5, 5, 3), (2, 5, 5, 3)])
+@pytest.mark.parametrize("shape", [(1, 5, 5, 3), (2, 5, 5, 3)])
 def test_conv_backward_input_grad_off_keeps_weight_grads(rng, shape):
     x = rng.uniform(-1, 1, size=shape)
     p = ops.ConvParams(rng.uniform(-1, 1, size=(3, 3, 3, 4)), rng.uniform(-1, 1, size=4))
@@ -99,10 +99,28 @@ def test_conv_backward_input_grad_off_keeps_weight_grads(rng, shape):
 
 
 def test_conv_backward_shape_mismatch_rejected(rng):
-    x = rng.uniform(size=(4, 4, 2))
+    x = rng.uniform(size=(1, 4, 4, 2))
     p = ops.ConvParams(rng.uniform(size=(3, 3, 2, 2)), rng.uniform(size=2))
     with pytest.raises(ops.ShapeError):
-        ops.conv2d_backward(x, p, np.zeros((4, 4, 3)))
+        ops.conv2d_backward(x, p, np.zeros((1, 4, 4, 3)))
+
+
+def test_ops_reject_a_sample_without_its_batch_axis(rng):
+    conv = ops.ConvParams(rng.uniform(size=(3, 3, 2, 4)), rng.uniform(size=4))
+    dense = ops.DenseParams(rng.uniform(size=(5, 3)), rng.uniform(size=3))
+    calls = [
+        lambda: ops.conv2d_forward(np.zeros((4, 4, 2)), conv),
+        lambda: ops.conv2d_backward(np.zeros((4, 4, 2)), conv, np.zeros((4, 4, 4))),
+        lambda: ops.maxpool_forward(np.zeros((4, 4, 2)), 2),
+        lambda: ops.maxpool_values(np.zeros((4, 4, 2)), 2),
+        lambda: ops.maxpool_backward(np.zeros((2, 2, 2)), np.zeros((2, 2, 2), dtype=np.intp), 2),
+        lambda: ops.dense_forward(np.zeros(5), dense),
+        lambda: ops.dense_backward(np.zeros(5), dense, np.zeros(3)),
+        lambda: ops.softmax_xent(np.zeros(10), np.eye(10)[0]),
+    ]
+    for call in calls:
+        with pytest.raises(ops.ShapeError, match="rank"):
+            call()
 
 
 # --- pooling ---------------------------------------------------------------
@@ -113,32 +131,32 @@ POOLS = (lambda x, w: ops.maxpool_forward(x, w)[0], ops.maxpool_values)
 
 def test_maxpool_shapes_match_ledger_cases(rng):
     for pool in POOLS:
-        assert pool(rng.uniform(size=(28, 28, 32)), 2).shape == (14, 14, 32)
-        assert pool(rng.uniform(size=(28, 28, 2)), 4).shape == (7, 7, 2)
+        assert pool(rng.uniform(size=(1, 28, 28, 32)), 2).shape == (1, 14, 14, 32)
+        assert pool(rng.uniform(size=(1, 28, 28, 2)), 4).shape == (1, 7, 7, 2)
         assert pool(rng.uniform(size=(3, 28, 28, 2)), 4).shape == (3, 7, 7, 2)
 
 
 def test_maxpool_constant_input():
     for pool in POOLS:
         for window in (1, 2, 3, 4):
-            y = pool(np.full((12, 12, 3), 2.5), window)
-            np.testing.assert_array_equal(y, np.full((12 // window, 12 // window, 3), 2.5))
+            y = pool(np.full((1, 12, 12, 3), 2.5), window)
+            np.testing.assert_array_equal(y, np.full((1, 12 // window, 12 // window, 3), 2.5))
 
 
 def test_maxpool_rejects_indivisible_extent(rng):
     for pool in POOLS:
         with pytest.raises(ops.ShapeError, match="divisible"):
-            pool(rng.uniform(size=(28, 28, 1)), 3)
+            pool(rng.uniform(size=(1, 28, 28, 1)), 3)
         with pytest.raises(ops.ShapeError, match="positive"):
-            pool(rng.uniform(size=(28, 28, 1)), 0)
+            pool(rng.uniform(size=(1, 28, 28, 1)), 0)
 
 
 def test_maxpool_tie_break_first_in_row_major(rng):
-    x = np.zeros((2, 2, 1))  # all tied: winner must be window position 0
+    x = np.zeros((1, 2, 2, 1))  # all tied: winner must be window position 0
     _, idx = ops.maxpool_forward(x, 2)
-    assert idx[0, 0, 0] == 0
-    g = ops.maxpool_backward(np.ones((1, 1, 1)), idx, 2)
-    assert g[0, 0, 0] == 1.0 and g.sum() == 1.0
+    assert idx[0, 0, 0, 0] == 0
+    g = ops.maxpool_backward(np.ones((1, 1, 1, 1)), idx, 2)
+    assert g[0, 0, 0, 0] == 1.0 and g.sum() == 1.0
     # The values-only pool keeps the same winner: on a grid of signed zeros,
     # two levels and a NaN most windows tie, and -0.0 against 0.0 shows which
     # tied element was kept.
@@ -147,26 +165,26 @@ def test_maxpool_tie_break_first_in_row_major(rng):
     for window in (1, 2, 3, 4):
         y, _ = ops.maxpool_forward(x, window)
         assert ops.maxpool_values(x, window).tobytes() == y.tobytes()
-        assert ops.maxpool_values(x[1], window).tobytes() == y[1].tobytes()
+        assert ops.maxpool_values(x[1:], window).tobytes() == y[1:].tobytes()
 
 
 def test_maxpool_backward_zero_grad():
-    x = np.arange(16, dtype=float).reshape(4, 4, 1)
+    x = np.arange(16, dtype=float).reshape(1, 4, 4, 1)
     _, idx = ops.maxpool_forward(x, 2)
-    assert not ops.maxpool_backward(np.zeros((2, 2, 1)), idx, 2).any()
+    assert not ops.maxpool_backward(np.zeros((1, 2, 2, 1)), idx, 2).any()
 
 
 def test_maxpool_backward_one_nonzero_per_window(rng):
-    x = rng.permutation(36).astype(float).reshape(6, 6, 1)
+    x = rng.permutation(36).astype(float).reshape(1, 6, 6, 1)
     _, idx = ops.maxpool_forward(x, 2)
-    g = ops.maxpool_backward(rng.uniform(1, 2, size=(3, 3, 1)), idx, 2)
+    g = ops.maxpool_backward(rng.uniform(1, 2, size=(1, 3, 3, 1)), idx, 2)
     nonzero_per_window = (g.reshape(3, 2, 3, 2) != 0).sum(axis=(1, 3))
     np.testing.assert_array_equal(nonzero_per_window, np.ones((3, 3), dtype=int))
 
 
 def test_maxpool_backward_matches_finite_differences(rng):
-    x = rng.uniform(-1, 1, size=(4, 4, 1))
-    probe = rng.uniform(-1, 1, size=(2, 2, 1))
+    x = rng.uniform(-1, 1, size=(1, 4, 4, 1))
+    probe = rng.uniform(-1, 1, size=(1, 2, 2, 1))
     _, idx = ops.maxpool_forward(x, 2)
     g = ops.maxpool_backward(probe, idx, 2)
     num = numerical_gradient(lambda v: float((ops.maxpool_forward(v, 2)[0] * probe).sum()), x.copy())
@@ -178,40 +196,40 @@ def test_maxpool_backward_matches_finite_differences(rng):
 
 def test_dense_ledger_shape(rng):
     p = ops.DenseParams(rng.uniform(size=(3136, 1024)), rng.uniform(size=1024))
-    assert ops.dense_forward(rng.uniform(size=3136), p).shape == (1024,)
+    assert ops.dense_forward(rng.uniform(size=(1, 3136)), p).shape == (1, 1024)
 
 
 def test_dense_identity():
     p = ops.DenseParams(np.eye(4), np.zeros(4))
-    x = np.array([1.0, -2.0, 3.0, 0.5])
+    x = np.array([[1.0, -2.0, 3.0, 0.5]])
     np.testing.assert_array_equal(ops.dense_forward(x, p), x)
 
 
 def test_dense_hand_computed():
     p = ops.DenseParams(2 * np.eye(2), np.array([1.0, 1.0]))
-    np.testing.assert_array_equal(ops.dense_forward(np.array([1.0, 2.0]), p), [3.0, 5.0])
+    np.testing.assert_array_equal(ops.dense_forward(np.array([[1.0, 2.0]]), p), [[3.0, 5.0]])
 
 
 def test_dense_length_mismatch(rng):
     p = ops.DenseParams(rng.uniform(size=(5, 3)), rng.uniform(size=3))
     with pytest.raises(ops.ShapeError, match="5"):
-        ops.dense_forward(rng.uniform(size=4), p)
+        ops.dense_forward(rng.uniform(size=(1, 4)), p)
 
 
 def test_dense_backward_zero_and_bias_identity(rng):
-    x = rng.uniform(size=5)
+    x = rng.uniform(size=(1, 5))
     p = ops.DenseParams(rng.uniform(size=(5, 3)), rng.uniform(size=3))
-    gx, gw, gb = ops.dense_backward(x, p, np.zeros(3))
+    gx, gw, gb = ops.dense_backward(x, p, np.zeros((1, 3)))
     assert not gx.any() and not gw.any() and not gb.any()
-    g = rng.uniform(size=3)
+    g = rng.uniform(size=(1, 3))
     _, _, gb = ops.dense_backward(x, p, g)
-    np.testing.assert_array_equal(gb, g)
+    np.testing.assert_array_equal(gb, g[0])
 
 
 def test_dense_backward_matches_finite_differences(rng):
-    x = rng.uniform(-1, 1, size=5)
+    x = rng.uniform(-1, 1, size=(1, 5))
     p = ops.DenseParams(rng.uniform(-1, 1, size=(5, 3)), rng.uniform(-1, 1, size=3))
-    probe = rng.uniform(-1, 1, size=3)
+    probe = rng.uniform(-1, 1, size=(1, 3))
     gx, gw, gb = ops.dense_backward(x, p, probe)
     num_gx = numerical_gradient(lambda v: float((ops.dense_forward(v, p) * probe).sum()), x.copy())
     num_gw = numerical_gradient(
@@ -220,10 +238,10 @@ def test_dense_backward_matches_finite_differences(rng):
     )
     assert max_rel_err(gx, num_gx) <= 1e-4
     assert max_rel_err(gw, num_gw) <= 1e-4
-    np.testing.assert_array_equal(gb, probe)
+    np.testing.assert_array_equal(gb, probe[0])
 
 
-@pytest.mark.parametrize("x_shape", [(6,), (4, 6)])
+@pytest.mark.parametrize("x_shape", [(1, 6), (4, 6)])
 def test_dense_bias_add_is_the_out_of_place_sum(rng, x_shape):
     x = rng.normal(size=x_shape)
     w, b = rng.normal(size=(6, 5)), rng.normal(size=5)
@@ -232,7 +250,7 @@ def test_dense_bias_add_is_the_out_of_place_sum(rng, x_shape):
     assert p.weights.tobytes() == w.tobytes() and p.bias.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("x_shape", [(5, 5, 2), (3, 5, 5, 2)])
+@pytest.mark.parametrize("x_shape", [(1, 5, 5, 2), (3, 5, 5, 2)])
 def test_conv_bias_add_is_the_out_of_place_sum(rng, x_shape):
     x = rng.normal(size=x_shape)
     w, b = rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4)
@@ -280,7 +298,7 @@ def test_dropout_scales_the_fresh_product_bitwise(rng):
     keep = 0.7  # x / 0.7 and x * (1 / 0.7) differ in a quarter of the elements
     x = rng.normal(size=(9, 37)) * 10.0 ** rng.integers(-300, 300, size=(9, 37))
     x_before = x.copy()
-    y, mask = ops.dropout(x, keep, np.random.default_rng(4), training=True)
+    y, mask = ops.dropout(x, keep, np.random.default_rng(4))
     ref_mask = (np.random.default_rng(4).random(x.shape) < keep).astype(np.float64)
     assert mask.tobytes() == ref_mask.tobytes()
     assert y.tobytes() == (x * ref_mask / keep).tobytes()
@@ -292,21 +310,14 @@ def test_dropout_scales_the_fresh_product_bitwise(rng):
 
 def test_dropout_keep_one_is_identity(rng):
     x = rng.uniform(size=(5, 5))
-    y, mask = ops.dropout(x, 1.0, rng, training=True)
-    np.testing.assert_array_equal(y, x)
-    np.testing.assert_array_equal(mask, np.ones_like(x))
-
-
-def test_dropout_eval_mode_is_identity(rng):
-    x = rng.uniform(size=(5, 5))
-    y, mask = ops.dropout(x, 0.3, rng, training=False)
+    y, mask = ops.dropout(x, 1.0, rng)
     np.testing.assert_array_equal(y, x)
     np.testing.assert_array_equal(mask, np.ones_like(x))
 
 
 def test_dropout_kept_fraction_concentrates(rng):
     x = np.ones(10000)
-    y, mask = ops.dropout(x, 0.5, rng, training=True)
+    y, mask = ops.dropout(x, 0.5, rng)
     kept = mask.mean()
     assert abs(kept - 0.5) <= 0.02
     # kept entries are scaled by 1/keep
@@ -320,22 +331,22 @@ def test_dropout_rejects_zero_keep(rng):
 
 
 def test_softmax_uniform_logits():
-    loss, grad = ops.softmax_xent(np.zeros(10), np.eye(10)[4])
+    loss, grad = ops.softmax_xent(np.zeros((1, 10)), np.eye(10)[4:5])
     assert loss == pytest.approx(np.log(10.0), rel=1e-12)
     assert grad.sum() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_softmax_saturated_logits():
-    logits = np.zeros(10)
-    logits[2] = 1000.0
-    loss, grad = ops.softmax_xent(logits, np.eye(10)[2])
+    logits = np.zeros((1, 10))
+    logits[0, 2] = 1000.0
+    loss, grad = ops.softmax_xent(logits, np.eye(10)[2:3])
     assert loss == pytest.approx(0.0, abs=1e-8)
     np.testing.assert_allclose(grad, 0.0, atol=1e-8)
 
 
 def test_softmax_grad_matches_finite_differences(rng):
-    logits = rng.uniform(-2, 2, size=10)
-    label = np.eye(10)[int(rng.integers(10))]
+    logits = rng.uniform(-2, 2, size=(1, 10))
+    label = np.eye(10)[[int(rng.integers(10))]]
     _, grad = ops.softmax_xent(logits, label)
     num = numerical_gradient(lambda v: ops.softmax_xent(v, label)[0], logits.copy())
     assert max_rel_err(grad, num) <= 1e-4
@@ -343,15 +354,15 @@ def test_softmax_grad_matches_finite_differences(rng):
 
 def test_softmax_rejects_non_one_hot():
     with pytest.raises(ValueError, match="one-hot"):
-        ops.softmax_xent(np.zeros(10), np.full(10, 0.1))
+        ops.softmax_xent(np.zeros((1, 10)), np.full((1, 10), 0.1))
     with pytest.raises(ValueError, match="one-hot"):
-        ops.softmax_xent(np.zeros(10), np.zeros(10))
+        ops.softmax_xent(np.zeros((1, 10)), np.zeros((1, 10)))
 
 
 def test_softmax_loss_nonnegative_grad_sums_zero(rng):
     for _ in range(25):
-        logits = rng.normal(0, 3, size=10)
-        label = np.eye(10)[int(rng.integers(10))]
+        logits = rng.normal(0, 3, size=(1, 10))
+        label = np.eye(10)[[int(rng.integers(10))]]
         loss, grad = ops.softmax_xent(logits, label)
         assert loss >= 0.0
         assert grad.sum() == pytest.approx(0.0, abs=1e-10)
@@ -361,24 +372,24 @@ def test_softmax_batch_mean_reduction(rng):
     logits = rng.normal(size=(6, 10))
     labels = np.eye(10)[rng.integers(0, 10, size=6)]
     loss, grad = ops.softmax_xent(logits, labels)
-    singles = [ops.softmax_xent(logits[i], labels[i]) for i in range(6)]
+    singles = [ops.softmax_xent(logits[i : i + 1], labels[i : i + 1]) for i in range(6)]
     assert loss == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12)
-    np.testing.assert_allclose(grad, np.stack([s[1] for s in singles]) / 6)
+    np.testing.assert_allclose(grad, np.concatenate([s[1] for s in singles]) / 6)
 
 
 def test_ops_outputs_finite_on_finite_inputs(rng):
-    x = rng.normal(0, 50, size=(8, 8, 3))
+    x = rng.normal(0, 50, size=(1, 8, 8, 3))
     p = ops.ConvParams(rng.normal(0, 50, size=(5, 5, 3, 4)), rng.normal(0, 50, size=4))
     assert np.isfinite(ops.conv2d_forward(x, p)).all()
     y, _ = ops.maxpool_forward(x, 2)
     assert np.isfinite(y).all()
-    d, _ = ops.dropout(x, 0.25, rng, training=True)
+    d, _ = ops.dropout(x, 0.25, rng)
     assert np.isfinite(d).all()
 
 
 def test_determinism_same_rng_state_same_output(rng):
     x = rng.uniform(size=(6, 6))
-    a, am = ops.dropout(x, 0.5, np.random.default_rng(99), training=True)
-    b, bm = ops.dropout(x, 0.5, np.random.default_rng(99), training=True)
+    a, am = ops.dropout(x, 0.5, np.random.default_rng(99))
+    b, bm = ops.dropout(x, 0.5, np.random.default_rng(99))
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(am, bm)

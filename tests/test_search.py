@@ -236,6 +236,64 @@ def test_sweep_resume_skips_done_pairs(tmp_path):
     ]
 
 
+def oracle_with_schedule(schedule_id):
+    oracle = table_oracle()
+    oracle.schedule_id = schedule_id
+    return oracle
+
+
+def test_sweep_resume_rejects_records_of_another_schedule(tmp_path):
+    candidates = enumerate_candidates(default_plan())
+    ledger = tmp_path / "r.ledger"
+    short = oracle_with_schedule("it150-bs50-lr0.0001")
+    run_sweep(candidates[:5], short, ledger_path=ledger)
+    written = ledger.read_bytes()
+    with pytest.raises(SearchError, match="drop_conv2=false seed 0 .*it150-bs50-lr0.0001.*it300-bs50-lr0.0001"):
+        run_sweep(candidates, oracle_with_schedule("it300-bs50-lr0.0001"), ledger_path=ledger)
+    assert ledger.read_bytes() == written
+    resumed = run_sweep(candidates, short, ledger_path=ledger)
+    assert {r.schedule_id for r in resumed} == {"it150-bs50-lr0.0001"}
+
+
+@pytest.mark.parametrize("cut,reruns", [(1, 0), (3, 1), (40, 1)])
+def test_sweep_resume_after_a_crash_cut_the_last_ledger_line(tmp_path, caplog, cut, reruns):
+    # cut 1 loses only the newline; 3 leaves "diverged="; 40 ends inside "accuracy="
+    candidates = enumerate_candidates(default_plan())
+    uninterrupted = tmp_path / "whole.ledger"
+    run_sweep(candidates, table_oracle(), ledger_path=uninterrupted)
+    ledger = tmp_path / "cut.ledger"
+    run_sweep(candidates[:5], table_oracle(), ledger_path=ledger)
+    ledger.write_bytes(ledger.read_bytes()[:-cut])
+    calls = []
+    inner = table_oracle()
+
+    def counting(tag, spec, seed):
+        calls.append(tag)
+        return inner(tag, spec, seed)
+
+    counting.schedule_id = inner.schedule_id
+    with caplog.at_level(logging.WARNING, logger="slimnet.search"):
+        run_sweep(candidates, counting, ledger_path=ledger)
+    assert calls == [c.tag for c in candidates[5 - reruns :]]
+    assert ("unterminated last ledger line" in caplog.text) == bool(reruns)
+    assert ledger.read_bytes() == uninterrupted.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "damage", [("diverged=0", "diverged="), ("accuracy=", "accuracy=x"), (" schedule=table", "")]
+)
+def test_malformed_complete_ledger_line_names_its_line_number(tmp_path, damage):
+    ledger = tmp_path / "r.ledger"
+    run_sweep(enumerate_candidates(default_plan())[:5], table_oracle(), ledger_path=ledger)
+    lines = ledger.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].replace(*damage)
+    ledger.write_text("".join(lines))
+    with pytest.raises(SearchError, match="line 3"):
+        load_ledger(ledger)
+    with pytest.raises(SearchError, match="line 3"):
+        run_sweep(enumerate_candidates(default_plan()), table_oracle(), ledger_path=ledger)
+
+
 def test_sweep_deterministic_across_runs():
     candidates = enumerate_candidates(default_plan())
     a = run_sweep(candidates, table_oracle())
@@ -395,14 +453,6 @@ def test_run_search_infeasible_writes_no_spec(tmp_path):
     assert not output.selection.feasible
     assert output.selected_spec_path is None
     assert not (tmp_path / "selected.spec").exists()
-
-
-def test_run_search_parallel_workers_match_sequential(tmp_path):
-    plan = default_plan()
-    seq = run_search(plan, table_oracle(), out_dir=tmp_path / "seq")
-    par = run_search(plan, table_oracle(), out_dir=tmp_path / "par", workers=4)
-    assert [(r.tag, r.accuracy) for r in seq.results] == [(r.tag, r.accuracy) for r in par.results]
-    assert seq.curves_csv == par.curves_csv
 
 
 def test_candidate_results_consistent_with_accountant():
