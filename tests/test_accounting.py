@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from slimnet.accounting import analyze, diff_reports
 from slimnet.golden import COMPARISON, GOLDEN_LEDGERS, check_against_golden
 from slimnet.netspec import (
+    PRESETS,
     LayerSpec,
     NetSpec,
     baseline_spec,
@@ -178,3 +181,130 @@ def test_with_biases_dominates_paper_compat(data):
     has_parameterized = any(l.kind in ("conv", "dense") for l in spec.layers)
     assert honest >= compat
     assert (honest == compat) == (not has_parameterized)
+
+
+# --- full ledger text: labels, filter text and formulas of every stock net ------
+
+# sha256(render + "\n" + to_kv)[:16] per (preset, convention)
+LEDGER_DIGESTS = {
+    ("baseline", "paper_compat"): "8a8ffc1736c77c88",
+    ("baseline", "with_biases"): "4d26886627255f95",
+    ("dropped-conv2", "paper_compat"): "712da3860ad39331",
+    ("dropped-conv2", "with_biases"): "618c7f8c5b3e7299",
+    ("optimized", "paper_compat"): "8b74d359ed0f3ddc",
+    ("optimized", "with_biases"): "c667a108eb58013e",
+    ("optimized-3x3", "paper_compat"): "752c3b83d701b8a7",
+    ("optimized-3x3", "with_biases"): "e0baff18adcab1ba",
+}
+
+
+def ledger_text(preset, convention):
+    report = analyze(PRESETS[preset](), convention)
+    return report.render() + "\n" + report.to_kv()
+
+
+@pytest.mark.parametrize("convention", ["paper_compat", "with_biases"])
+def test_baseline_ledger_text_pinned(convention):
+    expected = {"paper_compat": BASELINE_PAPER_COMPAT, "with_biases": BASELINE_WITH_BIASES}[convention]
+    assert ledger_text("baseline", convention) + "\n" == expected
+
+
+@pytest.mark.parametrize("preset, convention", sorted(LEDGER_DIGESTS))
+def test_stock_ledger_text_pinned(preset, convention):
+    digest = hashlib.sha256(ledger_text(preset, convention).encode()).hexdigest()[:16]
+    assert digest == LEDGER_DIGESTS[preset, convention]
+
+
+BASELINE_PAPER_COMPAT = """\
+Name     Type             Filter  Output Size  Memory            #Params
+------------------------------------------------------------------------
+input    Image                    28x28x1      28*28*1 =784      0
+conv1    Convolution      5x5x1   28x28x32     28*28*32 =25,088  (5*5*1)*32 =800
+pool1    Max Pooling      2x2     14x14x32     14*14*32 =6,272   0
+conv2    Convolution      5x5x32  14x14x64     14*14*64 =12,544  (5*5*32)*64 =51,200
+pool2    Max Pooling      2x2     7x7x64       7*7*64 =3,136     0
+flatten  Flatten                  3136         0                 0
+fc1      Fully Connected          1024         1,024             (7*7*64)*1024 =3,211,264
+dropout  Dropout                  1024         0                 0
+fc2      Fully Connected          10           10                1024*10 =10,240
+total                                          48,858            3,273,504
+spec=baseline
+id=in28x28x1-c5.32-p2-c5.64-p2-fl-fc1024-do0.5-fc10
+convention=paper_compat
+layer.input.output=28x28x1
+layer.input.memory=784
+layer.input.params=0
+layer.conv1.output=28x28x32
+layer.conv1.memory=25088
+layer.conv1.params=800
+layer.pool1.output=14x14x32
+layer.pool1.memory=6272
+layer.pool1.params=0
+layer.conv2.output=14x14x64
+layer.conv2.memory=12544
+layer.conv2.params=51200
+layer.pool2.output=7x7x64
+layer.pool2.memory=3136
+layer.pool2.params=0
+layer.flatten.output=3136
+layer.flatten.memory=0
+layer.flatten.params=0
+layer.fc1.output=1024
+layer.fc1.memory=1024
+layer.fc1.params=3211264
+layer.dropout.output=1024
+layer.dropout.memory=0
+layer.dropout.params=0
+layer.fc2.output=10
+layer.fc2.memory=10
+layer.fc2.params=10240
+total.memory=48858
+total.params=3273504
+"""
+
+BASELINE_WITH_BIASES = """\
+Name     Type             Filter  Output Size  Memory            #Params
+------------------------------------------------------------------------
+input    Image                    28x28x1      28*28*1 =784      0
+conv1    Convolution      5x5x1   28x28x32     28*28*32 =25,088  (5*5*1)*32+32 =832
+pool1    Max Pooling      2x2     14x14x32     14*14*32 =6,272   0
+conv2    Convolution      5x5x32  14x14x64     14*14*64 =12,544  (5*5*32)*64+64 =51,264
+pool2    Max Pooling      2x2     7x7x64       7*7*64 =3,136     0
+flatten  Flatten                  3136         0                 0
+fc1      Fully Connected          1024         1,024             (7*7*64)*1024+1024 =3,212,288
+dropout  Dropout                  1024         0                 0
+fc2      Fully Connected          10           10                1024*10+10 =10,250
+total                                          48,858            3,274,634
+spec=baseline
+id=in28x28x1-c5.32-p2-c5.64-p2-fl-fc1024-do0.5-fc10
+convention=with_biases
+layer.input.output=28x28x1
+layer.input.memory=784
+layer.input.params=0
+layer.conv1.output=28x28x32
+layer.conv1.memory=25088
+layer.conv1.params=832
+layer.pool1.output=14x14x32
+layer.pool1.memory=6272
+layer.pool1.params=0
+layer.conv2.output=14x14x64
+layer.conv2.memory=12544
+layer.conv2.params=51264
+layer.pool2.output=7x7x64
+layer.pool2.memory=3136
+layer.pool2.params=0
+layer.flatten.output=3136
+layer.flatten.memory=0
+layer.flatten.params=0
+layer.fc1.output=1024
+layer.fc1.memory=1024
+layer.fc1.params=3212288
+layer.dropout.output=1024
+layer.dropout.memory=0
+layer.dropout.params=0
+layer.fc2.output=10
+layer.fc2.memory=10
+layer.fc2.params=10250
+total.memory=48858
+total.params=3274634
+"""
