@@ -12,14 +12,20 @@ Activation memory is counted in elements (one per output activation);
 flatten and dropout are views over the previous buffer and hold no
 storage of their own, so their rows print zeros.  Byte figures are a
 display concern only (8 bytes per element at double precision).
+
+Every per-kind cell comes from the kind's record in `netspec.KINDS`: the
+row name prefix, the label, the filter text, whether the layer holds
+storage, and the weight shape the parameter cell and its formula follow
+from.  This module holds no per-kind rule of its own.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
-from .netspec import NetSpec, propagate_shapes, spec_id
+from .netspec import KINDS, NetSpec, propagate_shapes, spec_id, weight_shapes
 
 __all__ = [
     "CONVENTIONS",
@@ -31,16 +37,6 @@ __all__ = [
 ]
 
 CONVENTIONS = ("paper_compat", "with_biases")
-
-_KIND_LABEL = {
-    "input": "Image",
-    "conv": "Convolution",
-    "maxpool": "Max Pooling",
-    "dense": "Fully Connected",
-    "dropout": "Dropout",
-    "flatten": "Flatten",
-}
-
 
 @dataclass(frozen=True)
 class ReportRow:
@@ -77,7 +73,7 @@ class ComplexityReport:
             out = "x".join(str(e) for e in r.output_shape)
             mem = f"{r.memory_formula} ={r.memory_elements:,}" if r.memory_formula else f"{r.memory_elements:,}"
             par = f"{r.param_formula} ={r.param_count:,}" if r.param_formula else f"{r.param_count:,}"
-            body.append((r.name, _KIND_LABEL[r.kind], r.filter_desc, out, mem, par))
+            body.append((r.name, KINDS[r.kind].label, r.filter_desc, out, mem, par))
         body.append(("total", "", "", "", f"{self.total_memory:,}", f"{self.total_params:,}"))
         widths = [max(len(row[i]) for row in [head] + body) for i in range(6)]
         lines = []
@@ -104,64 +100,17 @@ class ComplexityReport:
 
 
 def layer_names(spec: NetSpec) -> list[str]:
-    """Ledger row names: conv/pool/fc numbered per kind, singletons bare."""
-    counters = {"conv": 0, "maxpool": 0, "dense": 0, "dropout": 0, "flatten": 0}
+    """Ledger row names: each kind's prefix, numbered per kind when the kind
+    is always numbered (conv1, pool1, fc1) or occurs more than once."""
+    totals = Counter(layer.kind for layer in spec.layers)
+    seen: Counter = Counter()
     names = []
-    multi = {k: sum(1 for l in spec.layers if l.kind == k) > 1 for k in counters}
-    prefix = {"conv": "conv", "maxpool": "pool", "dense": "fc", "dropout": "dropout", "flatten": "flatten"}
     for layer in spec.layers:
-        if layer.kind == "input":
-            names.append("input")
-            continue
-        counters[layer.kind] += 1
-        base = prefix[layer.kind]
-        # conv/pool/fc always carry an index, mirroring the ledger naming
-        if layer.kind in ("conv", "maxpool", "dense"):
-            names.append(f"{base}{counters[layer.kind]}")
-        else:
-            names.append(f"{base}{counters[layer.kind]}" if multi[layer.kind] else base)
+        kind = KINDS[layer.kind]
+        seen[layer.kind] += 1
+        numbered = kind.numbered or totals[layer.kind] > 1
+        names.append(f"{kind.prefix}{seen[layer.kind]}" if numbered else kind.prefix)
     return names
-
-
-def _param_cell(layer, in_shape, convention: str, factored_in=None) -> tuple[int, str]:
-    if layer.kind == "conv":
-        k, cin, cout = layer.kernel, in_shape[2], layer.out_channels
-        count = k * k * cin * cout
-        formula = f"({k}*{k}*{cin})*{cout}"
-        if convention == "with_biases":
-            count += cout
-            formula += f"+{cout}"
-        return count, formula
-    if layer.kind == "dense":
-        fin, fout = in_shape[0], layer.out_features
-        count = fin * fout
-        # show the pre-flatten factorization when the input was a feature map
-        if factored_in is not None and len(factored_in) > 1:
-            formula = f"({'*'.join(str(e) for e in factored_in)})*{fout}"
-        else:
-            formula = f"{fin}*{fout}"
-        if convention == "with_biases":
-            count += fout
-            formula += f"+{fout}"
-        return count, formula
-    return 0, ""
-
-
-def _memory_cell(layer, out_shape) -> tuple[int, str]:
-    # flatten/dropout are views over the previous activation buffer
-    if layer.kind in ("flatten", "dropout"):
-        return 0, ""
-    count = math.prod(out_shape)
-    formula = "*".join(str(e) for e in out_shape) if len(out_shape) > 1 else ""
-    return count, formula
-
-
-def _filter_desc(layer, in_shape) -> str:
-    if layer.kind == "conv":
-        return f"{layer.kernel}x{layer.kernel}x{in_shape[2]}"
-    if layer.kind == "maxpool":
-        return f"{layer.window}x{layer.window}"
-    return ""
 
 
 def analyze(spec: NetSpec, convention: str = "paper_compat") -> ComplexityReport:
@@ -171,24 +120,25 @@ def analyze(spec: NetSpec, convention: str = "paper_compat") -> ComplexityReport
     shapes = propagate_shapes(spec)
     names = layer_names(spec)
     rows = []
-    for i, layer in enumerate(spec.layers):
-        in_shape = shapes[i - 1] if i else None
-        factored = None
-        if layer.kind == "dense":
-            # walk back through view layers to the shape that was flattened
-            j = i - 1
-            while j >= 0 and spec.layers[j].kind in ("flatten", "dropout"):
-                j -= 1
-            if j >= 0:
-                factored = shapes[j]
-        mem, mem_f = _memory_cell(layer, shapes[i])
-        par, par_f = _param_cell(layer, in_shape, convention, factored_in=factored)
+    for i, (layer, weights) in enumerate(zip(spec.layers, weight_shapes(spec, shapes))):
+        kind, out = KINDS[layer.kind], shapes[i]
+        mem = 0 if kind.view else math.prod(out)
+        mem_f = "*".join(map(str, out)) if not kind.view and len(out) > 1 else ""
+        par, par_f = 0, ""
+        if weights:
+            *fan_in, fan_out = weights
+            par = math.prod(weights)
+            par_f = "*".join(map(str, fan_in))
+            par_f = f"({par_f})*{fan_out}" if len(fan_in) > 1 else f"{par_f}*{fan_out}"
+            if convention == "with_biases":
+                par += fan_out
+                par_f += f"+{fan_out}"
         rows.append(
             ReportRow(
                 name=names[i],
                 kind=layer.kind,
-                filter_desc=_filter_desc(layer, in_shape),
-                output_shape=shapes[i],
+                filter_desc=kind.filter(layer, shapes[i - 1] if i else None),
+                output_shape=out,
                 memory_elements=mem,
                 param_count=par,
                 memory_formula=mem_f,

@@ -5,9 +5,9 @@ Subcommands: `analyze` (complexity ledger), `train`, `search`,
 Every run writes a manifest with the resolved arguments so results can
 be reproduced byte for byte.
 
-Exit codes: 0 success, 2 spec/parse problem, 3 missing or malformed
-data, 4 training divergence, 5 infeasible search threshold, 1 any other
-failure (including gradcheck mismatches).
+Exit codes: 0 success, 2 spec/parse problem or unreadable plan file, 3
+missing or malformed data, 4 training divergence, 5 infeasible search
+threshold, 1 any other failure (including gradcheck mismatches).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ DATA_DIR_ENV = "SLIMNET_DATA_DIR"
 def _resolve_spec(token: str) -> NetSpec:
     if token in PRESETS:
         return PRESETS[token]()
-    if not Path(token).exists():
+    if not Path(token).is_file():
         raise SpecError(f"spec '{token}' is neither a preset ({', '.join(PRESETS)}) nor a file")
     return load_spec(token)
 
@@ -153,10 +153,11 @@ def cmd_train(args, argv) -> int:
 
 
 def cmd_search(args, argv) -> int:
-    if args.plan:
-        plan = load_plan(args.plan)
-    else:
-        plan = default_plan()
+    try:
+        plan = load_plan(args.plan) if args.plan else default_plan()
+    except OSError as exc:
+        print(f"plan error: cannot read plan file '{args.plan}': {exc.strerror}", file=sys.stderr)
+        return EXIT_SPEC
     overrides = {}
     if args.threshold is not None:
         overrides["threshold"] = args.threshold

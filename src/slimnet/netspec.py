@@ -13,19 +13,31 @@ per line::
     dense out=10
 
 Lines starting with `#` are comments; the `name:` line is optional.
+
+`KINDS` is the one place a layer kind is defined.  Its record holds the
+kind's text fields and `spec_id` token, its shape rule, its ledger row
+(name prefix, label, filter text, weight shape, whether it holds storage)
+and its forward and backward passes; `accounting` and `network` read every
+per-kind fact from it, so a new kind is one new record.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
+
+from . import ops
 
 __all__ = [
     "SpecError",
     "LayerSpec",
     "NetSpec",
+    "LayerKind",
+    "KINDS",
+    "ForwardPass",
     "propagate_shapes",
+    "weight_shapes",
     "parse_spec",
     "serialize_spec",
     "spec_id",
@@ -98,10 +110,173 @@ class NetSpec:
         object.__setattr__(self, "layers", tuple(self.layers))
 
 
+# --- layer kinds ----------------------------------------------------------------
+#
+# Records call `ops.<name>` at call time, so a patched op is the one that runs.
+
+
 def _positive(value, what: str, idx: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise SpecError(f"{what} must be a positive integer, got {value!r}", layer=idx)
     return value
+
+
+def _input_shape(layer, shape, i):
+    return (_positive(layer.height, "input height", i), _positive(layer.width, "input width", i),
+            _positive(layer.channels, "input channels", i))
+
+
+def _conv_shape(layer, shape, i):
+    if len(shape) != 3:
+        raise SpecError(f"conv needs an HxWxC input, got shape {shape} (after flatten?)", layer=i)
+    _positive(layer.kernel, "conv kernel", i)
+    return (shape[0], shape[1], _positive(layer.out_channels, "conv out_channels", i))
+
+
+def _maxpool_shape(layer, shape, i):
+    if len(shape) != 3:
+        raise SpecError(f"maxpool needs an HxWxC input, got shape {shape}", layer=i)
+    k = _positive(layer.window, "maxpool window", i)
+    h, w, c = shape
+    if h % k or w % k:
+        raise SpecError(f"maxpool window {k} does not divide spatial extent {h}x{w}", layer=i)
+    return (h // k, w // k, c)
+
+
+def _dense_shape(layer, shape, i):
+    if len(shape) != 1:
+        raise SpecError(f"dense needs a flat vector input, got shape {shape}; add a flatten layer first", layer=i)
+    return (_positive(layer.out_features, "dense out_features", i),)
+
+
+def _dropout_shape(layer, shape, i):
+    kp = layer.keep_prob
+    if not isinstance(kp, (int, float)) or not 0.0 < kp <= 1.0:
+        raise SpecError(f"dropout keep_prob must be in (0, 1], got {kp!r}", layer=i)
+    return shape
+
+
+class ForwardPass(NamedTuple):
+    """What one forward pass asks of its layers; only dropout reads it."""
+
+    training: bool
+    dropout_rng: object  # numpy Generator for the training masks, or None
+    dropout_override: float | None  # replaces every dropout's keep_prob
+
+
+def _keep_input(h, cache):
+    if cache is not None:
+        cache["x"] = h
+    return h
+
+
+def _maxpool_forward(layer, h, p, cache, run):
+    if cache is None:
+        return ops.maxpool_values(h, layer.window)
+    h, cache["argmax"] = ops.maxpool_forward(h, layer.window)
+    cache["window"] = layer.window
+    return h
+
+
+def _maxpool_backward(cache, g, p, input_grad):
+    return ops.maxpool_backward(g, cache["argmax"], cache["window"]), None
+
+
+def _flatten_forward(layer, h, p, cache, run):
+    if cache is not None:
+        cache["shape"] = h.shape
+    return h.reshape(h.shape[0], -1)
+
+
+def _dropout_forward(layer, h, p, cache, run):
+    keep = run.dropout_override if run.dropout_override is not None else layer.keep_prob
+    if run.training:
+        if run.dropout_rng is None:
+            raise ValueError("training-mode dropout needs a dropout_rng")
+        h, mask = ops.dropout(h, keep, run.dropout_rng)
+        if cache is not None:
+            cache["mask"] = mask
+    if cache is not None:
+        cache.update(keep=keep, training=run.training)
+    return h
+
+
+def _conv_backward(cache, g, p, input_grad):
+    g, gw, gb = ops.conv2d_backward(cache["x"], p, g, input_grad=input_grad)
+    return g, (gw, gb)
+
+
+def _dense_backward(cache, g, p, input_grad):
+    g, gw, gb = ops.dense_backward(cache["x"], p, g)
+    return g, (gw, gb)
+
+
+def _dropout_backward(cache, g, p, input_grad):
+    if cache["training"] and cache["keep"] < 1.0:
+        g = ops.dropout_backward(g, cache["mask"], cache["keep"])
+    return g, None
+
+
+class LayerKind(NamedTuple):
+    """One layer kind: everything netspec, accounting and network know of it.
+
+    `weights(layer, in_shape)` gives a kind with parameters its weight
+    shape `(*fan_in, fan_out)` from the last activation that holds
+    storage (see `weight_shapes`); the ledger's parameter cell, the
+    initial draw and "has parameters" all follow from it.
+    `forward(layer, h, params, cache, run)` fills `cache`, which is `None`
+    in evaluation; `backward(cache, g, params, input_grad)` returns
+    `(grad_input, (grad_w, grad_b) or None)`.
+    """
+
+    fields: tuple[tuple[str, str, type], ...]  # text fields as (key, attribute, type)
+    token: str  # spec_id token, formatted with the layer's attributes
+    label: str  # the ledger's Type column
+    prefix: str  # the ledger row name, numbered per kind
+    numbered: bool  # numbered even when the kind occurs once
+    shape: Callable  # (layer, in_shape, index) -> out_shape; raises SpecError
+    forward: Callable
+    backward: Callable | None = None  # None: below the first weights, never differentiated
+    view: bool = False  # a view of its input that holds no storage
+    filter: Callable = lambda layer, in_shape: ""  # the ledger's Filter column
+    weights: Callable | None = None  # None: no parameters
+    make_params: Callable | None = None  # (w, b) -> the ops parameter record
+
+
+# Positional: fields, token, label, prefix, numbered, shape, forward, backward.
+KINDS: dict[str, LayerKind] = {
+    "input": LayerKind(
+        (("h", "height", int), ("w", "width", int), ("c", "channels", int)), "in{height}x{width}x{channels}",
+        "Image", "input", False, _input_shape, lambda layer, h, p, cache, run: h,
+    ),
+    "conv": LayerKind(
+        (("k", "kernel", int), ("out", "out_channels", int)), "c{kernel}.{out_channels}",
+        "Convolution", "conv", True, _conv_shape,
+        lambda layer, h, p, cache, run: ops.conv2d_forward(_keep_input(h, cache), p), _conv_backward,
+        filter=lambda layer, in_shape: f"{layer.kernel}x{layer.kernel}x{in_shape[2]}",
+        weights=lambda layer, in_shape: (layer.kernel, layer.kernel, in_shape[2], layer.out_channels),
+        make_params=lambda w, b: ops.ConvParams(w, b),
+    ),
+    "maxpool": LayerKind(
+        (("window", "window", int),), "p{window}", "Max Pooling", "pool", True, _maxpool_shape,
+        _maxpool_forward, _maxpool_backward,
+        filter=lambda layer, in_shape: f"{layer.window}x{layer.window}",
+    ),
+    "flatten": LayerKind(
+        (), "fl", "Flatten", "flatten", False, lambda layer, shape, i: (math.prod(shape),),
+        _flatten_forward, lambda cache, g, p, input_grad: (g.reshape(cache["shape"]), None), view=True,
+    ),
+    "dense": LayerKind(
+        (("out", "out_features", int),), "fc{out_features}", "Fully Connected", "fc", True, _dense_shape,
+        lambda layer, h, p, cache, run: ops.dense_forward(_keep_input(h, cache), p), _dense_backward,
+        weights=lambda layer, in_shape: (*in_shape, layer.out_features),
+        make_params=lambda w, b: ops.DenseParams(w.reshape(-1, w.shape[-1]), b),
+    ),
+    "dropout": LayerKind(
+        (("keep", "keep_prob", float),), "do{keep_prob:g}", "Dropout", "dropout", False, _dropout_shape,
+        _dropout_forward, _dropout_backward, view=True,
+    ),
+}
 
 
 def propagate_shapes(spec: NetSpec) -> list[tuple[int, ...]]:
@@ -114,49 +289,31 @@ def propagate_shapes(spec: NetSpec) -> list[tuple[int, ...]]:
     if not spec.layers:
         raise SpecError("empty spec: need an input layer followed by the network body")
     shapes: list[tuple[int, ...]] = []
-    cur: tuple[int, ...] | None = None
     for i, layer in enumerate(spec.layers):
-        if i == 0:
-            if layer.kind != "input":
-                raise SpecError(f"first layer must be 'input', got '{layer.kind}'", layer=0)
-        elif layer.kind == "input":
-            raise SpecError("only one input layer allowed", layer=i)
-        if layer.kind == "input":
-            h = _positive(layer.height, "input height", i)
-            w = _positive(layer.width, "input width", i)
-            c = _positive(layer.channels, "input channels", i)
-            cur = (h, w, c)
-        elif layer.kind == "conv":
-            if len(cur) != 3:
-                raise SpecError(f"conv needs an HxWxC input, got shape {cur} (after flatten?)", layer=i)
-            _positive(layer.kernel, "conv kernel", i)
-            out = _positive(layer.out_channels, "conv out_channels", i)
-            cur = (cur[0], cur[1], out)
-        elif layer.kind == "maxpool":
-            if len(cur) != 3:
-                raise SpecError(f"maxpool needs an HxWxC input, got shape {cur}", layer=i)
-            k = _positive(layer.window, "maxpool window", i)
-            h, w, c = cur
-            if h % k or w % k:
-                raise SpecError(f"maxpool window {k} does not divide spatial extent {h}x{w}", layer=i)
-            cur = (h // k, w // k, c)
-        elif layer.kind == "flatten":
-            cur = (math.prod(cur),)
-        elif layer.kind == "dense":
-            if len(cur) != 1:
-                raise SpecError(
-                    f"dense needs a flat vector input, got shape {cur}; add a flatten layer first", layer=i
-                )
-            out = _positive(layer.out_features, "dense out_features", i)
-            cur = (out,)
-        elif layer.kind == "dropout":
-            kp = layer.keep_prob
-            if not isinstance(kp, (int, float)) or not 0.0 < kp <= 1.0:
-                raise SpecError(f"dropout keep_prob must be in (0, 1], got {kp!r}", layer=i)
-        else:
+        if (layer.kind == "input") != (i == 0):
+            raise SpecError(f"first layer must be 'input', got '{layer.kind}'" if i == 0
+                            else "only one input layer allowed", layer=i)
+        if layer.kind not in KINDS:
             raise SpecError(f"unknown layer kind '{layer.kind}'", layer=i)
-        shapes.append(cur)
+        shapes.append(KINDS[layer.kind].shape(layer, shapes[-1] if shapes else None, i))
     return shapes
+
+
+def weight_shapes(spec: NetSpec, shapes: list[tuple[int, ...]]) -> list[tuple[int, ...] | None]:
+    """Each layer's weight shape `(*fan_in, fan_out)`, `None` where it has none.
+
+    `shapes` is `propagate_shapes(spec)`.  The fan-in is the last
+    activation that holds storage, so a dense layer after `flatten` reads
+    the feature map's (7, 7, 64) and its ledger cell `(7*7*64)*1024`.
+    """
+    out: list[tuple[int, ...] | None] = []
+    stored = None
+    for layer, shape in zip(spec.layers, shapes):
+        kind = KINDS[layer.kind]
+        out.append(kind.weights(layer, stored) if kind.weights else None)
+        if not kind.view:
+            stored = shape
+    return out
 
 
 def validate_classifier(spec: NetSpec, num_classes: int = 10) -> list[tuple[int, ...]]:
@@ -173,30 +330,12 @@ def validate_classifier(spec: NetSpec, num_classes: int = 10) -> list[tuple[int,
 
 # --- text format ------------------------------------------------------------
 
-
-class _Format(NamedTuple):
-    """A layer kind's text fields, as `(key, attribute, type)`, and its `spec_id` token."""
-
-    fields: tuple[tuple[str, str, type], ...]
-    token: str
-
-
-_FORMATS = {
-    "input": _Format((("h", "height", int), ("w", "width", int), ("c", "channels", int)),
-                     "in{height}x{width}x{channels}"),
-    "conv": _Format((("k", "kernel", int), ("out", "out_channels", int)), "c{kernel}.{out_channels}"),
-    "maxpool": _Format((("window", "window", int),), "p{window}"),
-    "flatten": _Format((), "fl"),
-    "dense": _Format((("out", "out_features", int),), "fc{out_features}"),
-    "dropout": _Format((("keep", "keep_prob", float),), "do{keep_prob:g}"),
-}
-
 _TYPE_NAME = {int: "an integer", float: "a number"}
 
 
 def spec_id(spec: NetSpec) -> str:
     """Stable, human-readable identifier derived solely from the layers."""
-    return "-".join(_FORMATS[layer.kind].token.format(**vars(layer)) for layer in spec.layers)
+    return "-".join(KINDS[layer.kind].token.format(**vars(layer)) for layer in spec.layers)
 
 
 def parse_spec(text: str, name: str = "") -> NetSpec:
@@ -211,9 +350,9 @@ def parse_spec(text: str, name: str = "") -> NetSpec:
             spec_name = line[len("name:") :].strip()
             continue
         kind, *tokens = line.split()
-        if kind not in _FORMATS:
+        if kind not in KINDS:
             raise SpecError(f"unknown layer kind '{kind}'", line=lineno)
-        known = {key: (attr, typ) for key, attr, typ in _FORMATS[kind].fields}
+        known = {key: (attr, typ) for key, attr, typ in KINDS[kind].fields}
         fields: dict[str, float | int] = {}
         for tok in tokens:
             if "=" not in tok:
@@ -239,7 +378,7 @@ def serialize_spec(spec: NetSpec) -> str:
     lines = [f"name: {spec.name}"] if spec.name else []
     for layer in spec.layers:
         fields = [f"{key}={format(getattr(layer, attr), 'g' if typ is float else '')}"
-                  for key, attr, typ in _FORMATS[layer.kind].fields]
+                  for key, attr, typ in KINDS[layer.kind].fields]
         lines.append(" ".join([layer.kind, *fields]))
     return "\n".join(lines) + "\n"
 
@@ -257,70 +396,32 @@ def save_spec(spec: NetSpec, path) -> None:
 # --- stock architectures ----------------------------------------------------
 
 
+def _stock(name: str, convs: tuple[tuple[int, int], ...], pool: int, hidden: int) -> NetSpec:
+    """28x28x1 input, a (kernel, depth) conv plus `pool` maxpool stage per
+    `convs` entry, then flatten, dense `hidden`, dropout 0.5 and dense 10."""
+    stages = [layer for k, d in convs for layer in (LayerSpec.conv(k, d), LayerSpec.maxpool(pool))]
+    return NetSpec(name, (LayerSpec.input(28, 28, 1), *stages, LayerSpec.flatten(), LayerSpec.dense(hidden),
+                          LayerSpec.dropout(0.5), LayerSpec.dense(10)))
+
+
 def baseline_spec() -> NetSpec:
     """Two conv/pool stages, 1024-wide hidden layer: the reference network."""
-    return NetSpec(
-        "baseline",
-        (
-            LayerSpec.input(28, 28, 1),
-            LayerSpec.conv(5, 32),
-            LayerSpec.maxpool(2),
-            LayerSpec.conv(5, 64),
-            LayerSpec.maxpool(2),
-            LayerSpec.flatten(),
-            LayerSpec.dense(1024),
-            LayerSpec.dropout(0.5),
-            LayerSpec.dense(10),
-        ),
-    )
+    return _stock("baseline", ((5, 32), (5, 64)), pool=2, hidden=1024)
 
 
 def dropped_conv2_spec() -> NetSpec:
     """Baseline with the second conv/pool stage removed."""
-    return NetSpec(
-        "dropped-conv2",
-        (
-            LayerSpec.input(28, 28, 1),
-            LayerSpec.conv(5, 32),
-            LayerSpec.maxpool(2),
-            LayerSpec.flatten(),
-            LayerSpec.dense(1024),
-            LayerSpec.dropout(0.5),
-            LayerSpec.dense(10),
-        ),
-    )
+    return _stock("dropped-conv2", ((5, 32),), pool=2, hidden=1024)
 
 
 def optimized_spec() -> NetSpec:
     """The reduced network: depth-2 5x5 conv, 4x4 pool, 128-wide hidden layer."""
-    return NetSpec(
-        "optimized",
-        (
-            LayerSpec.input(28, 28, 1),
-            LayerSpec.conv(5, 2),
-            LayerSpec.maxpool(4),
-            LayerSpec.flatten(),
-            LayerSpec.dense(128),
-            LayerSpec.dropout(0.5),
-            LayerSpec.dense(10),
-        ),
-    )
+    return _stock("optimized", ((5, 2),), pool=4, hidden=128)
 
 
 def optimized_3x3_spec() -> NetSpec:
     """3x3 variant of the reduced network; kept as a regression candidate."""
-    return NetSpec(
-        "optimized-3x3",
-        (
-            LayerSpec.input(28, 28, 1),
-            LayerSpec.conv(3, 2),
-            LayerSpec.maxpool(4),
-            LayerSpec.flatten(),
-            LayerSpec.dense(128),
-            LayerSpec.dropout(0.5),
-            LayerSpec.dense(10),
-        ),
-    )
+    return _stock("optimized-3x3", ((3, 2),), pool=4, hidden=128)
 
 
 # name -> stock architecture; the CLI and search plans resolve preset names here

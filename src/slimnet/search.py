@@ -132,33 +132,36 @@ def _format_value(knob: str, value) -> str:
     return str(value)
 
 
+def _indices(layers, kind: str) -> list[int]:
+    """Positions of the layers of one kind, in chain order."""
+    return [i for i, layer in enumerate(layers) if layer.kind == kind]
+
+
 def apply_knob(spec: NetSpec, knob: str, value) -> NetSpec:
     """Return `spec` with one knob changed; raises SearchError if it cannot apply."""
     layers = list(spec.layers)
     if knob == "drop_conv2":
         if not value:
             return spec
-        conv_idx = [i for i, l in enumerate(layers) if l.kind == "conv"]
+        conv_idx = _indices(layers, "conv")
         if len(conv_idx) < 2:
             raise SearchError("drop_conv2: spec has no second conv layer")
         i = conv_idx[1]
-        drop = [i]
-        if i + 1 < len(layers) and layers[i + 1].kind == "maxpool":
-            drop.append(i + 1)
+        drop = [i, i + 1] if i + 1 in _indices(layers, "maxpool") else [i]
         layers = [l for j, l in enumerate(layers) if j not in drop]
     elif knob == "fc1_width":
-        dense_idx = [i for i, l in enumerate(layers) if l.kind == "dense"]
+        dense_idx = _indices(layers, "dense")
         if len(dense_idx) < 2:
             raise SearchError("fc1_width: spec has no hidden dense layer to resize")
         layers[dense_idx[0]] = LayerSpec.dense(int(value))
     elif knob == "conv1":
-        conv_idx = [i for i, l in enumerate(layers) if l.kind == "conv"]
+        conv_idx = _indices(layers, "conv")
         if not conv_idx:
             raise SearchError("conv1: spec has no conv layer")
         k, d = value
         layers[conv_idx[0]] = LayerSpec.conv(int(k), int(d))
     elif knob == "pool_window":
-        pool_idx = [i for i, l in enumerate(layers) if l.kind == "maxpool"]
+        pool_idx = _indices(layers, "maxpool")
         if not pool_idx:
             raise SearchError("pool_window: spec has no maxpool layer")
         layers[pool_idx[0]] = LayerSpec.maxpool(int(value))
@@ -519,9 +522,8 @@ def frontier_csv(frontier: list[FrontierPoint]) -> str:
 
 def _grid_cell(spec: NetSpec, pool_window: int = 2, fc1_width: int = 128):
     """(kernel, depth) when `spec` is a kernel/depth-grid member, else None."""
-    convs = [l for l in spec.layers if l.kind == "conv"]
-    pools = [l for l in spec.layers if l.kind == "maxpool"]
-    denses = [l for l in spec.layers if l.kind == "dense"]
+    convs, pools, denses = ([spec.layers[i] for i in _indices(spec.layers, kind)]
+                            for kind in ("conv", "maxpool", "dense"))
     if len(convs) != 1 or len(pools) != 1 or len(denses) != 2:
         return None
     if pools[0].window != pool_window or denses[0].out_features != fc1_width:

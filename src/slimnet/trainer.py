@@ -252,7 +252,7 @@ def train(spec: NetSpec, data, config: TrainConfig) -> TrainResult:
             loss, grad_logits = softmax_xent(logits, yb)
             if not np.isfinite(loss):
                 raise TrainingDiverged("minibatch loss is non-finite", iteration=it)
-            grads, _ = backward(spec, params, caches, grad_logits)
+            grads = backward(spec, params, caches, grad_logits)
             try:
                 adam_step(params, grads, state, config)
             except TrainingDiverged as exc:

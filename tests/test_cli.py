@@ -83,6 +83,13 @@ def test_analyze_shape_error_nonzero(tmp_path, capsys):
     assert code == EXIT_SPEC
 
 
+def test_analyze_directory_is_spec_error(capsys):
+    code, out, err = run_cli(capsys, "analyze", str(SPECS))
+    assert code == EXIT_SPEC
+    assert f"spec error: spec '{SPECS}' is neither a preset" in err
+    assert out == ""
+
+
 # --- train ----------------------------------------------------------------------
 
 
@@ -244,6 +251,26 @@ def test_search_plan_file_and_workers(tmp_path, capsys):
         main(["--replay", str(manifest_path), "--out", str(tmp_path / "redo")])
     assert exc.value.code == EXIT_SPEC
     assert "--workers" in capsys.readouterr().err
+
+
+def test_search_missing_plan_file_is_plan_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, _, err = run_cli(capsys, "search", "--plan", str(missing), "--oracle", "table",
+                           "--out", str(tmp_path / "out"))
+    assert code == EXIT_SPEC
+    assert f"plan error: cannot read plan file '{missing}'" in err
+    assert "data error" not in err
+
+
+def test_train_missing_idx_file_stays_data_error(synth_data_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for stem in list(CANONICAL_FILES.values())[1:]:
+        (data / stem).write_bytes((synth_data_dir / stem).read_bytes())
+    code, _, err = run_cli(capsys, "train", "optimized", "--data-dir", str(data),
+                           "--iterations", "1", "--out", str(tmp_path / "out"))
+    assert code == EXIT_DATA
+    assert "data error" in err
 
 
 def test_search_trained_oracle_end_to_end(synth_data_dir, tmp_path, capsys):

@@ -76,7 +76,7 @@ def test_whole_network_gradient_matches_finite_differences():
 
     logits, caches = forward(spec, params, x)
     _, grad_logits = softmax_xent(logits, labels)
-    grads, _ = backward(spec, params, caches, grad_logits)
+    grads = backward(spec, params, caches, grad_logits)
     for name, p in params.items():
         for suffix, arr, analytic in (("w", p.weights, grads[name][0]), ("b", p.bias, grads[name][1])):
             numeric = numerical_gradient(lambda v: loss_for(name, suffix, v), arr.copy())

@@ -369,10 +369,10 @@ def test_train_holds_no_step_state_through_evaluate(monkeypatch):
     real_backward, real_evaluate = trainer.backward, trainer.evaluate
 
     def recording_backward(spec, params, caches, grad_logits):
-        grads, grad_input = real_backward(spec, params, caches, grad_logits)
+        grads = real_backward(spec, params, caches, grad_logits)
         refs.extend(weakref.ref(a) for pair in grads.values() for a in pair)
         refs.extend(weakref.ref(c[k]) for c in caches for k in ("relu", "argmax", "mask") if k in c)
-        return grads, grad_input
+        return grads
 
     def checking_evaluate(*args, **kwargs):
         assert refs and all(ref() is None for ref in refs)
@@ -399,7 +399,7 @@ def test_train_checkpoint_bytes_match_reference_adam_loop(tmp_path):
         idx = sampler.next_batch()
         logits, caches = forward(spec, params, data.train.images[idx], training=True, dropout_rng=drop)
         _, grad = softmax_xent(logits, data.train.labels[idx])
-        grads, _ = backward(spec, params, caches, grad)
+        grads = backward(spec, params, caches, grad)
         params, state = reference_adam_step(params, grads, state, cfg)
     save_checkpoint(tmp_path / "reference.ntbx", params, state, cfg.iterations)
     assert (tmp_path / "in_place.ntbx").read_bytes() == (tmp_path / "reference.ntbx").read_bytes()
@@ -515,7 +515,7 @@ def test_adam_step_size_within_provable_bound(synth_data):
         idx = sampler.next_batch()
         logits, caches = net_forward(spec, params, data.train.images[idx], training=True, dropout_rng=drop)
         _, grad = softmax_xent(logits, data.train.labels[idx])
-        grads, _ = net_backward(spec, params, caches, grad)
+        grads = net_backward(spec, params, caches, grad)
         before = [arr.copy() for _, arr in param_arrays(params)]
         adam_step(params, grads, state, cfg)
         bound = adam_step_bound(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, state.t)
