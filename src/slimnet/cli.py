@@ -5,9 +5,10 @@ Subcommands: `analyze` (complexity ledger), `train`, `search`,
 Every run writes a manifest with the resolved arguments so results can
 be reproduced byte for byte.
 
-Exit codes: 0 success, 2 spec/parse problem or unreadable plan file, 3
-missing or malformed data, 4 training divergence, 5 infeasible search
-threshold, 1 any other failure (including gradcheck mismatches).
+Exit codes: 0 success, 2 spec/parse problem or a plan file that cannot
+be read or parsed, 3 missing or malformed data, 4 training divergence,
+5 infeasible search threshold, 1 any other failure (including gradcheck
+mismatches).
 """
 
 from __future__ import annotations
@@ -157,6 +158,9 @@ def cmd_search(args, argv) -> int:
         plan = load_plan(args.plan) if args.plan else default_plan()
     except OSError as exc:
         print(f"plan error: cannot read plan file '{args.plan}': {exc.strerror}", file=sys.stderr)
+        return EXIT_SPEC
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        print(f"plan error: cannot parse plan file '{args.plan}': {exc}", file=sys.stderr)
         return EXIT_SPEC
     overrides = {}
     if args.threshold is not None:

@@ -71,10 +71,16 @@ def _away_from_zero(rng, shape, margin=1e-2):
 
 def _separated_windows(rng, shape, window, min_gap=1e-3):
     """Random `[1, *shape]` batch whose pooling windows have no near-ties."""
-    x = rng.uniform(-1.0, 1.0, size=shape)[None]
-    while (np.diff(np.sort(ops._pool_windows(x, window), axis=3), axis=3) < min_gap).any():
-        x = rng.uniform(-1.0, 1.0, size=shape)[None]
-    return x
+    h, w, c = shape
+
+    def near_tie(x):
+        windows = x.reshape(h // window, window, w // window, window, c).swapaxes(1, 2)
+        return (np.diff(np.sort(windows.reshape(h // window, w // window, -1, c), axis=2), axis=2) < min_gap).any()
+
+    x = rng.uniform(-1.0, 1.0, size=shape)
+    while near_tie(x):
+        x = rng.uniform(-1.0, 1.0, size=shape)
+    return x[None]
 
 
 def _weighted_sum(y: np.ndarray, w: np.ndarray) -> float:

@@ -109,8 +109,9 @@ def load_idx_images(path, normalize: bool = True) -> np.ndarray:
         raise IdxFormatError(
             f"{path}: payload holds {len(payload)} bytes, header promises {n * h * w}"
         )
-    images = np.frombuffer(payload, dtype=np.uint8).reshape(n, h, w, 1).astype(np.float64)
-    return images / 255.0 if normalize else images
+    raw = np.frombuffer(payload, dtype=np.uint8).reshape(n, h, w, 1)
+    # One float64 allocation; the quotient is the same as astype(float64) / 255.0.
+    return np.divide(raw, 255.0, dtype=np.float64) if normalize else raw.astype(np.float64)
 
 
 def load_idx_labels(path) -> np.ndarray:

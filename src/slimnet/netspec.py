@@ -170,6 +170,13 @@ def _keep_input(h, cache):
     return h
 
 
+def _conv_forward(layer, h, p, cache, run):
+    if cache is None:
+        return ops.conv2d_forward(h, p)
+    h, cache["cols"] = ops.conv2d_forward(_keep_input(h, cache), p, keep_cols=True)
+    return h
+
+
 def _maxpool_forward(layer, h, p, cache, run):
     if cache is None:
         return ops.maxpool_values(h, layer.window)
@@ -202,7 +209,7 @@ def _dropout_forward(layer, h, p, cache, run):
 
 
 def _conv_backward(cache, g, p, input_grad):
-    g, gw, gb = ops.conv2d_backward(cache["x"], p, g, input_grad=input_grad)
+    g, gw, gb = ops.conv2d_backward(cache["x"], p, g, input_grad=input_grad, cols=cache["cols"])
     return g, (gw, gb)
 
 
@@ -252,7 +259,7 @@ KINDS: dict[str, LayerKind] = {
     "conv": LayerKind(
         (("k", "kernel", int), ("out", "out_channels", int)), "c{kernel}.{out_channels}",
         "Convolution", "conv", True, _conv_shape,
-        lambda layer, h, p, cache, run: ops.conv2d_forward(_keep_input(h, cache), p), _conv_backward,
+        _conv_forward, _conv_backward,
         filter=lambda layer, in_shape: f"{layer.kernel}x{layer.kernel}x{in_shape[2]}",
         weights=lambda layer, in_shape: (layer.kernel, layer.kernel, in_shape[2], layer.out_channels),
         make_params=lambda w, b: ops.ConvParams(w, b),

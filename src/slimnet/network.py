@@ -59,9 +59,11 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = Fa
     `caches` holds everything `backward` needs.  ReLU overwrites the conv
     and dense outputs this call allocated, and the cache keeps that one
     array (`"relu"`) for `ops.relu_backward`: relu(z) > 0 exactly where
-    z > 0.  With `keep_caches=False` `caches` is `None` and nothing is
-    kept for backward: no per-layer state and no pooling argmax
-    (`ops.maxpool_values`).  The logits are bit-identical either way.
+    z > 0.  A conv layer also keeps its im2col matrix (`"cols"`) for
+    `ops.conv2d_backward`.  With `keep_caches=False` `caches` is `None`
+    and nothing is kept for backward: no per-layer state, no im2col
+    matrix and no pooling argmax (`ops.maxpool_values`).  The logits are
+    bit-identical either way.
     Dropout runs only when `training` is true, drawing its masks from
     `dropout_rng`; otherwise it is skipped.  `dropout_override` replaces
     every dropout layer's keep probability.
@@ -89,16 +91,21 @@ def backward(spec: NetSpec, params: Params, caches: list[dict], grad_logits: np.
 
     Nothing below the first layer with weights is processed, and that
     layer's input gradient is not computed for a conv.  Weight and bias
-    gradients are bit-identical to a full pass.
+    gradients are bit-identical to a full pass.  The ReLU gradient is
+    taken in place in the gradient the chain owns; `grad_logits` is
+    never written.
     """
     first = next((i for i, layer in enumerate(spec.layers) if KINDS[layer.kind].weights), len(spec.layers))
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    g = grad_logits
+    g, owned = grad_logits, False
     for i in reversed(range(first, len(spec.layers))):
         cache = caches[i]
+        kind = KINDS[spec.layers[i].kind]
         if "relu" in cache:
-            g = ops.relu_backward(cache["relu"], g)
-        g, layer_grads = KINDS[spec.layers[i].kind].backward(cache, g, params.get(cache["name"]), i != first)
+            g = ops.relu_backward(cache["relu"], g, out=g if owned else None)
+            owned = True
+        g, layer_grads = kind.backward(cache, g, params.get(cache["name"]), i != first)
+        owned = owned or not kind.view  # a view kind may hand back its input gradient
         if layer_grads is not None:
             grads[cache["name"]] = layer_grads
     return grads

@@ -9,12 +9,19 @@ Conventions
 * Pooling windows are square with stride equal to the window, and the
   input extent must divide evenly.  `maxpool_forward` also returns the
   argmax its backward needs; `maxpool_values` returns the maxima alone.
-* `conv2d_backward(..., input_grad=False)` skips the col2im input
-  gradient and returns `None` in its place, for a layer whose input
-  needs no gradient.
-* Every function is pure (`relu` writes into `out` only when given
-  one): randomness (dropout) comes from an explicitly passed
-  `numpy.random.Generator`.
+  The argmax holds each window's row-major position in the smallest
+  unsigned integer type that holds window*window - 1 (uint8 up to a
+  16x16 window).  It is the first maximum, as `numpy.argmax` picks it:
+  among tied elements, +0.0 and -0.0 included, the earliest wins, and
+  a window that holds a NaN takes its first NaN.
+* `conv2d_forward(..., keep_cols=True)` also returns its im2col matrix,
+  and `conv2d_backward(..., cols=...)` reuses it instead of building it
+  again.  `conv2d_backward(..., input_grad=False)` skips the col2im
+  input gradient and returns `None` in its place, for a layer whose
+  input needs no gradient.
+* Every function is pure (`relu` and `relu_backward` write into `out`
+  only when given one): randomness (dropout) comes from an explicitly
+  passed `numpy.random.Generator`.
 """
 
 from __future__ import annotations
@@ -132,11 +139,13 @@ def _im2col(x4: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(n * h * w, kh * kw * c)
 
 
-def conv2d_forward(x, params: ConvParams) -> np.ndarray:
+def conv2d_forward(x, params: ConvParams, *, keep_cols: bool = False):
     """Stride-1 SAME convolution; output spatial size equals input's.
 
     The bias is added in place to the fresh im2col product, so no second
-    output-sized array is allocated; the sum is the same.
+    output-sized array is allocated; the sum is the same.  Returns the
+    output, or `(output, cols)` with `keep_cols`: `cols` is the im2col
+    matrix of `x`, for `conv2d_backward` to reuse.
     """
     x = _rank(_as_f64(x), 4, "conv2d")
     w, b = params.weights, params.bias
@@ -149,15 +158,18 @@ def conv2d_forward(x, params: ConvParams) -> np.ndarray:
     cols = _im2col(x, params.kernel_h, params.kernel_w)
     y = cols @ w.reshape(-1, params.out_channels)
     y += b
-    return y.reshape(n, h, wd, params.out_channels)
+    y = y.reshape(n, h, wd, params.out_channels)
+    return (y, cols) if keep_cols else y
 
 
-def conv2d_backward(x, params: ConvParams, grad_out, *, input_grad: bool = True):
+def conv2d_backward(x, params: ConvParams, grad_out, *, input_grad: bool = True, cols=None):
     """Gradients of `conv2d_forward` w.r.t. input, weights and bias.
 
     Returns `(grad_x, grad_w, grad_b)`.  With `input_grad=False` the
     col2im pass is skipped and `grad_x` is `None`; `grad_w` and `grad_b`
-    are the same arrays either way.
+    are the same arrays either way.  `cols` is the im2col matrix of `x`
+    from `conv2d_forward(..., keep_cols=True)`; without it the matrix is
+    built again from `x`, and the gradients are the same.
     """
     x = _rank(_as_f64(x), 4, "conv2d_backward")
     grad_out = _as_f64(grad_out)
@@ -171,8 +183,11 @@ def conv2d_backward(x, params: ConvParams, grad_out, *, input_grad: bool = True)
             f"conv2d_backward: input has {x.shape[3]} channels but kernel expects {params.in_channels}"
         )
     kh, kw, cin = params.kernel_h, params.kernel_w, params.in_channels
+    if cols is None:
+        cols = _im2col(x, kh, kw)
+    elif cols.shape != (n * h * wd, kh * kw * cin):
+        raise ShapeError(f"conv2d_backward: cols shape {cols.shape} is not the im2col of input {x.shape}")
     g_mat = grad_out.reshape(n * h * wd, params.out_channels)
-    cols = _im2col(x, kh, kw)
     grad_w = (cols.T @ g_mat).reshape(w.shape)
     grad_b = g_mat.sum(axis=0)
     if not input_grad:
@@ -185,14 +200,6 @@ def conv2d_backward(x, params: ConvParams, grad_out, *, input_grad: bool = True)
         for dx in range(kw):
             grad_xp[:, dy : dy + h, dx : dx + wd, :] += grad_cols[:, :, :, dy, dx, :]
     return grad_xp[:, pt : pt + h, pl : pl + wd, :], grad_w, grad_b
-
-
-def _pool_windows(x4: np.ndarray, window: int) -> np.ndarray:
-    """Reshape `[N,H,W,C]` to `[N,Ho,Wo,window*window,C]`, windows row-major."""
-    n, h, w, c = x4.shape
-    ho, wo = h // window, w // window
-    xr = x4.reshape(n, ho, window, wo, window, c)
-    return xr.transpose(0, 1, 3, 2, 4, 5).reshape(n, ho, wo, window * window, c)
 
 
 def _pool_input(x, window: int) -> np.ndarray:
@@ -208,12 +215,31 @@ def _pool_input(x, window: int) -> np.ndarray:
 def maxpool_forward(x, window: int):
     """Max pool with stride = window.  Returns (output, argmax).
 
-    `argmax` holds each window's flat row-major winner index; ties go to
-    the first such element, which makes the backward pass deterministic.
+    `argmax` holds each window's row-major winner index, the first
+    maximum (see the module notes), which makes the backward pass
+    deterministic.  The maxima come from `maxpool_values`; the index
+    counts the leading window positions whose strided slice lies below
+    the maximum, so no window is copied.
     """
-    win = _pool_windows(_pool_input(x, window), window)
-    idx = np.argmax(win, axis=3)
-    y = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    x = _pool_input(x, window)
+    y = maxpool_values(x, window)
+    nan = np.isnan(y)
+    has_nan = nan.any()
+    idx = np.zeros(y.shape, dtype=np.min_scalar_type(window * window - 1))
+    missed = np.ones(y.shape, dtype=bool)  # no winner among positions 0..k yet
+    loses = np.empty(y.shape, dtype=bool)
+    for k in range(window * window - 1):
+        dy, dx = divmod(k, window)
+        s = x[:, dy::window, dx::window, :]
+        np.less(s, y, out=loses)
+        if has_nan:
+            # A NaN window's winner is its first NaN, and the output takes
+            # that NaN's bits; `maxpool_values` keeps the last NaN's.
+            s_nan = np.isnan(s)
+            np.copyto(y, s, where=missed & s_nan)
+            loses |= nan & ~s_nan
+        missed &= loses
+        idx += missed
     return y, idx
 
 
@@ -223,7 +249,9 @@ def maxpool_values(x, window: int) -> np.ndarray:
     Takes the elementwise maximum over the window*window strided slices
     in row-major window order.  A tie keeps the earlier element (numpy's
     `maximum` returns its second operand on a tie), and a NaN propagates,
-    so the result is bit-identical to `maxpool_forward`'s output.
+    so the result is bit-identical to `maxpool_forward`'s output, except
+    that a window holding NaNs of different bits keeps its last NaN's
+    bits where `maxpool_forward` keeps its first's.
     """
     x = _pool_input(x, window)
     y = x[:, ::window, ::window, :].copy()
@@ -234,15 +262,26 @@ def maxpool_values(x, window: int) -> np.ndarray:
 
 
 def maxpool_backward(grad_out, argmax, window: int) -> np.ndarray:
-    """Route each output gradient to its saved argmax position."""
+    """Route each output gradient to its saved argmax position.
+
+    The gradients are copied into zeros, not multiplied by a mask, so
+    every other position holds +0.0 whatever the sign of the gradient.
+    """
     grad_out = _rank(_as_f64(grad_out), 4, "maxpool_backward")
     if argmax.shape != grad_out.shape:
         raise ShapeError(f"maxpool_backward: argmax shape {argmax.shape} does not match grad_out {grad_out.shape}")
     n, ho, wo, c = grad_out.shape
-    buf = np.zeros((n, ho, wo, window * window, c))
-    np.put_along_axis(buf, argmax[:, :, :, None, :], grad_out[:, :, :, None, :], axis=3)
-    gx = buf.reshape(n, ho, wo, window, window, c).transpose(0, 1, 3, 2, 4, 5)
-    return gx.reshape(n, ho * window, wo * window, c)
+    h, w = ho * window, wo * window
+    k = np.arange(window * window)
+    # flat input position: the winner's offset in its window plus the window's first element
+    pos = ((k // window * w + k % window) * c)[argmax]
+    pos += (np.arange(n) * (h * w * c))[:, None, None, None]
+    pos += (np.arange(ho) * (window * w * c))[:, None, None]
+    pos += (np.arange(wo) * (window * c))[:, None]
+    pos += np.arange(c)
+    gx = np.zeros((n, h, w, c))
+    gx.reshape(-1)[pos] = grad_out
+    return gx
 
 
 def dense_forward(x, params: DenseParams) -> np.ndarray:
@@ -281,17 +320,18 @@ def relu(x, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(_as_f64(x), 0.0, out=out)
 
 
-def relu_backward(x, grad_out) -> np.ndarray:
+def relu_backward(x, grad_out, out: np.ndarray | None = None) -> np.ndarray:
     """Pass gradient where input > 0; the subgradient at 0 is taken as 0.
 
     `x` may be the ReLU's input or its output: relu(x) > 0 exactly where
-    x > 0, NaN and signed zeros included.
+    x > 0, NaN and signed zeros included.  The product is written into
+    `out` when given (`out=grad_out` is in place), with the same bits.
     """
     x = _as_f64(x)
     grad_out = _as_f64(grad_out)
     if x.shape != grad_out.shape:
         raise ShapeError(f"relu_backward: input shape {x.shape} != grad_out shape {grad_out.shape}")
-    return grad_out * (x > 0.0)
+    return np.multiply(grad_out, x > 0.0, out=out)
 
 
 def dropout(x, keep_prob: float, rng: np.random.Generator):

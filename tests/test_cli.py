@@ -262,6 +262,21 @@ def test_search_missing_plan_file_is_plan_error(tmp_path, capsys):
     assert "data error" not in err
 
 
+def test_search_invalid_plan_json_is_plan_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"threshold": \n')
+    code, _, err = run_cli(capsys, "search", "--plan", str(bad), "--oracle", "table",
+                           "--out", str(tmp_path / "out"))
+    assert code == EXIT_SPEC
+    assert f"plan error: cannot parse plan file '{bad}': Expecting value: line 2 column 1 (char 15)" in err
+    assert "spec error" not in err
+    bad.write_bytes(b"\xff{}")
+    code, _, err = run_cli(capsys, "search", "--plan", str(bad), "--oracle", "table",
+                           "--out", str(tmp_path / "out"))
+    assert code == EXIT_SPEC
+    assert f"plan error: cannot parse plan file '{bad}': 'utf-8' codec can't decode byte 0xff" in err
+
+
 def test_train_missing_idx_file_stays_data_error(synth_data_dir, tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()

@@ -14,7 +14,7 @@ from slimnet.mnist import (
     one_hot,
     one_hot_labels,
 )
-from tests.conftest import require_mnist
+from tests.conftest import peak_alloc_bytes, require_mnist
 
 
 # Independent byte-writer: builds fixtures without going through the
@@ -55,6 +55,31 @@ def test_gzip_transparent(tmp_path):
     path.write_bytes(gzip.compress(build_image_bytes(img)))
     loaded = load_idx_images(path, normalize=False)
     np.testing.assert_array_equal(loaded[0, :, :, 0], img[0])
+
+
+def _write_images(path, images, compress):
+    data = build_image_bytes(images)
+    path.write_bytes(gzip.compress(data) if compress else data)
+    return path
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+def test_decode_is_the_two_step_quotient_bitwise(tmp_path, compress):
+    img = (np.arange(40 * 8 * 8) % 256).astype(np.uint8).reshape(40, 8, 8)  # every byte value
+    path = _write_images(tmp_path / "img.idx", img, compress)
+    as_float = img.reshape(40, 8, 8, 1).astype(np.float64)
+    assert load_idx_images(path).tobytes() == (as_float / 255.0).tobytes()
+    assert load_idx_images(path, normalize=False).tobytes() == as_float.tobytes()
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+def test_decode_allocates_one_float64_copy(tmp_path, compress):
+    img = np.random.default_rng(3).integers(0, 256, size=(2000, 28, 28), dtype=np.uint8)
+    path = _write_images(tmp_path / "img.idx", img, compress)
+    payload = img.nbytes
+    # One float64 copy is 8 bytes a pixel; a second one (astype, then a
+    # fresh quotient) would need 16.
+    assert peak_alloc_bytes(lambda: load_idx_images(path)) <= 1.25 * 8 * payload + payload
 
 
 def test_labels_load_and_one_hot(tmp_path):

@@ -71,7 +71,9 @@ def test_backward_stops_at_first_weights_with_identical_gradients(spec):
     x = tie_heavy_batch(6, seed=4)
     logits, caches = forward(spec, params, x, training=True, dropout_rng=substream(7, "dropout"))
     _, g = ops.softmax_xent(logits, np.eye(10)[np.arange(6)])
+    g_before = g.copy()
     grads = backward(spec, params, caches, g)
+    assert g.tobytes() == g_before.tobytes()  # the caller's grad_logits is not written
     ref, ref_input = full_backward(spec, params, caches, g)
     assert ref_input.shape == x.shape
     assert grads.keys() == ref.keys() == params.keys()
@@ -98,7 +100,7 @@ def test_training_forward_keeps_one_array_per_activated_layer():
     _, caches = forward(spec, params, x, training=True, dropout_rng=substream(8, "dropout"))
     activated = [c for c in caches if "relu" in c]
     assert [c["name"] for c in activated] == ["conv1", "conv2", "fc1", "fc2"]
-    assert all(c.keys() == {"kind", "name", "x", "relu"} for c in activated)
+    assert [c.keys() for c in activated] == [{"kind", "name", "x", "cols", "relu"}] * 2 + [{"kind", "name", "x", "relu"}] * 2
     assert caches[2]["x"] is caches[1]["relu"]  # conv1 -> conv2
     assert caches[5]["x"] is caches[4]["relu"]  # fc1 -> fc2
     assert np.shares_memory(caches[4]["x"], caches[2]["relu"])  # conv2 -> flatten -> fc1
@@ -120,3 +122,78 @@ def test_evaluation_forward_skips_dropout(monkeypatch):
     assert logits.tobytes() == expected.tobytes()
     assert [c.keys() for c in caches if c["kind"] == "dropout"] == [{"kind", "name", "keep", "training"}]
     assert forward(spec, params, x, keep_caches=False)[0].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
+def test_cached_cols_give_the_recomputed_conv_gradients(path, input_grad):
+    spec = load_spec(path)
+    params = init_params(spec, substream(6, "init"), bias_constant=-0.1)
+    _, caches = forward(spec, params, tie_heavy_batch(5, seed=6), training=True, dropout_rng=substream(6, "dropout"))
+    convs = [c for c in caches if c["kind"] == "conv"]
+    assert convs
+    rng = np.random.default_rng(6)
+    for cache in convs:
+        p, g = params[cache["name"]], rng.normal(size=cache["relu"].shape)
+        cached = ops.conv2d_backward(cache["x"], p, g, input_grad=input_grad, cols=cache["cols"])
+        rebuilt = ops.conv2d_backward(cache["x"], p, g, input_grad=input_grad)
+        assert [a if a is None else a.tobytes() for a in cached] == [
+            a if a is None else a.tobytes() for a in rebuilt], cache["name"]
+
+
+def test_relu_backward_runs_in_place_on_the_chain_gradient(monkeypatch):
+    spec = load_spec(SPECS[0])
+    params = init_params(spec, substream(10, "init"))
+    logits, caches = forward(spec, params, tie_heavy_batch(4, seed=10), training=True,
+                             dropout_rng=substream(10, "dropout"))
+    _, g = ops.softmax_xent(logits, np.eye(10)[np.arange(4)])
+    expected = backward(spec, params, caches, g.copy())
+    calls = []
+    real = ops.relu_backward
+
+    def spy(x, grad_out, out=None):
+        calls.append(out is grad_out)
+        return real(x, grad_out, out=out)
+
+    monkeypatch.setattr(ops, "relu_backward", spy)
+    g_before = g.copy()
+    grads = backward(spec, params, caches, g)
+    assert calls and all(calls)
+    assert g.tobytes() == g_before.tobytes()
+    assert {k: [a.tobytes() for a in v] for k, v in grads.items()} == {
+        k: [a.tobytes() for a in v] for k, v in expected.items()}
+
+
+def test_backward_never_writes_grad_logits_through_a_trailing_view_layer():
+    # Below a trailing dropout the first ReLU gradient arrives as grad_logits itself.
+    spec = NetSpec("dense-dropout", (LayerSpec.input(4, 4, 1), LayerSpec.flatten(), LayerSpec.dense(10),
+                                     LayerSpec.dropout(1.0)))
+    params = {"fc1": ops.DenseParams(np.random.default_rng(11).normal(size=(16, 10)), np.zeros(10))}
+    x = np.random.default_rng(12).normal(size=(3, 4, 4, 1))
+    _, caches = forward(spec, params, x, training=True, dropout_rng=substream(11, "dropout"))
+    g = np.random.default_rng(13).normal(size=(3, 10))
+    g_before = g.copy()
+    (gw, gb), = backward(spec, params, caches, g).values()
+    assert g.tobytes() == g_before.tobytes()
+    _, ref_w, ref_b = ops.dense_backward(caches[2]["x"], params["fc1"], ops.relu_backward(caches[2]["relu"], g_before))
+    assert gw.tobytes() == ref_w.tobytes() and gb.tobytes() == ref_b.tobytes()
+
+
+@pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
+def test_a_training_step_builds_each_im2col_once(path, monkeypatch):
+    spec = load_spec(path)
+    params = init_params(spec, substream(14, "init"))
+    built = []
+    real = ops._im2col
+
+    def counting(*args):
+        built.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(ops, "_im2col", counting)
+    logits, caches = forward(spec, params, tie_heavy_batch(3, seed=14), training=True,
+                             dropout_rng=substream(14, "dropout"))
+    convs = sum(layer.kind == "conv" for layer in spec.layers)
+    assert len(built) == convs
+    backward(spec, params, caches, ops.softmax_xent(logits, np.eye(10)[:3])[1])
+    assert len(built) == convs

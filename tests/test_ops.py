@@ -103,6 +103,24 @@ def test_conv_backward_shape_mismatch_rejected(rng):
     p = ops.ConvParams(rng.uniform(size=(3, 3, 2, 2)), rng.uniform(size=2))
     with pytest.raises(ops.ShapeError):
         ops.conv2d_backward(x, p, np.zeros((1, 4, 4, 3)))
+    _, cols = ops.conv2d_forward(x[:, :3], p, keep_cols=True)
+    with pytest.raises(ops.ShapeError, match="cols"):
+        ops.conv2d_backward(x, p, np.zeros((1, 4, 4, 2)), cols=cols)
+
+
+@pytest.mark.parametrize("kernel", [1, 2, 3, 5])
+def test_conv_forward_keeps_the_cols_backward_would_build(rng, kernel):
+    x = rng.uniform(-1, 1, size=(3, 6, 6, 2))
+    p = ops.ConvParams(rng.uniform(-1, 1, size=(kernel, kernel, 2, 4)), rng.uniform(-1, 1, size=4))
+    y, cols = ops.conv2d_forward(x, p, keep_cols=True)
+    assert y.tobytes() == ops.conv2d_forward(x, p).tobytes()
+    assert cols.shape == (3 * 6 * 6, kernel * kernel * 2)
+    g = rng.uniform(-1, 1, size=y.shape)
+    for input_grad in (True, False):
+        reused = ops.conv2d_backward(x, p, g, input_grad=input_grad, cols=cols)
+        rebuilt = ops.conv2d_backward(x, p, g, input_grad=input_grad)
+        assert [a if a is None else a.tobytes() for a in reused] == [
+            a if a is None else a.tobytes() for a in rebuilt]
 
 
 def test_ops_reject_a_sample_without_its_batch_axis(rng):
@@ -166,6 +184,65 @@ def test_maxpool_tie_break_first_in_row_major(rng):
         y, _ = ops.maxpool_forward(x, window)
         assert ops.maxpool_values(x, window).tobytes() == y.tobytes()
         assert ops.maxpool_values(x[1:], window).tobytes() == y[1:].tobytes()
+
+
+# The copying pool the strided one replaced, kept as its reference: windows
+# transposed into `[N,Ho,Wo,w*w,C]`, then argmax and take/put along that axis.
+def reference_maxpool_forward(x, window):
+    n, h, w, c = x.shape
+    win = x.reshape(n, h // window, window, w // window, window, c).transpose(0, 1, 3, 2, 4, 5)
+    win = win.reshape(n, h // window, w // window, window * window, c)
+    idx = np.argmax(win, axis=3)
+    return np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :], idx
+
+
+def reference_maxpool_backward(grad_out, argmax, window):
+    n, ho, wo, c = grad_out.shape
+    buf = np.zeros((n, ho, wo, window * window, c))
+    np.put_along_axis(buf, argmax[:, :, :, None, :], grad_out[:, :, :, None, :], axis=3)
+    gx = buf.reshape(n, ho, wo, window, window, c).transpose(0, 1, 3, 2, 4, 5)
+    return gx.reshape(n, ho * window, wo * window, c)
+
+
+def _nan(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+def pool_inputs(shape, window, seed):
+    """Post-ReLU ties, signed-zero ties, and NaNs past a window's first slot."""
+    rng = np.random.default_rng(seed)
+    relu = np.maximum(rng.normal(size=shape), 0.0)
+    zeros = rng.choice([-0.0, 0.0, 0.5, 1.0], size=shape, p=[0.4, 0.4, 0.1, 0.1])
+    nans = zeros.copy()
+    flat = nans.reshape(-1)
+    hit = rng.choice(flat.size, size=max(4, flat.size // 40), replace=False)
+    flat[hit] = rng.choice([np.nan, -np.nan, _nan(0x7FF8000000000001)], size=hit.size)
+    if window > 1:  # one window with three NaNs of different bits, none at k = 0
+        nans[0, 0, 1, 0], nans[0, 1, 0, 0], nans[0, 1, 1, 0] = _nan(0x7FF8000000000002), -np.nan, np.nan
+        nans[0, 0, 0, 0] = 0.25
+    return {"post-relu": relu, "signed-zeros": zeros, "nans": nans}
+
+
+@pytest.mark.parametrize("window, shape", [
+    *((w, (2, 12, 12, 3)) for w in (1, 2, 3, 4)),
+    (16, (1, 32, 32, 2)),  # 256 positions: the largest uint8 index
+    (17, (1, 34, 34, 2)),  # 289 positions: a uint16 index
+])
+def test_strided_maxpool_matches_the_copying_reference_bitwise(window, shape):
+    for name, x in pool_inputs(shape, window, seed=window).items():
+        y, idx = ops.maxpool_forward(x, window)
+        ref_y, ref_idx = reference_maxpool_forward(x, window)
+        assert idx.dtype == (np.uint8 if window <= 16 else np.uint16), name
+        assert y.tobytes() == ref_y.tobytes(), name
+        assert np.array_equal(idx, ref_idx), name
+        g = np.random.default_rng(window).normal(size=y.shape)
+        for grad in (g, -np.abs(g)):  # negative gradients: no -0.0 may appear
+            assert ops.maxpool_backward(grad, idx, window).tobytes() == \
+                reference_maxpool_backward(grad, ref_idx, window).tobytes(), name
+    nans = pool_inputs(shape, window, seed=window)["nans"]
+    if window > 1:
+        y, idx = ops.maxpool_forward(nans, window)
+        assert idx[0, 0, 0, 0] == 1 and y[0, 0, 0, 0].tobytes() == _nan(0x7FF8000000000002).tobytes()
 
 
 def test_maxpool_backward_zero_grad():
@@ -292,6 +369,17 @@ def test_relu_backward_reads_the_same_mask_from_output_as_from_input(rng):
     from_input = ops.relu_backward(z, g)
     out = z.copy()
     assert ops.relu_backward(ops.relu(out, out=out), g).tobytes() == from_input.tobytes()
+
+
+def test_relu_backward_in_place_is_the_out_of_place_product(rng):
+    x = rng.choice([-1.0, -0.0, 0.0, 2.0, np.nan, np.inf], size=(5, 7))
+    g = rng.normal(size=(5, 7))
+    g[0] = [-1.0, -2.0, 4.0, -5.0, np.nan, -0.0, 3.0]
+    expected = ops.relu_backward(x, g)
+    out = g.copy()
+    assert ops.relu_backward(x, out, out=out) is out
+    assert out.tobytes() == expected.tobytes()
+    assert np.signbit(expected[expected == 0]).any()  # a negative gradient times 0 stays -0.0
 
 
 def test_dropout_scales_the_fresh_product_bitwise(rng):

@@ -371,7 +371,7 @@ def test_train_holds_no_step_state_through_evaluate(monkeypatch):
     def recording_backward(spec, params, caches, grad_logits):
         grads = real_backward(spec, params, caches, grad_logits)
         refs.extend(weakref.ref(a) for pair in grads.values() for a in pair)
-        refs.extend(weakref.ref(c[k]) for c in caches for k in ("relu", "argmax", "mask") if k in c)
+        refs.extend(weakref.ref(c[k]) for c in caches for k in ("relu", "cols", "argmax", "mask") if k in c)
         return grads
 
     def checking_evaluate(*args, **kwargs):
