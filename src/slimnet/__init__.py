@@ -18,7 +18,7 @@ from .netspec import (
     spec_id,
 )
 from .ops import ConvParams, DenseParams, ShapeError
-from .trainer import AdamState, TrainConfig, TrainResult, TrainingDiverged, evaluate, train
+from .trainer import AdamState, ConfigError, TrainConfig, TrainResult, TrainingDiverged, evaluate, train
 from .search import (
     FrontierPoint,
     SearchPlan,
@@ -42,7 +42,7 @@ __all__ = [
     "propagate_shapes", "baseline_spec", "dropped_conv2_spec", "optimized_spec",
     "optimized_3x3_spec",
     "ConvParams", "DenseParams", "ShapeError",
-    "AdamState", "TrainConfig", "TrainResult", "TrainingDiverged", "evaluate", "train",
+    "AdamState", "ConfigError", "TrainConfig", "TrainResult", "TrainingDiverged", "evaluate", "train",
     "FrontierPoint", "SearchPlan", "Stage", "default_plan", "enumerate_candidates",
     "run_sweep", "run_search", "select_minimal", "build_frontier", "export_curves",
     "table_oracle", "trained_oracle",

@@ -5,10 +5,10 @@ Subcommands: `analyze` (complexity ledger), `train`, `search`,
 Every run writes a manifest with the resolved arguments so results can
 be reproduced byte for byte.
 
-Exit codes: 0 success, 2 spec/parse problem or a plan file that cannot
-be read or parsed, 3 missing or malformed data, 4 training divergence,
-5 infeasible search threshold, 1 any other failure (including gradcheck
-mismatches).
+Exit codes: 0 success, 2 spec/parse problem, a training setting out of
+range ("config error") or a plan file that cannot be read or parsed,
+3 missing or malformed data, 4 training divergence, 5 infeasible search
+threshold, 1 any other failure (including gradcheck mismatches).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .search import (
     table_oracle,
     trained_oracle,
 )
-from .trainer import TrainConfig, TrainingDiverged, train
+from .trainer import ConfigError, TrainConfig, TrainingDiverged, train
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -119,8 +119,6 @@ def cmd_analyze(args, argv) -> int:
 
 def cmd_train(args, argv) -> int:
     spec = _resolve_spec(args.spec)
-    data_dir = _data_dir_or_fail(args.data_dir)
-    data = load_data_dir(data_dir)
     config = TrainConfig(
         learning_rate=args.lr,
         batch_size=args.batch,
@@ -128,6 +126,9 @@ def cmd_train(args, argv) -> int:
         seed=args.seed,
         eval_every=args.eval_every,
     )
+    config.validate()
+    data_dir = _data_dir_or_fail(args.data_dir)
+    data = load_data_dir(data_dir)
     out_dir = Path(args.out)
     resolved = [
         "train", args.spec, "--data-dir", str(data_dir),
@@ -171,6 +172,7 @@ def cmd_search(args, argv) -> int:
         overrides["schedule"] = replace(plan.schedule, iterations=args.iterations)
     if overrides:
         plan = replace(plan, **overrides)
+    plan.schedule.validate()
 
     resolved = ["search", "--oracle", args.oracle]
     if args.plan:
@@ -322,6 +324,9 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_SPEC
     except (SpecError, ShapeError, SearchError, ValueError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC

@@ -3,7 +3,9 @@
 The IDX container is big-endian: a 32-bit magic (2051 for image files,
 2049 for label files), one 32-bit extent per dimension, then the raw
 unsigned-byte payload in row-major order.  Gzipped files are accepted
-transparently.  Pixels are scaled into [0, 1]; the 60,000-record training
+transparently.  `load_data_dir` keeps the pixels as the uint8 bytes it
+read; `network.forward` reads a uint8 batch as pixel / 255, the same
+float64 values `load_idx_images` returns.  The 60,000-record training
 file is split 55,000 / 5,000 (validation = the last 5,000, a documented
 deterministic choice) and the test file supplies the remaining 10,000.
 
@@ -63,7 +65,7 @@ class MissingDataError(FileNotFoundError):
 
 
 class Dataset(NamedTuple):
-    images: np.ndarray  # [N, 28, 28, 1] float64 in [0, 1]
+    images: np.ndarray  # [N, 28, 28, 1] uint8 pixels (float64 in [0, 1] is also accepted)
     labels: np.ndarray  # [N, 10] one-hot float64
 
 
@@ -100,8 +102,8 @@ def _read_header(f, path, expected_magic: int, rank: int) -> tuple[int, ...]:
     return tuple(extents)
 
 
-def load_idx_images(path, normalize: bool = True) -> np.ndarray:
-    """Read an IDX image file into `[N, H, W, 1]`, scaled into [0, 1]."""
+def _read_idx_pixels(path) -> np.ndarray:
+    """Read an IDX image file into a read-only uint8 `[N, H, W, 1]` view of its payload."""
     with _open_maybe_gzip(path) as f:
         n, h, w = _read_header(f, path, IMAGE_MAGIC, rank=3)
         payload = f.read(n * h * w + 1)
@@ -109,7 +111,12 @@ def load_idx_images(path, normalize: bool = True) -> np.ndarray:
         raise IdxFormatError(
             f"{path}: payload holds {len(payload)} bytes, header promises {n * h * w}"
         )
-    raw = np.frombuffer(payload, dtype=np.uint8).reshape(n, h, w, 1)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(n, h, w, 1)
+
+
+def load_idx_images(path, normalize: bool = True) -> np.ndarray:
+    """Read an IDX image file into float64 `[N, H, W, 1]`, scaled into [0, 1]."""
+    raw = _read_idx_pixels(path)
     # One float64 allocation; the quotient is the same as astype(float64) / 255.0.
     return np.divide(raw, 255.0, dtype=np.float64) if normalize else raw.astype(np.float64)
 
@@ -177,7 +184,11 @@ def _resolve(directory: Path, stem: str) -> Path | None:
 
 
 def load_data_dir(data_dir) -> DataSplits:
-    """Load the four canonical MNIST files (optionally gzipped) from a directory."""
+    """Load the four canonical MNIST files (optionally gzipped) from a directory.
+
+    Images stay the uint8 bytes read from disk, 1 byte a pixel where a
+    float64 copy would take 8.
+    """
     directory = Path(data_dir)
     paths = {}
     missing = []
@@ -192,9 +203,9 @@ def load_data_dir(data_dir) -> DataSplits:
             "Provide the canonical MNIST IDX files (gzipped or plain) under those names."
         )
     return make_splits(
-        load_idx_images(paths["train_images"]),
+        _read_idx_pixels(paths["train_images"]),
         load_idx_labels(paths["train_labels"]),
-        load_idx_images(paths["test_images"]),
+        _read_idx_pixels(paths["test_images"]),
         load_idx_labels(paths["test_labels"]),
     )
 

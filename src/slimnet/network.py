@@ -56,6 +56,11 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = Fa
             keep_caches: bool = True):
     """Run the chain on a `[N,28,28,C]` batch; returns (logits, caches).
 
+    `x` is either uint8 pixels, read as `np.divide(x, 255.0, dtype=float64)`
+    (bit for bit the values `mnist.load_idx_images` returns), or floating
+    point activations, used as float64.  Any other integer dtype raises
+    `TypeError` rather than reach the net unscaled.
+
     `caches` holds everything `backward` needs.  ReLU overwrites the conv
     and dense outputs this call allocated, and the cache keeps that one
     array (`"relu"`) for `ops.relu_backward`: relu(z) > 0 exactly where
@@ -72,7 +77,13 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = Fa
     run = ForwardPass(training, dropout_rng, dropout_override)
     last = len(spec.layers) - 1
     caches: list[dict] | None = [] if keep_caches else None
-    h = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    if x.dtype == np.uint8:
+        h = np.divide(x, 255.0, dtype=np.float64)
+    elif np.issubdtype(x.dtype, np.integer):
+        raise TypeError(f"forward: input must be uint8 pixels or floating point, got {x.dtype}")
+    else:
+        h = np.asarray(x, dtype=np.float64)
     for i, layer in enumerate(spec.layers):
         kind = KINDS[layer.kind]
         cache: dict | None = {"kind": layer.kind, "name": names[i]} if keep_caches else None

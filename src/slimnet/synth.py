@@ -74,10 +74,14 @@ def synthetic_corpus(n_train: int = 60000, n_test: int = 10000, seed: int = 0):
 
 def synthetic_splits(n_train: int = 2000, n_validation: int = 500, n_test: int = 1000,
                      seed: int = 0) -> DataSplits:
-    """Desk-scale ready-to-train splits (normalized, one-hot)."""
+    """Desk-scale ready-to-train splits: uint8 `[N,28,28,1]` pixels, one-hot labels.
+
+    The pixels are held as `mnist.load_data_dir` holds them; `network.forward`
+    reads them as pixel / 255.
+    """
     ti, tl, vi2, vl2 = synthetic_corpus(n_train + n_validation, n_test, seed)
-    images = ti.astype(np.float64)[..., None] / 255.0
-    test_images = vi2.astype(np.float64)[..., None] / 255.0
+    images = ti[..., None]
+    test_images = vi2[..., None]
     return DataSplits(
         train=Dataset(images[:n_train], one_hot_labels(tl[:n_train])),
         validation=Dataset(images[n_train:], one_hot_labels(tl[n_train:])),

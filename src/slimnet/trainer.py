@@ -20,6 +20,7 @@ from .ops import softmax_xent
 from .rng import substream
 
 __all__ = [
+    "ConfigError",
     "TrainConfig",
     "TrainResult",
     "AdamState",
@@ -36,6 +37,10 @@ __all__ = [
 # four operands and the two scratch arrays (768 KiB) stay in L2.  On
 # dropped-conv2's 6.4M parameters, blocks of 4096 or 262144 were 10-25% slower.
 _ADAM_BLOCK = 16384
+
+
+class ConfigError(ValueError):
+    """A `TrainConfig` field is out of range."""
 
 
 class TrainingDiverged(RuntimeError):
@@ -61,23 +66,27 @@ class TrainConfig:
     activation: str = "relu"
     bias_constant: float | None = None  # None: biases drawn like weights
     eval_every: int = 0  # 0: no validation trace
-    loss_log_every: int = 1
+    loss_log_every: int = 1  # 0: no loss trace
 
     def validate(self):
         if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ValueError("adam betas must lie strictly between 0 and 1")
+            raise ConfigError("adam betas must lie strictly between 0 and 1")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+            raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         if self.init_stddev < 0:
-            raise ValueError(f"init_stddev must be >= 0, got {self.init_stddev}")
+            raise ConfigError(f"init_stddev must be >= 0, got {self.init_stddev}")
         if self.dropout_keep is not None and not 0 < self.dropout_keep <= 1:
-            raise ValueError(f"dropout_keep must be in (0, 1], got {self.dropout_keep}")
+            raise ConfigError(f"dropout_keep must be in (0, 1], got {self.dropout_keep}")
+        if self.eval_every < 0:
+            raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
+        if self.loss_log_every < 0:
+            raise ConfigError(f"loss_log_every must be >= 0, got {self.loss_log_every}")
         if self.activation not in ("relu", "none"):
-            raise ValueError(f"activation must be 'relu' or 'none', got {self.activation!r}")
+            raise ConfigError(f"activation must be 'relu' or 'none', got {self.activation!r}")
 
     def schedule_id(self) -> str:
         return f"it{self.iterations}-bs{self.batch_size}-lr{self.learning_rate:g}"

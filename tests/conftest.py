@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from slimnet.mnist import CANONICAL_FILES, load_data_dir
+from slimnet.netspec import LayerSpec, NetSpec
 from slimnet.synth import synthetic_splits
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +54,11 @@ def peak_alloc_bytes(fn) -> int:
     finally:
         if not was_tracing:
             tracemalloc.stop()
+
+
+def pixel_spec():
+    """No layer but the flatten: `network.forward` returns the decoded input."""
+    return NetSpec("pixels", (LayerSpec.input(28, 28, 1), LayerSpec.flatten()))
 
 
 @pytest.fixture(scope="session")

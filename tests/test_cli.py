@@ -103,6 +103,33 @@ def test_train_missing_data_dir_lists_files(tmp_path, capsys, monkeypatch):
     assert "train-images-idx3-ubyte" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--lr", "0", "learning_rate must be > 0, got 0.0"),
+        ("--batch", "0", "batch_size must be >= 1, got 0"),
+        ("--iterations", "-1", "iterations must be >= 0, got -1"),
+        ("--eval-every", "-1", "eval_every must be >= 0, got -1"),
+    ],
+)
+def test_train_config_fault_is_reported_before_data_or_manifest(tmp_path, capsys, flag, value, message):
+    # the data directory does not exist: the config is checked before any data is read
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "train", "optimized", "--data-dir", str(tmp_path / "nowhere"),
+                           flag, value, "--out", str(out))
+    assert code == EXIT_SPEC
+    assert err.startswith(f"config error: {message}")
+    assert not (out / "manifest.json").exists()
+
+
+def test_search_negative_iterations_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "search", "--oracle", "table", "--iterations", "-1", "--out", str(out))
+    assert code == EXIT_SPEC
+    assert err.startswith("config error: iterations must be >= 0, got -1")
+    assert not (out / "manifest.json").exists()
+
+
 def test_train_wrong_record_count_is_data_error(tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()

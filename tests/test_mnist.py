@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from slimnet.mnist import (
+    CANONICAL_FILES,
     IdxFormatError,
     MissingDataError,
     load_data_dir,
@@ -14,7 +15,8 @@ from slimnet.mnist import (
     one_hot,
     one_hot_labels,
 )
-from tests.conftest import peak_alloc_bytes, require_mnist
+from slimnet.network import forward
+from tests.conftest import peak_alloc_bytes, pixel_spec, require_mnist
 
 
 # Independent byte-writer: builds fixtures without going through the
@@ -190,7 +192,24 @@ def test_load_data_dir_round_trips_synthetic(synth_data_dir):
     splits = load_data_dir(synth_data_dir)
     assert splits.train.images.shape == (55000, 28, 28, 1)
     assert splits.test.labels.shape == (10000, 10)
-    assert 0.0 <= splits.train.images.min() and splits.train.images.max() <= 1.0
+    assert splits.train.images.dtype == np.uint8
+    # the pixels enter the network scaled into [0, 1]
+    decoded, _ = forward(pixel_spec(), {}, splits.train.images[:1000], keep_caches=False)
+    assert decoded.dtype == np.float64
+    assert 0.0 <= decoded.min() and decoded.max() <= 1.0
+
+
+def test_load_data_dir_holds_the_payload_bytes_without_a_float_copy(synth_data_dir):
+    loaded = []
+    peak = peak_alloc_bytes(lambda: loaded.append(load_data_dir(synth_data_dir)))
+    splits = loaded[0]
+    payload = (60000 + 10000) * 28 * 28
+    for split in (splits.train, splits.validation, splits.test):
+        assert split.images.dtype == np.uint8
+    # the labels (int64, then one-hot float64) add 88 bytes a record, about 0.11x
+    assert peak <= 1.25 * payload
+    raw = load_idx_images(synth_data_dir / CANONICAL_FILES["test_images"], normalize=False)
+    np.testing.assert_array_equal(splits.test.images, raw)
 
 
 def test_loading_is_deterministic(synth_data_dir):

@@ -10,6 +10,8 @@ from slimnet import ops
 from slimnet.netspec import LayerSpec, NetSpec, load_spec
 from slimnet.network import backward, forward, init_params
 from slimnet.rng import substream
+from slimnet.synth import synthetic_corpus, synthetic_splits
+from tests.conftest import pixel_spec
 
 SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
 
@@ -197,3 +199,44 @@ def test_a_training_step_builds_each_im2col_once(path, monkeypatch):
     assert len(built) == convs
     backward(spec, params, caches, ops.softmax_xent(logits, np.eye(10)[:3])[1])
     assert len(built) == convs
+
+
+@pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
+def test_uint8_pixels_give_the_logits_of_their_float_twin(path):
+    spec = load_spec(path)
+    params = init_params(spec, substream(6, "init"), bias_constant=-0.1)
+    pixels = np.random.default_rng(4).integers(0, 256, size=(6, 28, 28, 1), dtype=np.uint8)
+    pixels[0, :2, :2, 0] = (0, 255), (1, 254)
+    twin = np.divide(pixels, 255.0, dtype=np.float64)
+    before = pixels.copy()
+    for kw in ({"keep_caches": False}, {"keep_caches": True}):
+        a, _ = forward(spec, params, pixels, **kw)
+        b, _ = forward(spec, params, twin, **kw)
+        assert a.tobytes() == b.tobytes()
+    a, caches_a = forward(spec, params, pixels, training=True, dropout_rng=substream(2, "dropout"))
+    b, caches_b = forward(spec, params, twin, training=True, dropout_rng=substream(2, "dropout"))
+    assert a.tobytes() == b.tobytes()
+    grads_a = backward(spec, params, caches_a, np.ones_like(a) / len(a))
+    grads_b = backward(spec, params, caches_b, np.ones_like(b) / len(b))
+    for name in grads_b:
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(grads_a[name], grads_b[name]))
+    np.testing.assert_array_equal(pixels, before)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16, np.int8])
+def test_integer_input_other_than_uint8_raises(dtype):
+    x = np.full((2, 28, 28, 1), 100, dtype=dtype)
+    with pytest.raises(TypeError, match=f"got {np.dtype(dtype)}"):
+        forward(pixel_spec(), {}, x)
+
+
+def test_uint8_pixels_decode_to_the_old_synthetic_floats():
+    splits = synthetic_splits(n_train=300, n_validation=40, n_test=50, seed=3)
+    train_images, _, test_images, _ = synthetic_corpus(340, 50, seed=3)
+    old_train = train_images.astype(np.float64)[..., None] / 255.0
+    old_test = test_images.astype(np.float64)[..., None] / 255.0
+    for split, old in ((splits.train, old_train[:300]), (splits.validation, old_train[300:]),
+                       (splits.test, old_test)):
+        assert split.images.dtype == np.uint8
+        decoded, _ = forward(pixel_spec(), {}, split.images)
+        assert decoded.tobytes() == old.reshape(len(old), -1).tobytes()

@@ -15,6 +15,7 @@ from slimnet.rng import substream
 from slimnet.trainer import (
     _ADAM_BLOCK,
     AdamState,
+    ConfigError,
     TrainConfig,
     TrainingDiverged,
     _MinibatchSampler,
@@ -95,6 +96,18 @@ def test_defaults_match_protocol():
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         TrainConfig(**kwargs).validate()
+
+
+@pytest.mark.parametrize("field", ["eval_every", "loss_log_every"])
+@pytest.mark.parametrize("value", [-1, -2])
+def test_negative_step_intervals_are_rejected(field, value):
+    # `it % -1 == 0` would score or log after every step
+    config = TrainConfig(iterations=3, batch_size=10, **{field: value})
+    with pytest.raises(ConfigError, match=f"{field} must be >= 0, got {value}"):
+        config.validate()
+    with pytest.raises(ConfigError):
+        train(tiny_spec(), tiny_data(), config)
+    TrainConfig(**{field: 0}).validate()  # 0 turns the trace off
 
 
 # --- init --------------------------------------------------------------------
@@ -463,6 +476,29 @@ def test_train_divergence_reports_iteration():
         with pytest.raises(TrainingDiverged) as err:
             train(spec, data, cfg)
     assert err.value.iteration == 1
+
+
+def test_train_on_uint8_pixels_matches_its_float64_twin(tmp_path):
+    u8, f64 = {}, {}
+    # validation 1100 and test 1300 images: evaluation batches of 1000 end in a short tail
+    for seed, (name, n) in enumerate((("train", 200), ("validation", 1100), ("test", 1300))):
+        rng = np.random.default_rng(seed)
+        pixels = rng.integers(0, 256, size=(n, 8, 8, 1), dtype=np.uint8)
+        pixels[0, 0, :2, 0] = 0, 255
+        labels = one_hot_labels(rng.integers(0, 10, n))
+        u8[name] = Dataset(pixels, labels)
+        f64[name] = Dataset(np.divide(pixels, 255.0, dtype=np.float64), labels)
+    cfg = TrainConfig(iterations=8, batch_size=10, seed=4, eval_every=3, loss_log_every=2)
+    results = {}
+    for tag, data in (("u8", u8), ("f64", f64)):
+        res = train(tiny_dropout_spec(), DataSplits(**data), cfg)
+        save_checkpoint(tmp_path / f"{tag}.ntbx", res.params, res.adam_state, res.iterations_run)
+        results[tag] = res
+    assert (tmp_path / "u8.ntbx").read_bytes() == (tmp_path / "f64.ntbx").read_bytes()
+    assert results["u8"].loss_trace == results["f64"].loss_trace
+    assert results["u8"].eval_trace == results["f64"].eval_trace
+    assert [it for it, _ in results["u8"].eval_trace] == [3, 6]
+    assert results["u8"].final_test_accuracy == results["f64"].final_test_accuracy
 
 
 def test_eval_trace_uses_validation(synth_data):
