@@ -6,9 +6,10 @@ Every run writes a manifest with the resolved arguments so results can
 be reproduced byte for byte.
 
 Exit codes: 0 success, 2 spec/parse problem, a training setting out of
-range ("config error") or a plan file that cannot be read or parsed,
-3 missing or malformed data, 4 training divergence, 5 infeasible search
-threshold, 1 any other failure (including gradcheck mismatches).
+range ("config error") or a plan file that cannot be read, parsed or
+turned into a plan ("plan error"), 3 missing or malformed data,
+4 training divergence, 5 infeasible search threshold, 1 any other
+failure (including gradcheck mismatches).
 """
 
 from __future__ import annotations
@@ -162,6 +163,9 @@ def cmd_search(args, argv) -> int:
         return EXIT_SPEC
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"plan error: cannot parse plan file '{args.plan}': {exc}", file=sys.stderr)
+        return EXIT_SPEC
+    except SearchError as exc:
+        print(f"plan error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     overrides = {}
     if args.threshold is not None:

@@ -161,7 +161,6 @@ class ForwardPass(NamedTuple):
 
     training: bool
     dropout_rng: object  # numpy Generator for the training masks, or None
-    dropout_override: float | None  # replaces every dropout's keep_prob
 
 
 def _keep_input(h, cache):
@@ -196,15 +195,14 @@ def _flatten_forward(layer, h, p, cache, run):
 
 
 def _dropout_forward(layer, h, p, cache, run):
-    keep = run.dropout_override if run.dropout_override is not None else layer.keep_prob
     if run.training:
         if run.dropout_rng is None:
             raise ValueError("training-mode dropout needs a dropout_rng")
-        h, mask = ops.dropout(h, keep, run.dropout_rng)
+        h, mask = ops.dropout(h, layer.keep_prob, run.dropout_rng)
         if cache is not None:
             cache["mask"] = mask
     if cache is not None:
-        cache.update(keep=keep, training=run.training)
+        cache.update(keep=layer.keep_prob, training=run.training)
     return h
 
 

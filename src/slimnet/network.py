@@ -4,9 +4,9 @@ Each layer runs through its kind's record in `netspec.KINDS`, which holds
 the weight shape, the forward pass and the backward pass; this module only
 walks the chain.  ReLU follows every layer with weights except the last
 layer, whose output is the logits: after every conv layer and after every
-dense layer but the final one.  It can be disabled wholesale with
-`activation="none"` since the architecture format does not spell
-activations out.
+dense layer but the final one.  Each dropout layer keeps units with its
+spec's probability; a net without dropout says `dropout keep=1` or has no
+dropout layer.
 """
 
 from __future__ import annotations
@@ -23,23 +23,19 @@ __all__ = ["Params", "init_params", "forward", "backward", "param_arrays"]
 Params = dict[str, "ops.ConvParams | ops.DenseParams"]
 
 
-def init_params(spec: NetSpec, rng: np.random.Generator, *, mean: float = 0.0,
-                stddev: float = 0.1, bias_constant: float | None = None) -> Params:
-    """Draw every weight and bias i.i.d. Gaussian(mean, stddev^2).
+def init_params(spec: NetSpec, rng: np.random.Generator) -> Params:
+    """Draw every weight and bias i.i.d. Gaussian(0, 0.1^2).
 
-    `bias_constant`, when given, fills biases with that constant instead
-    of sampling them.  Draw order is layer order, weights before bias, so
-    a fixed generator state yields bit-identical parameters.
+    Draw order is layer order, weights before bias, so a fixed generator
+    state yields bit-identical parameters.
     """
     names = layer_names(spec)
     params: Params = {}
     for layer, name, shape in zip(spec.layers, names, weight_shapes(spec, validate_classifier(spec))):
         if shape is None:
             continue
-        w = rng.normal(mean, stddev, size=shape)
-        b = (rng.normal(mean, stddev, size=shape[-1]) if bias_constant is None
-             else np.full(shape[-1], bias_constant, dtype=np.float64))
-        params[name] = KINDS[layer.kind].make_params(w, b)
+        w = rng.normal(0.0, 0.1, size=shape)
+        params[name] = KINDS[layer.kind].make_params(w, rng.normal(0.0, 0.1, size=shape[-1]))
     return params
 
 
@@ -51,9 +47,7 @@ def param_arrays(params: Params):
 
 
 def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = False,
-            dropout_rng: np.random.Generator | None = None,
-            dropout_override: float | None = None, activation: str = "relu",
-            keep_caches: bool = True):
+            dropout_rng: np.random.Generator | None = None, keep_caches: bool = True):
     """Run the chain on a `[N,28,28,C]` batch; returns (logits, caches).
 
     `x` is either uint8 pixels, read as `np.divide(x, 255.0, dtype=float64)`
@@ -70,11 +64,10 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = Fa
     matrix and no pooling argmax (`ops.maxpool_values`).  The logits are
     bit-identical either way.
     Dropout runs only when `training` is true, drawing its masks from
-    `dropout_rng`; otherwise it is skipped.  `dropout_override` replaces
-    every dropout layer's keep probability.
+    `dropout_rng`; otherwise it is skipped.
     """
     names = layer_names(spec)
-    run = ForwardPass(training, dropout_rng, dropout_override)
+    run = ForwardPass(training, dropout_rng)
     last = len(spec.layers) - 1
     caches: list[dict] | None = [] if keep_caches else None
     x = np.asarray(x)
@@ -88,7 +81,7 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = Fa
         kind = KINDS[layer.kind]
         cache: dict | None = {"kind": layer.kind, "name": names[i]} if keep_caches else None
         h = kind.forward(layer, h, params.get(names[i]), cache, run)
-        if activation == "relu" and kind.weights and i != last:
+        if kind.weights and i != last:
             h = ops.relu(h, out=h)
             if cache is not None:
                 cache["relu"] = h

@@ -628,17 +628,25 @@ def plan_from_dict(raw: dict, base: NetSpec | None = None) -> SearchPlan:
     """Build a plan from parsed JSON; omitted fields fall back to the default plan.
 
     `base` may also come from the JSON itself: a preset name or inline
-    spec text under the "base" key.
+    spec text under the "base" key.  Contents of the wrong type raise
+    `SearchError` naming the field.
     """
+    if not isinstance(raw, dict):
+        raise SearchError(f"a plan must be a JSON object, got {type(raw).__name__}")
     defaults = default_plan()
     if base is not None:
         spec_base = base
     elif "base" in raw:
+        if not isinstance(raw["base"], str):
+            raise SearchError(f"plan base must be a string, got {raw['base']!r}")
         spec_base = _resolve_base(raw["base"])
     else:
         spec_base = defaults.base
     stages = []
-    for item in raw.get("stages", [s.__dict__ for s in defaults.stages]):
+    raw_stages = raw.get("stages", [s.__dict__ for s in defaults.stages])
+    if not isinstance(raw_stages, (list, tuple)):
+        raise SearchError(f"plan stages must be a list, got {raw_stages!r}")
+    for item in raw_stages:
         try:
             knob = item["knob"]
             values = item["values"]
@@ -656,14 +664,22 @@ def plan_from_dict(raw: dict, base: NetSpec | None = None) -> SearchPlan:
         schedule.validate()
     except TypeError as exc:
         raise SearchError(f"malformed plan schedule: {exc}") from None
+    try:
+        threshold = float(raw.get("threshold", defaults.threshold))
+    except (TypeError, ValueError):
+        raise SearchError(f"plan threshold must be a number, got {raw['threshold']!r}") from None
+    try:
+        seeds = tuple(int(s) for s in raw.get("seeds", defaults.seeds))
+    except (TypeError, ValueError):
+        raise SearchError(f"plan seeds must be a list of integers, got {raw['seeds']!r}") from None
     extras = defaults.extras if raw.get("include_extras", True) else ()
     return SearchPlan(
         base=spec_base,
-        threshold=float(raw.get("threshold", defaults.threshold)),
+        threshold=threshold,
         stages=tuple(stages),
         extras=extras,
         schedule=schedule,
-        seeds=tuple(int(s) for s in raw.get("seeds", defaults.seeds)),
+        seeds=seeds,
     )
 
 

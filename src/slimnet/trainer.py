@@ -1,8 +1,11 @@
 """Adam training loop.
 
-Defaults reproduce the reference protocol: learning rate 1e-4, minibatch
-50, 20,000 iterations, parameters drawn Gaussian(0, 0.1^2).  All
-randomness flows from `TrainConfig.seed` through the named substreams
+The reference protocol is fixed: Adam with beta1 0.9, beta2 0.999 and
+epsilon 1e-8, parameters drawn Gaussian(0, 0.1^2), ReLU after every layer
+with weights but the last, and each dropout layer at its spec's keep
+probability.  A `TrainConfig` sets only the schedule (learning rate 1e-4,
+minibatch 50 and 20,000 iterations by default), the seed and the traces.
+All randomness flows from `TrainConfig.seed` through the named substreams
 "init", "shuffle" and "dropout", so a fixed config yields bit-identical
 runs.
 """
@@ -38,6 +41,10 @@ __all__ = [
 # dropped-conv2's 6.4M parameters, blocks of 4096 or 262144 were 10-25% slower.
 _ADAM_BLOCK = 16384
 
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPSILON = 1e-8
+
 
 class ConfigError(ValueError):
     """A `TrainConfig` field is out of range."""
@@ -56,37 +63,21 @@ class TrainConfig:
     learning_rate: float = 1e-4
     batch_size: int = 50
     iterations: int = 20000
-    init_mean: float = 0.0
-    init_stddev: float = 0.1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    dropout_keep: float | None = None  # None: use each dropout layer's own value
     seed: int = 0
-    activation: str = "relu"
-    bias_constant: float | None = None  # None: biases drawn like weights
     eval_every: int = 0  # 0: no validation trace
     loss_log_every: int = 1  # 0: no loss trace
 
     def validate(self):
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ConfigError("adam betas must lie strictly between 0 and 1")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
-        if self.init_stddev < 0:
-            raise ConfigError(f"init_stddev must be >= 0, got {self.init_stddev}")
-        if self.dropout_keep is not None and not 0 < self.dropout_keep <= 1:
-            raise ConfigError(f"dropout_keep must be in (0, 1], got {self.dropout_keep}")
         if self.eval_every < 0:
             raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
         if self.loss_log_every < 0:
             raise ConfigError(f"loss_log_every must be >= 0, got {self.loss_log_every}")
-        if self.activation not in ("relu", "none"):
-            raise ConfigError(f"activation must be 'relu' or 'none', got {self.activation!r}")
 
     def schedule_id(self) -> str:
         return f"it{self.iterations}-bs{self.batch_size}-lr{self.learning_rate:g}"
@@ -113,10 +104,11 @@ class AdamState:
 
 
 def init_params(spec: NetSpec, config: TrainConfig, rng: np.random.Generator) -> Params:
-    """Gaussian-init every parameter tensor of `spec` from `rng`."""
-    return _init_net_params(
-        spec, rng, mean=config.init_mean, stddev=config.init_stddev, bias_constant=config.bias_constant
-    )
+    """Gaussian(0, 0.1^2)-init every parameter tensor of `spec` from `rng`.
+
+    The draw is part of the fixed protocol, so no field of `config` enters it.
+    """
+    return _init_net_params(spec, rng)
 
 
 def init_adam_state(params: Params) -> AdamState:
@@ -158,8 +150,8 @@ def adam_step(params: Params, grads: dict, state: AdamState, config: TrainConfig
                 raise TrainingDiverged(f"non-finite gradient in {key}")
             tensors.append((arr, g, m, v))
     state.t += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    lr, eps = config.learning_rate, config.adam_epsilon
+    b1, b2, eps = _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON
+    lr = config.learning_rate
     c1, c2 = 1 - b1**state.t, 1 - b2**state.t
     scratch_s, scratch_d = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
     for arr, g, m, v in tensors:
@@ -191,7 +183,7 @@ class _MinibatchSampler:
 
     def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
         if batch_size > n:
-            raise ValueError(f"batch_size {batch_size} exceeds dataset size {n}")
+            raise ConfigError(f"batch_size {batch_size} exceeds dataset size {n}")
         self.n = n
         self.batch_size = batch_size
         self.rng = rng
@@ -208,7 +200,7 @@ class _MinibatchSampler:
 
 
 def evaluate(spec: NetSpec, params: Params, images: np.ndarray, labels: np.ndarray,
-             *, activation: str = "relu", batch_size: int = 1000) -> float:
+             *, batch_size: int = 1000) -> float:
     """Argmax classification accuracy with dropout disabled.
 
     `labels` may be one-hot `[N,10]` or integer `[N]`.  Consumes no RNG,
@@ -218,7 +210,7 @@ def evaluate(spec: NetSpec, params: Params, images: np.ndarray, labels: np.ndarr
     hits = 0
     for start in range(0, len(images), batch_size):
         xb = images[start : start + batch_size]
-        logits, _ = forward(spec, params, xb, training=False, activation=activation, keep_caches=False)
+        logits, _ = forward(spec, params, xb, training=False, keep_caches=False)
         hits += int((logits.argmax(axis=1) == truth[start : start + len(xb)]).sum())
     return hits / len(images)
 
@@ -253,11 +245,7 @@ def train(spec: NetSpec, data, config: TrainConfig) -> TrainResult:
             idx = sampler.next_batch()
             xb = data.train.images[idx]
             yb = data.train.labels[idx]
-            logits, caches = forward(
-                spec, params, xb,
-                training=True, dropout_rng=dropout_rng,
-                dropout_override=config.dropout_keep, activation=config.activation,
-            )
+            logits, caches = forward(spec, params, xb, training=True, dropout_rng=dropout_rng)
             loss, grad_logits = softmax_xent(logits, yb)
             if not np.isfinite(loss):
                 raise TrainingDiverged("minibatch loss is non-finite", iteration=it)
@@ -270,18 +258,14 @@ def train(spec: NetSpec, data, config: TrainConfig) -> TrainResult:
                 loss_trace.append((it, loss))
             if config.eval_every and it % config.eval_every == 0:
                 caches = grads = None  # see the release before the final evaluate
-                eval_trace.append(
-                    (it, evaluate(spec, params, data.validation.images, data.validation.labels,
-                                  activation=config.activation))
-                )
+                eval_trace.append((it, evaluate(spec, params, data.validation.images, data.validation.labels)))
 
     # Evaluation does not hold the last step's activations and gradients.  They
     # are released only here: freed after every step, their pages went back
     # to the OS and were faulted in again by the next step (on the optimized
     # net, 5-8x the minor page faults and 16-19% more CPU time).
     caches = grads = None
-    test_accuracy = evaluate(spec, params, data.test.images, data.test.labels,
-                             activation=config.activation)
+    test_accuracy = evaluate(spec, params, data.test.images, data.test.labels)
     return TrainResult(
         final_test_accuracy=test_accuracy,
         loss_trace=loss_trace,

@@ -147,10 +147,12 @@ def test_criterion_4_overfit_sanity():
         test=Dataset(data.test.images[:100], data.test.labels[:100]),
     )
     # conventional overfit-test settings: livelier lr, dropout off
-    cfg = TrainConfig(iterations=500, seed=5, learning_rate=1e-3, dropout_keep=1.0)
+    layers = optimized_spec().layers
+    spec = NetSpec("optimized", tuple(LayerSpec.dropout(1.0) if l.kind == "dropout" else l for l in layers))
+    cfg = TrainConfig(iterations=500, seed=5, learning_rate=1e-3)
     started = time.perf_counter()
-    result = train(optimized_spec(), subset, cfg)
-    train_acc = evaluate(optimized_spec(), result.params, subset.train.images, subset.train.labels)
+    result = train(spec, subset, cfg)
+    train_acc = evaluate(spec, result.params, subset.train.images, subset.train.labels)
     elapsed = time.perf_counter() - started
     ok = train_acc >= 0.99 and elapsed < 120
     report(4, ok, f"optimized net memorizes 100 {source} samples: train accuracy "

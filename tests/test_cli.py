@@ -304,6 +304,36 @@ def test_search_invalid_plan_json_is_plan_error(tmp_path, capsys):
     assert f"plan error: cannot parse plan file '{bad}': 'utf-8' codec can't decode byte 0xff" in err
 
 
+@pytest.mark.parametrize(
+    "contents, message",
+    [
+        ("[1, 2]", "a plan must be a JSON object, got list"),
+        ('{"seeds": 5}', "plan seeds must be a list of integers, got 5"),
+        ('{"threshold": null}', "plan threshold must be a number, got None"),
+        ('{"stages": 3}', "plan stages must be a list, got 3"),
+        ('{"base": 7}', "plan base must be a string, got 7"),
+        ('{"schedule": {"iterations": 150, "init_stddev": 0.3}}',
+         "malformed plan schedule: TrainConfig.__init__() got an unexpected keyword argument 'init_stddev'"),
+    ],
+    ids=["list", "seeds-int", "threshold-null", "stages-int", "base-int", "schedule-removed-field"],
+)
+def test_search_malformed_plan_is_plan_error(tmp_path, capsys, contents, message):
+    bad = tmp_path / "plan.json"
+    bad.write_text(contents)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "search", "--plan", str(bad), "--oracle", "table", "--out", str(out))
+    assert code == EXIT_SPEC
+    assert err.startswith(f"plan error: {message}")
+    assert not (out / "manifest.json").exists()
+
+
+def test_train_batch_larger_than_training_split_is_config_error(synth_data_dir, tmp_path, capsys):
+    code, _, err = run_cli(capsys, "train", "optimized", "--data-dir", str(synth_data_dir),
+                           "--batch", "60000", "--iterations", "1", "--out", str(tmp_path / "out"))
+    assert code == EXIT_SPEC
+    assert err.startswith("config error: batch_size 60000 exceeds dataset size 55000")
+
+
 def test_train_missing_idx_file_stays_data_error(synth_data_dir, tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()

@@ -61,7 +61,10 @@ def test_whole_network_gradient_matches_finite_differences():
         ),
     )
     rng = substream(21, "init")
-    params = init_params(spec, TrainConfig(init_stddev=0.4), rng)
+    params = init_params(spec, TrainConfig(), rng)
+    for p in params.values():  # Gaussian(0, 0.4^2)
+        p.weights *= 4
+        p.bias *= 4
     x = substream(22, "x").uniform(0.05, 1.0, size=(2, 6, 6, 1))
     labels = np.eye(10)[[3, 7]]
 

@@ -86,7 +86,10 @@ def test_ledger_row_comes_from_the_record(spec):
 
 
 def test_network_runs_the_record_with_exact_gradients(spec):
-    params = init_params(spec, substream(3, "init"), stddev=0.4)
+    params = init_params(spec, substream(3, "init"))
+    for p in params.values():  # Gaussian(0, 0.4^2)
+        p.weights *= 4
+        p.bias *= 4
     assert params.keys() == {"conv1", "fc1"}
     x = substream(4, "x").uniform(0.05, 1.0, size=(2, 8, 8, 1))
     labels = np.eye(10)[[3, 7]]

@@ -152,8 +152,9 @@ def test_plan_from_dict_malformed_inputs():
 
     with pytest.raises(SearchError, match="malformed plan stage"):
         plan_from_dict({"stages": [{"knob": "fc1_width"}]})
-    with pytest.raises(SearchError, match="malformed plan schedule"):
-        plan_from_dict({"schedule": {"warmup": 5}})
+    for schedule in ({"warmup": 5}, {"activation": "none"}, {"init_stddev": 0.3}):
+        with pytest.raises(SearchError, match="malformed plan schedule"):
+            plan_from_dict({"schedule": schedule})
     with pytest.raises(SearchError, match="unknown knob"):
         plan_from_dict({"stages": [{"knob": "alpha", "values": [1], "pick": 1}]})
 
