@@ -106,6 +106,8 @@ def test_schedule_id_names_every_field_that_changes_a_trained_result():
     [
         {"learning_rate": 0.0},
         {"learning_rate": -1.0},
+        {"eval_every": -1},
+        {"loss_log_every": -1},
         {"batch_size": 0},
         {"iterations": -1},
     ],
