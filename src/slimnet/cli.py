@@ -130,6 +130,7 @@ def cmd_train(args, argv) -> int:
     config.validate()
     data_dir = _data_dir_or_fail(args.data_dir)
     data = load_data_dir(data_dir)
+    config.validate(len(data.train.images))
     out_dir = Path(args.out)
     resolved = [
         "train", args.spec, "--data-dir", str(data_dir),

@@ -11,16 +11,25 @@ dropout layer.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import ops
 from .accounting import layer_names
-from .netspec import KINDS, ForwardPass, NetSpec, validate_classifier, weight_shapes
+from .netspec import KINDS, ForwardPass, NetSpec, propagate_shapes, validate_classifier, weight_shapes
 
 __all__ = ["Params", "init_params", "forward", "backward", "param_arrays"]
 
 # name -> ConvParams | DenseParams, in layer order
 Params = dict[str, "ops.ConvParams | ops.DenseParams"]
+
+# M*N*K of each conv GEMM in an evaluation chunk.  OpenBLAS takes its
+# small-matrix kernel when M*N*K <= 1e6, and only there does a row of the
+# product depend on how many rows the call has; above it `A[:c] @ B` is
+# bitwise `(A @ B)[:c]`, so a chunk this far above the bound gives the rows
+# the whole batch gives.
+_CHUNK_GEMM_SIZE = 4_000_000
 
 
 def init_params(spec: NetSpec, rng: np.random.Generator) -> Params:
@@ -61,25 +70,49 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = Fa
     z > 0.  A conv layer also keeps its im2col matrix (`"cols"`) for
     `ops.conv2d_backward`.  With `keep_caches=False` `caches` is `None`
     and nothing is kept for backward: no per-layer state, no im2col
-    matrix and no pooling argmax (`ops.maxpool_values`).  The logits are
-    bit-identical either way.
+    matrix and no pooling argmax (`ops.maxpool_values`).  That path also
+    runs the layers whose output is still an image (the input scaling,
+    each conv with its ReLU, each maxpool) a chunk of whole images at a
+    time (see `_image_chunks`), so no im2col matrix is batch-sized, and
+    runs the rest on the whole batch.  The logits are bit-identical
+    either way.
     Dropout runs only when `training` is true, drawing its masks from
     `dropout_rng`; otherwise it is skipped.
     """
+    x = np.asarray(x)
+    if np.issubdtype(x.dtype, np.integer) and x.dtype != np.uint8:
+        raise TypeError(f"forward: input must be uint8 pixels or floating point, got {x.dtype}")
     names = layer_names(spec)
     run = ForwardPass(training, dropout_rng)
-    last = len(spec.layers) - 1
-    caches: list[dict] | None = [] if keep_caches else None
-    x = np.asarray(x)
+    if keep_caches:
+        caches: list[dict] = []
+        return _chain(spec, params, names, run, _decode(x), 0, len(spec.layers), caches), caches
+    flat, bounds = _image_chunks(spec, len(x))
+    h = None
+    for start, stop in zip(bounds, bounds[1:]):
+        out = _chain(spec, params, names, run, _decode(x[start:stop]), 0, flat, None)
+        if len(bounds) == 2:  # one chunk: its output is the batch's
+            h = out
+        else:
+            if h is None:
+                h = np.empty((len(x), *out.shape[1:]))
+            h[start:stop] = out
+    return _chain(spec, params, names, run, h, flat, len(spec.layers), None), None
+
+
+def _decode(x: np.ndarray) -> np.ndarray:
     if x.dtype == np.uint8:
-        h = np.divide(x, 255.0, dtype=np.float64)
-    elif np.issubdtype(x.dtype, np.integer):
-        raise TypeError(f"forward: input must be uint8 pixels or floating point, got {x.dtype}")
-    else:
-        h = np.asarray(x, dtype=np.float64)
-    for i, layer in enumerate(spec.layers):
+        return np.divide(x, 255.0, dtype=np.float64)
+    return np.asarray(x, dtype=np.float64)
+
+
+def _chain(spec, params, names, run, h, first, stop, caches):
+    """Layers `first` to `stop - 1` on `h`; appends a cache per layer to `caches` unless it is `None`."""
+    last = len(spec.layers) - 1
+    for i in range(first, stop):
+        layer = spec.layers[i]
         kind = KINDS[layer.kind]
-        cache: dict | None = {"kind": layer.kind, "name": names[i]} if keep_caches else None
+        cache: dict | None = {"kind": layer.kind, "name": names[i]} if caches is not None else None
         h = kind.forward(layer, h, params.get(names[i]), cache, run)
         if kind.weights and i != last:
             h = ops.relu(h, out=h)
@@ -87,7 +120,24 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = Fa
                 cache["relu"] = h
         if caches is not None:
             caches.append(cache)
-    return h, caches
+    return h
+
+
+def _image_chunks(spec: NetSpec, n: int) -> tuple[int, list[int]]:
+    """The image layers' end and the chunk bounds of an `n`-image batch.
+
+    The image layers are those before the first rank-1 shape.  A chunk
+    holds the fewest images for which each of their conv GEMMs, of
+    images*H*W rows by kh*kw*C_in by C_out, reaches `_CHUNK_GEMM_SIZE`;
+    a tail shorter than a chunk joins the chunk before it, so a batch
+    smaller than two chunks runs as one.
+    """
+    shapes = propagate_shapes(spec)
+    flat = next((i for i, shape in enumerate(shapes) if len(shape) == 1), len(shapes))
+    per_image = [math.prod(shape[:-1]) * math.prod(w)
+                 for shape, w in zip(shapes[:flat], weight_shapes(spec, shapes)) if w is not None]
+    size = max((-(-_CHUNK_GEMM_SIZE // m) for m in per_image), default=max(n, 1))
+    return flat, [i * size for i in range(max(n // size, 1))] + [n]
 
 
 def backward(spec: NetSpec, params: Params, caches: list[dict], grad_logits: np.ndarray):

@@ -668,10 +668,9 @@ def plan_from_dict(raw: dict, base: NetSpec | None = None) -> SearchPlan:
         threshold = float(raw.get("threshold", defaults.threshold))
     except (TypeError, ValueError):
         raise SearchError(f"plan threshold must be a number, got {raw['threshold']!r}") from None
-    try:
-        seeds = tuple(int(s) for s in raw.get("seeds", defaults.seeds))
-    except (TypeError, ValueError):
-        raise SearchError(f"plan seeds must be a list of integers, got {raw['seeds']!r}") from None
+    seeds = raw.get("seeds", defaults.seeds)
+    if not isinstance(seeds, (list, tuple)) or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
+        raise SearchError(f"plan seeds must be a list of integers, got {seeds!r}")
     extras = defaults.extras if raw.get("include_extras", True) else ()
     return SearchPlan(
         base=spec_base,
@@ -679,7 +678,7 @@ def plan_from_dict(raw: dict, base: NetSpec | None = None) -> SearchPlan:
         stages=tuple(stages),
         extras=extras,
         schedule=schedule,
-        seeds=seeds,
+        seeds=tuple(seeds),
     )
 
 

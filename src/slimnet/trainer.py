@@ -12,6 +12,7 @@ runs.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -67,7 +68,14 @@ class TrainConfig:
     eval_every: int = 0  # 0: no validation trace
     loss_log_every: int = 1  # 0: no loss trace
 
-    def validate(self):
+    def validate(self, train_size: int | None = None):
+        """Raise `ConfigError` for a field out of range.
+
+        With `train_size`, the training split's length, a run of any
+        iterations also needs one minibatch to fit in it.
+        """
+        if not math.isfinite(self.learning_rate):
+            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.batch_size < 1:
@@ -78,6 +86,8 @@ class TrainConfig:
             raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
         if self.loss_log_every < 0:
             raise ConfigError(f"loss_log_every must be >= 0, got {self.loss_log_every}")
+        if train_size is not None and self.iterations and self.batch_size > train_size:
+            raise ConfigError(f"batch_size {self.batch_size} exceeds dataset size {train_size}")
 
     def schedule_id(self) -> str:
         return f"it{self.iterations}-bs{self.batch_size}-lr{self.learning_rate:g}"
@@ -182,8 +192,6 @@ class _MinibatchSampler:
     """Sequential epochs over a seeded shuffle; short tails are dropped."""
 
     def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
-        if batch_size > n:
-            raise ConfigError(f"batch_size {batch_size} exceeds dataset size {n}")
         self.n = n
         self.batch_size = batch_size
         self.rng = rng
@@ -223,7 +231,7 @@ def train(spec: NetSpec, data, config: TrainConfig) -> TrainResult:
     spec's input layer.  Returns the result with the trained parameters
     and optimizer state attached.
     """
-    config.validate()
+    config.validate(len(data.train.images))
     shapes = validate_classifier(spec)
     sample_shape = tuple(data.train.images.shape[1:])
     if sample_shape != shapes[0]:

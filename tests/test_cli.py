@@ -110,6 +110,8 @@ def test_train_missing_data_dir_lists_files(tmp_path, capsys, monkeypatch):
         ("--batch", "0", "batch_size must be >= 1, got 0"),
         ("--iterations", "-1", "iterations must be >= 0, got -1"),
         ("--eval-every", "-1", "eval_every must be >= 0, got -1"),
+        ("--lr", "nan", "learning_rate must be finite, got nan"),
+        ("--lr", "inf", "learning_rate must be finite, got inf"),
     ],
 )
 def test_train_config_fault_is_reported_before_data_or_manifest(tmp_path, capsys, flag, value, message):
@@ -314,8 +316,12 @@ def test_search_invalid_plan_json_is_plan_error(tmp_path, capsys):
         ('{"base": 7}', "plan base must be a string, got 7"),
         ('{"schedule": {"iterations": 150, "init_stddev": 0.3}}',
          "malformed plan schedule: TrainConfig.__init__() got an unexpected keyword argument 'init_stddev'"),
+        ('{"seeds": "12"}', "plan seeds must be a list of integers, got '12'"),
+        ('{"seeds": [1.9]}', "plan seeds must be a list of integers, got [1.9]"),
+        ('{"seeds": [true]}', "plan seeds must be a list of integers, got [True]"),
     ],
-    ids=["list", "seeds-int", "threshold-null", "stages-int", "base-int", "schedule-removed-field"],
+    ids=["list", "seeds-int", "threshold-null", "stages-int", "base-int", "schedule-removed-field",
+         "seeds-string", "seeds-float", "seeds-bool"],
 )
 def test_search_malformed_plan_is_plan_error(tmp_path, capsys, contents, message):
     bad = tmp_path / "plan.json"
@@ -328,10 +334,12 @@ def test_search_malformed_plan_is_plan_error(tmp_path, capsys, contents, message
 
 
 def test_train_batch_larger_than_training_split_is_config_error(synth_data_dir, tmp_path, capsys):
+    out = tmp_path / "out"
     code, _, err = run_cli(capsys, "train", "optimized", "--data-dir", str(synth_data_dir),
-                           "--batch", "60000", "--iterations", "1", "--out", str(tmp_path / "out"))
+                           "--batch", "60000", "--iterations", "1", "--out", str(out))
     assert code == EXIT_SPEC
     assert err.startswith("config error: batch_size 60000 exceeds dataset size 55000")
+    assert not (out / "manifest.json").exists()
 
 
 def test_train_missing_idx_file_stays_data_error(synth_data_dir, tmp_path, capsys):

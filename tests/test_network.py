@@ -59,18 +59,44 @@ def full_backward(spec, params, caches, g):
     return grads, g
 
 
+# A batch of at least three evaluation chunks and an odd tail, per stock spec
+# (chunks of 103, 7, 284 and 7 images).
+CHUNKED_BATCH = {"optimized": 1000, "dropped-conv2": 1000, "optimized-3x3": 1000, "baseline": 61}
+
+
 @pytest.mark.parametrize("path", SPECS, ids=lambda p: f"{p.stem}-relu")
 def test_cache_free_forward_gives_identical_logits(path):
     spec = load_spec(path)
     params = negative_bias_params(spec, 5)
-    x = tie_heavy_batch(13, seed=3)
-    before = x.copy()
-    logits, caches = forward(spec, params, x)
-    free, none = forward(spec, params, x, keep_caches=False)
-    assert none is None
-    assert free.tobytes() == logits.tobytes()
-    assert x.tobytes() == before.tobytes()
-    assert (caches[1]["relu"] <= 0).mean() > 0.5  # the input is tie-heavy after conv1's ReLU
+    for n in (13, CHUNKED_BATCH[path.stem]):
+        x = tie_heavy_batch(n, seed=3)
+        before = x.copy()
+        logits, caches = forward(spec, params, x)
+        free, none = forward(spec, params, x, keep_caches=False)
+        assert none is None
+        assert free.tobytes() == logits.tobytes(), n
+        assert x.tobytes() == before.tobytes()
+        assert (caches[1]["relu"] <= 0).mean() > 0.5  # the input is tie-heavy after conv1's ReLU
+
+
+@pytest.mark.parametrize("n, seen", [(1000, [103] * 8 + [176]), (205, [205]), (3, [3])])
+def test_evaluation_runs_the_convs_a_chunk_of_images_at_a_time(n, seen, monkeypatch):
+    spec = load_spec(SPECS[-1])
+    assert spec.name == "optimized"
+    params = init_params(spec, substream(15, "init"))
+    x = np.random.default_rng(15).integers(0, 256, size=(n, 28, 28, 1), dtype=np.uint8)
+    expected, _ = forward(spec, params, x)
+    batches = []
+    real = ops.conv2d_forward
+
+    def spy(h, p, **kwargs):
+        batches.append(len(h))
+        return real(h, p, **kwargs)
+
+    monkeypatch.setattr(ops, "conv2d_forward", spy)
+    logits, _ = forward(spec, params, x, keep_caches=False)
+    assert batches == seen  # below two chunks of 103, one call sees the whole batch
+    assert logits.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("spec", [*map(load_spec, SPECS), dense_only_spec()], ids=lambda s: s.name)

@@ -3,6 +3,7 @@ import pytest
 
 from slimnet import ops
 from slimnet.gradcheck import numerical_gradient, max_rel_err
+from slimnet.network import _CHUNK_GEMM_SIZE
 
 
 def test_conv_same_padding_preserves_spatial_size(rng):
@@ -49,6 +50,20 @@ def test_conv_batched_matches_per_sample(rng):
     batched = ops.conv2d_forward(x, p)
     for i in range(5):
         np.testing.assert_allclose(batched[i : i + 1], ops.conv2d_forward(x[i : i + 1], p))
+
+
+@pytest.mark.parametrize("pixels, k, c_out", [(784, 25, 2), (784, 9, 2), (784, 25, 32), (196, 800, 64)],
+                         ids=["optimized", "optimized-3x3", "conv1-5x5x32", "baseline-conv2"])
+def test_conv_gemm_rows_above_the_small_matrix_bound_do_not_depend_on_the_row_count(rng, pixels, k, c_out):
+    # The evaluation forward runs each conv GEMM a chunk of images at a time
+    # and relies on this: above OpenBLAS's small-matrix bound (M*N*K <= 1e6)
+    # a row of `A @ B` comes out the same however many rows `A` has.  A BLAS
+    # whose rows change with the row count fails here, naming the cause.
+    rows = -(-_CHUNK_GEMM_SIZE // (pixels * k * c_out)) * pixels  # one chunk of whole images
+    a, b = rng.uniform(-1, 1, size=(3 * rows + 5 * pixels, k)), rng.uniform(-1, 1, size=(k, c_out))
+    whole = a @ b
+    for start, stop in ((0, rows), (rows, 2 * rows), (2 * rows, len(a))):
+        assert (a[start:stop] @ b).tobytes() == whole[start:stop].tobytes(), (start, stop)
 
 
 def test_conv_backward_zero_grad_gives_zeros(rng):

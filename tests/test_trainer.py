@@ -110,6 +110,8 @@ def test_schedule_id_names_every_field_that_changes_a_trained_result():
         {"loss_log_every": -1},
         {"batch_size": 0},
         {"iterations": -1},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
     ],
 )
 def test_config_validation(kwargs):
@@ -610,6 +612,15 @@ def test_evaluate_short_last_batch_matches_caching_forward(synth_data):
     labels = preds.copy()
     labels[[0, 9, 19]] = (labels[[0, 9, 19]] + 1) % 10  # one miss per batch of 7, 7, 6
     assert evaluate(spec, params, images, labels, batch_size=7) == 17 / 20
+
+
+def test_evaluate_holds_no_batch_sized_im2col(synth_data):
+    # the whole batch's conv1 im2col alone is 1000 * 784 * 25 float64s, 150 MiB
+    spec = optimized_spec()
+    params = init_params(spec, TrainConfig(), substream(11, "init"))
+    images, labels = synth_data.test.images, synth_data.test.labels
+    assert len(images) == 1000
+    assert peak_alloc_bytes(lambda: evaluate(spec, params, images, labels)) < 64 * 2**20
 
 
 def test_evaluate_deterministic_and_chance_level():
