@@ -17,7 +17,7 @@ from .netspec import (
     serialize_spec,
     spec_id,
 )
-from .ops import ConvParams, DenseParams, ShapeError
+from .ops import Params, ShapeError
 from .trainer import AdamState, ConfigError, TrainConfig, TrainResult, TrainingDiverged, evaluate, train
 from .search import (
     FrontierPoint,
@@ -41,7 +41,7 @@ __all__ = [
     "LayerSpec", "NetSpec", "SpecError", "parse_spec", "serialize_spec", "spec_id",
     "propagate_shapes", "baseline_spec", "dropped_conv2_spec", "optimized_spec",
     "optimized_3x3_spec",
-    "ConvParams", "DenseParams", "ShapeError",
+    "Params", "ShapeError",
     "AdamState", "ConfigError", "TrainConfig", "TrainResult", "TrainingDiverged", "evaluate", "train",
     "FrontierPoint", "SearchPlan", "Stage", "default_plan", "enumerate_candidates",
     "run_sweep", "run_search", "select_minimal", "build_frontier", "export_curves",

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Params
-from .ops import ConvParams, DenseParams
+from . import ops
+from .network import Params, param_arrays
 from .trainer import AdamState
 
 __all__ = ["ContainerError", "write_tensors", "read_tensors", "save_checkpoint", "load_checkpoint"]
@@ -97,10 +97,7 @@ class Checkpoint:
 
 def save_checkpoint(path, params: Params, adam: AdamState, iteration: int) -> None:
     """Pack parameters, optimizer moments and counters into one container."""
-    tensors: dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        tensors[f"param.{name}.w"] = p.weights
-        tensors[f"param.{name}.b"] = p.bias
+    tensors = {f"param.{key}": arr for key, arr in param_arrays(params)}
     for key, arr in adam.m.items():
         tensors[f"adam.m.{key}"] = arr
     for key, arr in adam.v.items():
@@ -115,11 +112,7 @@ def load_checkpoint(path) -> Checkpoint:
     names = sorted(
         {k[len("param.") : -2] for k in tensors if k.startswith("param.") and k.endswith(".w")}
     )
-    params: Params = {}
-    for name in names:
-        w = tensors[f"param.{name}.w"]
-        b = tensors[f"param.{name}.b"]
-        params[name] = ConvParams(w, b) if w.ndim == 4 else DenseParams(w, b)
+    params: Params = {name: ops.Params(tensors[f"param.{name}.w"], tensors[f"param.{name}.b"]) for name in names}
     m = {k[len("adam.m.") :]: v for k, v in tensors.items() if k.startswith("adam.m.")}
     v = {k[len("adam.v.") :]: val for k, val in tensors.items() if k.startswith("adam.v.")}
     adam = AdamState(m=m, v=v, t=int(tensors["adam.t"]))

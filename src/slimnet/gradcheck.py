@@ -88,6 +88,18 @@ def _weighted_sum(y: np.ndarray, w: np.ndarray) -> float:
     return float((y * w).sum())
 
 
+def _check_affine(forward, backward, x, p: ops.Params, probe, fault: bool) -> float:
+    """Input, weight and bias gradients of one affine op against central differences."""
+    gx, gw, gb = backward(x, p, probe)
+    if fault:
+        gw = -gw
+    worst = max_rel_err(gx, numerical_gradient(lambda v: _weighted_sum(forward(v, p), probe), x.copy()))
+    worst = max(worst, max_rel_err(gw, numerical_gradient(
+        lambda v: _weighted_sum(forward(x, ops.Params(v, p.bias)), probe), p.weights.copy())))
+    return max(worst, max_rel_err(gb, numerical_gradient(
+        lambda v: _weighted_sum(forward(x, ops.Params(p.weights, v)), probe), p.bias.copy())))
+
+
 def _check_conv(rng, fault: bool) -> float:
     h = int(rng.integers(2, 7))
     wdt = int(rng.integers(2, 7))
@@ -95,37 +107,18 @@ def _check_conv(rng, fault: bool) -> float:
     cout = int(rng.integers(1, 5))
     k = int(rng.choice([1, 3, 5]))
     x = rng.uniform(-1, 1, size=(h, wdt, cin))[None]
-    p = ops.ConvParams(rng.uniform(-1, 1, size=(k, k, cin, cout)), rng.uniform(-1, 1, size=cout))
+    p = ops.Params(rng.uniform(-1, 1, size=(k, k, cin, cout)), rng.uniform(-1, 1, size=cout))
     probe = rng.uniform(-1, 1, size=(h, wdt, cout))[None]
-    gx, gw, gb = ops.conv2d_backward(x, p, probe)
-    if fault:
-        gw = -gw
-    worst = 0.0
-    worst = max(worst, max_rel_err(gx, numerical_gradient(
-        lambda v: _weighted_sum(ops.conv2d_forward(v, p), probe), x.copy())))
-    worst = max(worst, max_rel_err(gw, numerical_gradient(
-        lambda v: _weighted_sum(ops.conv2d_forward(x, ops.ConvParams(v, p.bias)), probe), p.weights.copy())))
-    worst = max(worst, max_rel_err(gb, numerical_gradient(
-        lambda v: _weighted_sum(ops.conv2d_forward(x, ops.ConvParams(p.weights, v)), probe), p.bias.copy())))
-    return worst
+    return _check_affine(ops.conv2d_forward, ops.conv2d_backward, x, p, probe, fault)
 
 
 def _check_dense(rng, fault: bool) -> float:
     fin = int(rng.integers(2, 8))
     fout = int(rng.integers(1, 6))
     x = rng.uniform(-1, 1, size=fin)[None]
-    p = ops.DenseParams(rng.uniform(-1, 1, size=(fin, fout)), rng.uniform(-1, 1, size=fout))
+    p = ops.Params(rng.uniform(-1, 1, size=(fin, fout)), rng.uniform(-1, 1, size=fout))
     probe = rng.uniform(-1, 1, size=fout)[None]
-    gx, gw, gb = ops.dense_backward(x, p, probe)
-    if fault:
-        gw = -gw
-    worst = max_rel_err(gx, numerical_gradient(
-        lambda v: _weighted_sum(ops.dense_forward(v, p), probe), x.copy()))
-    worst = max(worst, max_rel_err(gw, numerical_gradient(
-        lambda v: _weighted_sum(ops.dense_forward(x, ops.DenseParams(v, p.bias)), probe), p.weights.copy())))
-    worst = max(worst, max_rel_err(gb, numerical_gradient(
-        lambda v: _weighted_sum(ops.dense_forward(x, ops.DenseParams(p.weights, v)), probe), p.bias.copy())))
-    return worst
+    return _check_affine(ops.dense_forward, ops.dense_backward, x, p, probe, fault)
 
 
 def _check_relu(rng, fault: bool) -> float:

@@ -191,7 +191,7 @@ def _maxpool_backward(cache, g, p, input_grad):
 def _flatten_forward(layer, h, p, cache, run):
     if cache is not None:
         cache["shape"] = h.shape
-    return h.reshape(h.shape[0], -1)
+    return h.reshape(h.shape[0], math.prod(h.shape[1:]))
 
 
 def _dropout_forward(layer, h, p, cache, run):
@@ -229,6 +229,8 @@ class LayerKind(NamedTuple):
     shape `(*fan_in, fan_out)` from the last activation that holds
     storage (see `weight_shapes`); the ledger's parameter cell, the
     initial draw and "has parameters" all follow from it.
+    `make_params(w, b)` turns a draw at that shape into the `ops.Params`
+    the kind's ops read; dense reshapes it to `[fan_in, fan_out]`.
     `forward(layer, h, params, cache, run)` fills `cache`, which is `None`
     in evaluation; `backward(cache, g, params, input_grad)` returns
     `(grad_input, (grad_w, grad_b) or None)`.
@@ -245,7 +247,7 @@ class LayerKind(NamedTuple):
     view: bool = False  # a view of its input that holds no storage
     filter: Callable = lambda layer, in_shape: ""  # the ledger's Filter column
     weights: Callable | None = None  # None: no parameters
-    make_params: Callable | None = None  # (w, b) -> the ops parameter record
+    make_params: Callable = ops.Params  # (w, b) drawn at the weight shape -> the ops record
 
 
 # Positional: fields, token, label, prefix, numbered, shape, forward, backward.
@@ -260,7 +262,6 @@ KINDS: dict[str, LayerKind] = {
         _conv_forward, _conv_backward,
         filter=lambda layer, in_shape: f"{layer.kernel}x{layer.kernel}x{in_shape[2]}",
         weights=lambda layer, in_shape: (layer.kernel, layer.kernel, in_shape[2], layer.out_channels),
-        make_params=lambda w, b: ops.ConvParams(w, b),
     ),
     "maxpool": LayerKind(
         (("window", "window", int),), "p{window}", "Max Pooling", "pool", True, _maxpool_shape,
@@ -275,7 +276,7 @@ KINDS: dict[str, LayerKind] = {
         (("out", "out_features", int),), "fc{out_features}", "Fully Connected", "fc", True, _dense_shape,
         lambda layer, h, p, cache, run: ops.dense_forward(_keep_input(h, cache), p), _dense_backward,
         weights=lambda layer, in_shape: (*in_shape, layer.out_features),
-        make_params=lambda w, b: ops.DenseParams(w.reshape(-1, w.shape[-1]), b),
+        make_params=lambda w, b: ops.Params(w.reshape(-1, w.shape[-1]), b),
     ),
     "dropout": LayerKind(
         (("keep", "keep_prob", float),), "do{keep_prob:g}", "Dropout", "dropout", False, _dropout_shape,

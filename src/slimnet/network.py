@@ -21,8 +21,8 @@ from .netspec import KINDS, ForwardPass, NetSpec, propagate_shapes, validate_cla
 
 __all__ = ["Params", "init_params", "forward", "backward", "param_arrays"]
 
-# name -> ConvParams | DenseParams, in layer order
-Params = dict[str, "ops.ConvParams | ops.DenseParams"]
+# name -> the layer's weights and bias, in layer order
+Params = dict[str, ops.Params]
 
 # M*N*K of each conv GEMM in an evaluation chunk.  OpenBLAS takes its
 # small-matrix kernel when M*N*K <= 1e6, and only there does a row of the

@@ -4,8 +4,13 @@ Conventions
 -----------
 * Activations are float64 batches laid out `[N, H, W, C]`; vectors are
   `[N, F]`.  Each op that needs a rank checks it and raises `ShapeError`.
-* Convolution kernels are `[kh, kw, C_in, C_out]`; stride is fixed at 1
-  with SAME zero padding, so spatial extent is preserved.
+* A layer's parameters are one `Params(weights, bias)` record: a conv
+  kernel `[kh, kw, C_in, C_out]` or a dense matrix `[F_in, F_out]`, and
+  one bias entry per output.  The record checks nothing; each affine op
+  checks the ranks and extents it reads and raises `ShapeError` naming
+  itself, so a malformed checkpoint tensor fails at its first use.
+* Convolution stride is fixed at 1 with SAME zero padding, so spatial
+  extent is preserved.
 * Pooling windows are square with stride equal to the window, and the
   input extent must divide evenly.  `maxpool_forward` also returns the
   argmax its backward needs; `maxpool_values` returns the maxima alone.
@@ -32,8 +37,7 @@ import numpy as np
 
 __all__ = [
     "ShapeError",
-    "ConvParams",
-    "DenseParams",
+    "Params",
     "conv2d_forward",
     "conv2d_backward",
     "maxpool_forward",
@@ -64,63 +68,25 @@ def _rank(x: np.ndarray, rank: int, op: str) -> np.ndarray:
 
 
 @dataclass
-class ConvParams:
-    """Convolution weights `[kh, kw, C_in, C_out]` plus per-channel bias."""
+class Params:
+    """A layer's weights and bias; each affine op checks their shapes."""
 
     weights: np.ndarray
     bias: np.ndarray
 
-    def __post_init__(self):
-        self.weights = _as_f64(self.weights)
-        self.bias = _as_f64(self.bias)
-        if self.weights.ndim != 4:
-            raise ShapeError(f"conv weights must be rank 4 [kh,kw,in,out], got {self.weights.shape}")
-        if self.bias.shape != (self.weights.shape[3],):
-            raise ShapeError(
-                f"conv bias shape {self.bias.shape} inconsistent with out_channels {self.weights.shape[3]}"
-            )
 
-    @property
-    def kernel_h(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def kernel_w(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def in_channels(self) -> int:
-        return self.weights.shape[2]
-
-    @property
-    def out_channels(self) -> int:
-        return self.weights.shape[3]
-
-
-@dataclass
-class DenseParams:
-    """Fully connected weights `[in_features, out_features]` plus bias."""
-
-    weights: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        self.weights = _as_f64(self.weights)
-        self.bias = _as_f64(self.bias)
-        if self.weights.ndim != 2:
-            raise ShapeError(f"dense weights must be rank 2 [in,out], got {self.weights.shape}")
-        if self.bias.shape != (self.weights.shape[1],):
-            raise ShapeError(
-                f"dense bias shape {self.bias.shape} inconsistent with out_features {self.weights.shape[1]}"
-            )
-
-    @property
-    def in_features(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def out_features(self) -> int:
-        return self.weights.shape[1]
+def _affine(op: str, x, params: Params, rank: int):
+    """`x`, weights and bias as float64: both of `rank`, `x`'s last axis the
+    weights' next to last, one bias entry per output (the weights' last)."""
+    x = _rank(_as_f64(x), rank, op)
+    w, b = _as_f64(params.weights), _as_f64(params.bias)
+    if w.ndim != rank:
+        raise ShapeError(f"{op}: weights must be rank {rank}, got shape {w.shape}")
+    if b.shape != w.shape[-1:]:
+        raise ShapeError(f"{op}: bias shape {b.shape} does not match the {w.shape[-1]} outputs of weights {w.shape}")
+    if x.shape[-1] != w.shape[-2]:
+        raise ShapeError(f"{op}: input {x.shape} has {x.shape[-1]} features but weights {w.shape} take {w.shape[-2]}")
+    return x, w, b
 
 
 def _same_pad(extent: int) -> tuple[int, int]:
@@ -139,7 +105,7 @@ def _im2col(x4: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(n * h * w, kh * kw * c)
 
 
-def conv2d_forward(x, params: ConvParams, *, keep_cols: bool = False):
+def conv2d_forward(x, params: Params, *, keep_cols: bool = False):
     """Stride-1 SAME convolution; output spatial size equals input's.
 
     The bias is added in place to the fresh im2col product, so no second
@@ -147,22 +113,17 @@ def conv2d_forward(x, params: ConvParams, *, keep_cols: bool = False):
     output, or `(output, cols)` with `keep_cols`: `cols` is the im2col
     matrix of `x`, for `conv2d_backward` to reuse.
     """
-    x = _rank(_as_f64(x), 4, "conv2d")
-    w, b = params.weights, params.bias
-    if x.shape[3] != params.in_channels:
-        raise ShapeError(
-            f"conv2d: input has {x.shape[3]} channels but kernel expects "
-            f"{params.in_channels} (input {x.shape}, kernel {w.shape})"
-        )
+    x, w, b = _affine("conv2d_forward", x, params, 4)
+    kh, kw, _, cout = w.shape
     n, h, wd, _ = x.shape
-    cols = _im2col(x, params.kernel_h, params.kernel_w)
-    y = cols @ w.reshape(-1, params.out_channels)
+    cols = _im2col(x, kh, kw)
+    y = cols @ w.reshape(-1, cout)
     y += b
-    y = y.reshape(n, h, wd, params.out_channels)
+    y = y.reshape(n, h, wd, cout)
     return (y, cols) if keep_cols else y
 
 
-def conv2d_backward(x, params: ConvParams, grad_out, *, input_grad: bool = True, cols=None):
+def conv2d_backward(x, params: Params, grad_out, *, input_grad: bool = True, cols=None):
     """Gradients of `conv2d_forward` w.r.t. input, weights and bias.
 
     Returns `(grad_x, grad_w, grad_b)`.  With `input_grad=False` the
@@ -171,29 +132,23 @@ def conv2d_backward(x, params: ConvParams, grad_out, *, input_grad: bool = True,
     from `conv2d_forward(..., keep_cols=True)`; without it the matrix is
     built again from `x`, and the gradients are the same.
     """
-    x = _rank(_as_f64(x), 4, "conv2d_backward")
+    x, w, _ = _affine("conv2d_backward", x, params, 4)
     grad_out = _as_f64(grad_out)
-    w = params.weights
+    kh, kw, cin, cout = w.shape
     n, h, wd, _ = x.shape
-    expect = (n, h, wd, params.out_channels)
-    if grad_out.shape != expect:
-        raise ShapeError(f"conv2d_backward: grad_out shape {grad_out.shape} does not match output {expect}")
-    if x.shape[3] != params.in_channels:
-        raise ShapeError(
-            f"conv2d_backward: input has {x.shape[3]} channels but kernel expects {params.in_channels}"
-        )
-    kh, kw, cin = params.kernel_h, params.kernel_w, params.in_channels
+    if grad_out.shape != (n, h, wd, cout):
+        raise ShapeError(f"conv2d_backward: grad_out shape {grad_out.shape} does not match output {(n, h, wd, cout)}")
     if cols is None:
         cols = _im2col(x, kh, kw)
     elif cols.shape != (n * h * wd, kh * kw * cin):
         raise ShapeError(f"conv2d_backward: cols shape {cols.shape} is not the im2col of input {x.shape}")
-    g_mat = grad_out.reshape(n * h * wd, params.out_channels)
+    g_mat = grad_out.reshape(n * h * wd, cout)
     grad_w = (cols.T @ g_mat).reshape(w.shape)
     grad_b = g_mat.sum(axis=0)
     if not input_grad:
         return None, grad_w, grad_b
     # col2im: scatter each window-column gradient back onto the padded input
-    grad_cols = (g_mat @ w.reshape(-1, params.out_channels).T).reshape(n, h, wd, kh, kw, cin)
+    grad_cols = (g_mat @ w.reshape(-1, cout).T).reshape(n, h, wd, kh, kw, cin)
     (pt, pb), (pl, pr) = _same_pad(kh), _same_pad(kw)
     grad_xp = np.zeros((n, h + kh - 1, wd + kw - 1, cin))
     for dy in range(kh):
@@ -284,35 +239,27 @@ def maxpool_backward(grad_out, argmax, window: int) -> np.ndarray:
     return gx
 
 
-def dense_forward(x, params: DenseParams) -> np.ndarray:
+def dense_forward(x, params: Params) -> np.ndarray:
     """Affine map `x @ W + b` for an `[N, F]` batch.
 
     The bias is added in place to the fresh product, so no second
     output-sized array is allocated; the sum is the same.
     """
-    x = _rank(_as_f64(x), 2, "dense")
-    if x.shape[1] != params.in_features:
-        raise ShapeError(
-            f"dense: input length {x.shape[1]} does not match in_features "
-            f"{params.in_features} (weights {params.weights.shape})"
-        )
-    y = x @ params.weights
-    y += params.bias
+    x, w, b = _affine("dense_forward", x, params, 2)
+    y = x @ w
+    y += b
     return y
 
 
-def dense_backward(x, params: DenseParams, grad_out):
+def dense_backward(x, params: Params, grad_out):
     """Gradients of `dense_forward` w.r.t. input, weights and bias."""
-    x = _rank(_as_f64(x), 2, "dense_backward")
+    x, w, _ = _affine("dense_backward", x, params, 2)
     grad_out = _as_f64(grad_out)
-    if grad_out.shape != (x.shape[0], params.out_features):
+    if grad_out.shape != (x.shape[0], w.shape[1]):
         raise ShapeError(
-            f"dense_backward: grad_out shape {grad_out.shape} does not match output "
-            f"{(x.shape[0], params.out_features)}"
+            f"dense_backward: grad_out shape {grad_out.shape} does not match output {(x.shape[0], w.shape[1])}"
         )
-    if x.shape[1] != params.in_features:
-        raise ShapeError(f"dense_backward: input length {x.shape[1]} != in_features {params.in_features}")
-    return grad_out @ params.weights.T, x.T @ grad_out, grad_out.sum(axis=0)
+    return grad_out @ w.T, x.T @ grad_out, grad_out.sum(axis=0)
 
 
 def relu(x, out: np.ndarray | None = None) -> np.ndarray:

@@ -99,9 +99,9 @@ class TrainResult:
     loss_trace: list[tuple[int, float]]
     eval_trace: list[tuple[int, float]]
     wall_time_seconds: float
-    params: Params | None = None
-    adam_state: "AdamState | None" = None
-    iterations_run: int = 0
+    params: Params
+    adam_state: AdamState
+    iterations_run: int
 
 
 @dataclass
@@ -213,7 +213,10 @@ def evaluate(spec: NetSpec, params: Params, images: np.ndarray, labels: np.ndarr
 
     `labels` may be one-hot `[N,10]` or integer `[N]`.  Consumes no RNG,
     never mutates `params` or `images`, and keeps no backward state.
+    Raises `ValueError` for zero images, which have no accuracy.
     """
+    if not len(images):
+        raise ValueError("evaluate: no images to score")
     truth = labels.argmax(axis=1) if labels.ndim == 2 else labels
     hits = 0
     for start in range(0, len(images), batch_size):
@@ -229,9 +232,14 @@ def train(spec: NetSpec, data, config: TrainConfig) -> TrainResult:
     `data` needs `.train`, `.validation` and `.test` splits of
     `(images, labels)` with images shaped `[N, H, W, C]` matching the
     spec's input layer.  Returns the result with the trained parameters
-    and optimizer state attached.
+    and optimizer state attached.  An empty test split, or an empty
+    validation split that `eval_every` would score, raises `ValueError`
+    before the first step.
     """
     config.validate(len(data.train.images))
+    for split, scored in (("test", True), ("validation", 0 < config.eval_every <= config.iterations)):
+        if scored and not len(getattr(data, split).images):
+            raise ValueError(f"the {split} split is empty: it has no accuracy to score")
     shapes = validate_classifier(spec)
     sample_shape = tuple(data.train.images.shape[1:])
     if sample_shape != shapes[0]:

@@ -9,6 +9,8 @@ from slimnet.container import (
     write_tensors,
 )
 from slimnet.netspec import optimized_spec
+from slimnet.network import forward
+from slimnet.ops import ShapeError
 from slimnet.rng import substream
 from slimnet.trainer import TrainConfig, init_adam_state, init_params
 
@@ -90,3 +92,17 @@ def test_checkpoint_round_trip(tmp_path):
         assert type(ckpt.params[name]) is type(params[name])
     for key in state.m:
         np.testing.assert_array_equal(ckpt.adam.m[key], state.m[key])
+
+
+def test_checkpoint_with_a_short_bias_loads_and_fails_at_its_first_use(tmp_path):
+    spec = optimized_spec()
+    params = init_params(spec, TrainConfig(), substream(9, "init"))
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, params, init_adam_state(params), iteration=0)
+    tensors = read_tensors(path)
+    tensors["param.fc1.b"] = tensors["param.fc1.b"][:-1]
+    write_tensors(path, tensors)
+    ckpt = load_checkpoint(path)
+    assert ckpt.params["fc1"].bias.shape == (params["fc1"].bias.size - 1,)
+    with pytest.raises(ShapeError, match="^dense_forward: bias shape"):
+        forward(spec, ckpt.params, np.zeros((2, 28, 28, 1), np.uint8))

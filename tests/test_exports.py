@@ -1,0 +1,20 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import slimnet
+
+MODULES = ["slimnet", *(f"slimnet.{m.name}" for m in pkgutil.iter_modules(slimnet.__path__))]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
+
+
+def test_the_package_exports_one_parameter_record():
+    assert slimnet.Params is slimnet.ops.Params
+    assert not {"ConvParams", "DenseParams"} & set(slimnet.__all__)

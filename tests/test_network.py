@@ -202,7 +202,7 @@ def test_backward_never_writes_grad_logits_through_a_trailing_view_layer():
     # Below a trailing dropout the first ReLU gradient arrives as grad_logits itself.
     spec = NetSpec("dense-dropout", (LayerSpec.input(4, 4, 1), LayerSpec.flatten(), LayerSpec.dense(10),
                                      LayerSpec.dropout(1.0)))
-    params = {"fc1": ops.DenseParams(np.random.default_rng(11).normal(size=(16, 10)), np.zeros(10))}
+    params = {"fc1": ops.Params(np.random.default_rng(11).normal(size=(16, 10)), np.zeros(10))}
     x = np.random.default_rng(12).normal(size=(3, 4, 4, 1))
     _, caches = forward(spec, params, x, training=True, dropout_rng=substream(11, "dropout"))
     g = np.random.default_rng(13).normal(size=(3, 10))
@@ -253,6 +253,15 @@ def test_uint8_pixels_give_the_logits_of_their_float_twin(path):
     for name in grads_b:
         assert all(x.tobytes() == y.tobytes() for x, y in zip(grads_a[name], grads_b[name]))
     np.testing.assert_array_equal(pixels, before)
+
+
+@pytest.mark.parametrize("keep_caches", [True, False])
+@pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
+def test_empty_batch_gives_empty_logits(path, keep_caches):
+    spec = load_spec(path)
+    logits, _ = forward(spec, init_params(spec, substream(0, "init")), np.zeros((0, 28, 28, 1), np.uint8),
+                        keep_caches=keep_caches)
+    assert logits.shape == (0, 10)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16, np.int8])

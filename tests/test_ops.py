@@ -8,13 +8,13 @@ from slimnet.network import _CHUNK_GEMM_SIZE
 
 def test_conv_same_padding_preserves_spatial_size(rng):
     x = rng.uniform(size=(1, 28, 28, 1))
-    p = ops.ConvParams(rng.uniform(size=(5, 5, 1, 32)), rng.uniform(size=32))
+    p = ops.Params(rng.uniform(size=(5, 5, 1, 32)), rng.uniform(size=32))
     assert ops.conv2d_forward(x, p).shape == (1, 28, 28, 32)
 
 
 def test_conv_identity_kernel():
     v = 3.25
-    p = ops.ConvParams(np.ones((1, 1, 1, 1)), np.zeros(1))
+    p = ops.Params(np.ones((1, 1, 1, 1)), np.zeros(1))
     y = ops.conv2d_forward(np.full((1, 1, 1, 1), v), p)
     assert y.shape == (1, 1, 1, 1)
     assert y[0, 0, 0, 0] == v
@@ -23,7 +23,7 @@ def test_conv_identity_kernel():
 def test_conv_hand_computed_zero_padding():
     # all-ones 3x3 input and kernel: each output counts the in-bounds taps
     x = np.ones((1, 3, 3, 1))
-    p = ops.ConvParams(np.ones((3, 3, 1, 1)), np.zeros(1))
+    p = ops.Params(np.ones((3, 3, 1, 1)), np.zeros(1))
     y = ops.conv2d_forward(x, p)[0, :, :, 0]
     expected = np.array([[4, 6, 4], [6, 9, 6], [4, 6, 4]], dtype=float)
     np.testing.assert_array_equal(y, expected)
@@ -32,21 +32,21 @@ def test_conv_hand_computed_zero_padding():
 def test_conv_bias_added_per_channel(rng):
     x = np.zeros((1, 4, 4, 2))
     bias = np.array([1.5, -2.0, 0.25])
-    p = ops.ConvParams(rng.uniform(size=(3, 3, 2, 3)), bias)
+    p = ops.Params(rng.uniform(size=(3, 3, 2, 3)), bias)
     y = ops.conv2d_forward(x, p)
     np.testing.assert_allclose(y, np.broadcast_to(bias, (1, 4, 4, 3)))
 
 
 def test_conv_channel_mismatch_names_both_shapes(rng):
     x = rng.uniform(size=(1, 4, 4, 3))
-    p = ops.ConvParams(rng.uniform(size=(3, 3, 2, 4)), rng.uniform(size=4))
+    p = ops.Params(rng.uniform(size=(3, 3, 2, 4)), rng.uniform(size=4))
     with pytest.raises(ops.ShapeError, match=r"3.*2"):
         ops.conv2d_forward(x, p)
 
 
 def test_conv_batched_matches_per_sample(rng):
     x = rng.uniform(size=(5, 6, 6, 2))
-    p = ops.ConvParams(rng.uniform(size=(3, 3, 2, 4)), rng.uniform(size=4))
+    p = ops.Params(rng.uniform(size=(3, 3, 2, 4)), rng.uniform(size=4))
     batched = ops.conv2d_forward(x, p)
     for i in range(5):
         np.testing.assert_allclose(batched[i : i + 1], ops.conv2d_forward(x[i : i + 1], p))
@@ -68,14 +68,14 @@ def test_conv_gemm_rows_above_the_small_matrix_bound_do_not_depend_on_the_row_co
 
 def test_conv_backward_zero_grad_gives_zeros(rng):
     x = rng.uniform(size=(1, 4, 4, 2))
-    p = ops.ConvParams(rng.uniform(size=(3, 3, 2, 2)), rng.uniform(size=2))
+    p = ops.Params(rng.uniform(size=(3, 3, 2, 2)), rng.uniform(size=2))
     gx, gw, gb = ops.conv2d_backward(x, p, np.zeros((1, 4, 4, 2)))
     assert not gx.any() and not gw.any() and not gb.any()
 
 
 def test_conv_backward_identity_kernel_chain_rule(rng):
     x = rng.uniform(size=(1, 3, 3, 1))
-    p = ops.ConvParams(np.ones((1, 1, 1, 1)), np.zeros(1))
+    p = ops.Params(np.ones((1, 1, 1, 1)), np.zeros(1))
     g = rng.uniform(size=(1, 3, 3, 1))
     gx, gw, gb = ops.conv2d_backward(x, p, g)
     np.testing.assert_allclose(gx, g)
@@ -85,16 +85,16 @@ def test_conv_backward_identity_kernel_chain_rule(rng):
 
 def test_conv_backward_matches_finite_differences(rng):
     x = rng.uniform(-1, 1, size=(1, 4, 4, 2))
-    p = ops.ConvParams(rng.uniform(-1, 1, size=(3, 3, 2, 2)), rng.uniform(-1, 1, size=2))
+    p = ops.Params(rng.uniform(-1, 1, size=(3, 3, 2, 2)), rng.uniform(-1, 1, size=2))
     probe = rng.uniform(-1, 1, size=(1, 4, 4, 2))
     gx, gw, gb = ops.conv2d_backward(x, p, probe)
     num_gx = numerical_gradient(lambda v: float((ops.conv2d_forward(v, p) * probe).sum()), x.copy())
     num_gw = numerical_gradient(
-        lambda v: float((ops.conv2d_forward(x, ops.ConvParams(v, p.bias)) * probe).sum()),
+        lambda v: float((ops.conv2d_forward(x, ops.Params(v, p.bias)) * probe).sum()),
         p.weights.copy(),
     )
     num_gb = numerical_gradient(
-        lambda v: float((ops.conv2d_forward(x, ops.ConvParams(p.weights, v)) * probe).sum()),
+        lambda v: float((ops.conv2d_forward(x, ops.Params(p.weights, v)) * probe).sum()),
         p.bias.copy(),
     )
     assert max_rel_err(gx, num_gx) <= 1e-4
@@ -105,7 +105,7 @@ def test_conv_backward_matches_finite_differences(rng):
 @pytest.mark.parametrize("shape", [(1, 5, 5, 3), (2, 5, 5, 3)])
 def test_conv_backward_input_grad_off_keeps_weight_grads(rng, shape):
     x = rng.uniform(-1, 1, size=shape)
-    p = ops.ConvParams(rng.uniform(-1, 1, size=(3, 3, 3, 4)), rng.uniform(-1, 1, size=4))
+    p = ops.Params(rng.uniform(-1, 1, size=(3, 3, 3, 4)), rng.uniform(-1, 1, size=4))
     g = rng.uniform(-1, 1, size=shape[:-1] + (4,))
     gx, gw, gb = ops.conv2d_backward(x, p, g)
     skipped, gw_only, gb_only = ops.conv2d_backward(x, p, g, input_grad=False)
@@ -115,7 +115,7 @@ def test_conv_backward_input_grad_off_keeps_weight_grads(rng, shape):
 
 def test_conv_backward_shape_mismatch_rejected(rng):
     x = rng.uniform(size=(1, 4, 4, 2))
-    p = ops.ConvParams(rng.uniform(size=(3, 3, 2, 2)), rng.uniform(size=2))
+    p = ops.Params(rng.uniform(size=(3, 3, 2, 2)), rng.uniform(size=2))
     with pytest.raises(ops.ShapeError):
         ops.conv2d_backward(x, p, np.zeros((1, 4, 4, 3)))
     _, cols = ops.conv2d_forward(x[:, :3], p, keep_cols=True)
@@ -126,7 +126,7 @@ def test_conv_backward_shape_mismatch_rejected(rng):
 @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
 def test_conv_forward_keeps_the_cols_backward_would_build(rng, kernel):
     x = rng.uniform(-1, 1, size=(3, 6, 6, 2))
-    p = ops.ConvParams(rng.uniform(-1, 1, size=(kernel, kernel, 2, 4)), rng.uniform(-1, 1, size=4))
+    p = ops.Params(rng.uniform(-1, 1, size=(kernel, kernel, 2, 4)), rng.uniform(-1, 1, size=4))
     y, cols = ops.conv2d_forward(x, p, keep_cols=True)
     assert y.tobytes() == ops.conv2d_forward(x, p).tobytes()
     assert cols.shape == (3 * 6 * 6, kernel * kernel * 2)
@@ -139,8 +139,8 @@ def test_conv_forward_keeps_the_cols_backward_would_build(rng, kernel):
 
 
 def test_ops_reject_a_sample_without_its_batch_axis(rng):
-    conv = ops.ConvParams(rng.uniform(size=(3, 3, 2, 4)), rng.uniform(size=4))
-    dense = ops.DenseParams(rng.uniform(size=(5, 3)), rng.uniform(size=3))
+    conv = ops.Params(rng.uniform(size=(3, 3, 2, 4)), rng.uniform(size=4))
+    dense = ops.Params(rng.uniform(size=(5, 3)), rng.uniform(size=3))
     calls = [
         lambda: ops.conv2d_forward(np.zeros((4, 4, 2)), conv),
         lambda: ops.conv2d_backward(np.zeros((4, 4, 2)), conv, np.zeros((4, 4, 4))),
@@ -154,6 +154,29 @@ def test_ops_reject_a_sample_without_its_batch_axis(rng):
     for call in calls:
         with pytest.raises(ops.ShapeError, match="rank"):
             call()
+
+
+# Each affine op on a batch and gradient that fit it, so the params are at fault.
+AFFINE_CALLS = {
+    "conv2d_forward": lambda p: ops.conv2d_forward(np.zeros((1, 4, 4, 2)), p),
+    "conv2d_backward": lambda p: ops.conv2d_backward(np.zeros((1, 4, 4, 2)), p, np.zeros((1, 4, 4, 3))),
+    "dense_forward": lambda p: ops.dense_forward(np.zeros((1, 98)), p),
+    "dense_backward": lambda p: ops.dense_backward(np.zeros((1, 98)), p, np.zeros((1, 3))),
+}
+MALFORMED_PARAMS = {  # one bad tensor each, and the words its error must hold
+    "conv-weights-of-rank-3": (ops.Params(np.zeros((3, 2, 3)), np.zeros(3)), "weights must be rank 4"),
+    "dense-weights-at-the-ledger-shape": (ops.Params(np.zeros((7, 7, 2, 3)), np.zeros(3)), "weights must be rank 2"),
+    "conv-bias-of-the-wrong-length": (ops.Params(np.zeros((3, 3, 2, 3)), np.zeros(2)), r"bias shape \(2,\)"),
+    "dense-bias-of-the-wrong-length": (ops.Params(np.zeros((98, 3)), np.zeros(2)), r"bias shape \(2,\)"),
+}
+
+
+@pytest.mark.parametrize("op, bad", [(op, bad) for op in AFFINE_CALLS for bad in MALFORMED_PARAMS
+                                     if bad[:4] == op[:4]])
+def test_affine_ops_reject_malformed_params_naming_the_op(op, bad):
+    params, words = MALFORMED_PARAMS[bad]
+    with pytest.raises(ops.ShapeError, match=f"^{op}: {words}"):
+        AFFINE_CALLS[op](params)
 
 
 # --- pooling ---------------------------------------------------------------
@@ -287,30 +310,30 @@ def test_maxpool_backward_matches_finite_differences(rng):
 
 
 def test_dense_ledger_shape(rng):
-    p = ops.DenseParams(rng.uniform(size=(3136, 1024)), rng.uniform(size=1024))
+    p = ops.Params(rng.uniform(size=(3136, 1024)), rng.uniform(size=1024))
     assert ops.dense_forward(rng.uniform(size=(1, 3136)), p).shape == (1, 1024)
 
 
 def test_dense_identity():
-    p = ops.DenseParams(np.eye(4), np.zeros(4))
+    p = ops.Params(np.eye(4), np.zeros(4))
     x = np.array([[1.0, -2.0, 3.0, 0.5]])
     np.testing.assert_array_equal(ops.dense_forward(x, p), x)
 
 
 def test_dense_hand_computed():
-    p = ops.DenseParams(2 * np.eye(2), np.array([1.0, 1.0]))
+    p = ops.Params(2 * np.eye(2), np.array([1.0, 1.0]))
     np.testing.assert_array_equal(ops.dense_forward(np.array([[1.0, 2.0]]), p), [[3.0, 5.0]])
 
 
 def test_dense_length_mismatch(rng):
-    p = ops.DenseParams(rng.uniform(size=(5, 3)), rng.uniform(size=3))
+    p = ops.Params(rng.uniform(size=(5, 3)), rng.uniform(size=3))
     with pytest.raises(ops.ShapeError, match="5"):
         ops.dense_forward(rng.uniform(size=(1, 4)), p)
 
 
 def test_dense_backward_zero_and_bias_identity(rng):
     x = rng.uniform(size=(1, 5))
-    p = ops.DenseParams(rng.uniform(size=(5, 3)), rng.uniform(size=3))
+    p = ops.Params(rng.uniform(size=(5, 3)), rng.uniform(size=3))
     gx, gw, gb = ops.dense_backward(x, p, np.zeros((1, 3)))
     assert not gx.any() and not gw.any() and not gb.any()
     g = rng.uniform(size=(1, 3))
@@ -320,12 +343,12 @@ def test_dense_backward_zero_and_bias_identity(rng):
 
 def test_dense_backward_matches_finite_differences(rng):
     x = rng.uniform(-1, 1, size=(1, 5))
-    p = ops.DenseParams(rng.uniform(-1, 1, size=(5, 3)), rng.uniform(-1, 1, size=3))
+    p = ops.Params(rng.uniform(-1, 1, size=(5, 3)), rng.uniform(-1, 1, size=3))
     probe = rng.uniform(-1, 1, size=(1, 3))
     gx, gw, gb = ops.dense_backward(x, p, probe)
     num_gx = numerical_gradient(lambda v: float((ops.dense_forward(v, p) * probe).sum()), x.copy())
     num_gw = numerical_gradient(
-        lambda v: float((ops.dense_forward(x, ops.DenseParams(v, p.bias)) * probe).sum()),
+        lambda v: float((ops.dense_forward(x, ops.Params(v, p.bias)) * probe).sum()),
         p.weights.copy(),
     )
     assert max_rel_err(gx, num_gx) <= 1e-4
@@ -337,7 +360,7 @@ def test_dense_backward_matches_finite_differences(rng):
 def test_dense_bias_add_is_the_out_of_place_sum(rng, x_shape):
     x = rng.normal(size=x_shape)
     w, b = rng.normal(size=(6, 5)), rng.normal(size=5)
-    p = ops.DenseParams(w.copy(), b.copy())
+    p = ops.Params(w.copy(), b.copy())
     assert ops.dense_forward(x, p).tobytes() == (x @ w + b).tobytes()
     assert p.weights.tobytes() == w.tobytes() and p.bias.tobytes() == b.tobytes()
 
@@ -346,8 +369,8 @@ def test_dense_bias_add_is_the_out_of_place_sum(rng, x_shape):
 def test_conv_bias_add_is_the_out_of_place_sum(rng, x_shape):
     x = rng.normal(size=x_shape)
     w, b = rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4)
-    p = ops.ConvParams(w.copy(), b.copy())
-    product = ops.conv2d_forward(x, ops.ConvParams(w, np.zeros(4)))  # + 0.0 leaves a nonzero b's sum unchanged
+    p = ops.Params(w.copy(), b.copy())
+    product = ops.conv2d_forward(x, ops.Params(w, np.zeros(4)))  # + 0.0 leaves a nonzero b's sum unchanged
     assert ops.conv2d_forward(x, p).tobytes() == (product + b).tobytes()
     assert p.weights.tobytes() == w.tobytes() and p.bias.tobytes() == b.tobytes()
 
@@ -482,7 +505,7 @@ def test_softmax_batch_mean_reduction(rng):
 
 def test_ops_outputs_finite_on_finite_inputs(rng):
     x = rng.normal(0, 50, size=(1, 8, 8, 3))
-    p = ops.ConvParams(rng.normal(0, 50, size=(5, 5, 3, 4)), rng.normal(0, 50, size=4))
+    p = ops.Params(rng.normal(0, 50, size=(5, 5, 3, 4)), rng.normal(0, 50, size=4))
     assert np.isfinite(ops.conv2d_forward(x, p)).all()
     y, _ = ops.maxpool_forward(x, 2)
     assert np.isfinite(y).all()

@@ -11,7 +11,7 @@ from slimnet.container import load_checkpoint, save_checkpoint
 from slimnet.mnist import Dataset, DataSplits, one_hot_labels
 from slimnet.netspec import LayerSpec, NetSpec, baseline_spec, dropped_conv2_spec, load_spec, optimized_spec
 from slimnet.network import backward, forward, param_arrays
-from slimnet.ops import DenseParams, softmax_xent
+from slimnet.ops import Params, softmax_xent
 from slimnet.rng import substream
 from slimnet.trainer import (
     _ADAM_BETA1,
@@ -349,7 +349,7 @@ def assert_bad_gradient_raises_before_any_write(spec, key, fault, error):
 
 def one_tensor_setup(weights):
     """A lone dense layer holding `weights`, with C-ordered zero moments."""
-    params = {"fc1": DenseParams(weights, np.zeros(weights.shape[1]))}
+    params = {"fc1": Params(weights, np.zeros(weights.shape[1]))}
     arrays = dict(param_arrays(params))
     return params, AdamState(m={k: np.zeros(a.shape) for k, a in arrays.items()},
                              v={k: np.zeros(a.shape) for k, a in arrays.items()})
@@ -372,7 +372,7 @@ def test_blocked_adam_is_bit_identical_at_block_edges(shape, order):
     params, state = one_tensor_setup(np.asarray(rng.normal(0.0, 0.1, shape), order=order))
     arrays = optimizer_arrays(params, state)
     assert params["fc1"].weights.flags.c_contiguous == (order == "C")
-    ref_params = {"fc1": DenseParams(params["fc1"].weights.copy(), params["fc1"].bias.copy())}
+    ref_params = {"fc1": Params(params["fc1"].weights.copy(), params["fc1"].bias.copy())}
     ref_state = init_adam_state(ref_params)
     for step_kind in ("random", "sign-mixed", "zero", "random"):
         grads = make_grads(params, step_kind, rng)
@@ -467,6 +467,39 @@ def test_train_zero_iterations_evaluates_init():
     res = train(tiny_spec(), data, TrainConfig(iterations=0, batch_size=10, seed=1))
     assert res.loss_trace == []
     assert 0.0 <= res.final_test_accuracy <= 1.0
+
+
+def test_evaluate_on_zero_images_raises_a_named_error():
+    spec = tiny_spec()
+    params = init_params(spec, TrainConfig(), substream(0, "init"))
+    with pytest.raises(ValueError, match="no images"):
+        evaluate(spec, params, np.zeros((0, 8, 8, 1)), np.zeros((0, 10)))
+
+
+@pytest.mark.parametrize("split, eval_every", [("test", 0), ("test", 2), ("validation", 2)])
+def test_train_rejects_an_empty_scored_split_before_the_first_step(split, eval_every, monkeypatch):
+    calls = []
+    real_forward = trainer.forward
+
+    def counting_forward(*args, **kwargs):
+        calls.append(args)
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "forward", counting_forward)
+    data = tiny_data()
+    empty = getattr(data, split)
+    data = dataclasses.replace(data, **{split: Dataset(empty.images[:0], empty.labels[:0])})
+    with pytest.raises(ValueError, match=f"the {split} split is empty"):
+        train(tiny_spec(), data, TrainConfig(iterations=4, batch_size=10, eval_every=eval_every))
+    assert calls == []
+
+
+def test_empty_validation_split_trains_when_no_evaluation_scores_it():
+    data = tiny_data()
+    data = dataclasses.replace(data, validation=Dataset(data.validation.images[:0], data.validation.labels[:0]))
+    for eval_every in (0, 5):
+        res = train(tiny_spec(), data, TrainConfig(iterations=4, batch_size=10, eval_every=eval_every))
+        assert res.eval_trace == [] and res.iterations_run == 4
 
 
 def test_train_shape_mismatch_rejected(synth_data):
