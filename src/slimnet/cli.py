@@ -157,8 +157,16 @@ def cmd_train(args, argv) -> int:
 
 
 def cmd_search(args, argv) -> int:
+    overrides = {}
+    if args.threshold is not None:
+        overrides["threshold"] = args.threshold
+    if args.seeds is not None:
+        overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
     try:
         plan = load_plan(args.plan) if args.plan else default_plan()
+        if args.iterations is not None:
+            overrides["schedule"] = replace(plan.schedule, iterations=args.iterations)
+        plan = replace(plan, **overrides)
     except OSError as exc:
         print(f"plan error: cannot read plan file '{args.plan}': {exc.strerror}", file=sys.stderr)
         return EXIT_SPEC
@@ -168,15 +176,6 @@ def cmd_search(args, argv) -> int:
     except SearchError as exc:
         print(f"plan error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    overrides = {}
-    if args.threshold is not None:
-        overrides["threshold"] = args.threshold
-    if args.seeds is not None:
-        overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
-    if args.iterations is not None:
-        overrides["schedule"] = replace(plan.schedule, iterations=args.iterations)
-    if overrides:
-        plan = replace(plan, **overrides)
     plan.schedule.validate()
 
     resolved = ["search", "--oracle", args.oracle]

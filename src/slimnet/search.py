@@ -12,6 +12,10 @@ Accuracy comes from a pluggable oracle: `trained_oracle` runs real
 training, `table_oracle` replays the recorded accuracies bundled in
 `golden`, which makes selection and frontier logic testable in
 milliseconds.
+
+A sweep's result is its ledger, one line per (candidate tag, seed), so a
+repeated tag is an error.  Selection, frontier and curves read only the
+fields a ledger line holds: `load_ledger` rebuilds every artifact.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .netspec import (
     SpecError,
     baseline_spec,
     optimized_3x3_spec,
+    optimized_spec,
     parse_spec,
     propagate_shapes,
     save_spec,
@@ -103,6 +108,8 @@ class SearchPlan:
             raise SearchError(f"threshold must be in (0, 1], got {self.threshold}")
         if not self.seeds:
             raise SearchError("plan needs at least one seed")
+        if min(self.seeds) < 0:
+            raise SearchError(f"plan seeds must be >= 0, got {min(self.seeds)}")
 
 
 def default_plan(schedule: TrainConfig | None = None, seeds: tuple[int, ...] = (0,),
@@ -284,34 +291,30 @@ class CandidateResult:
     schedule_id: str
     wall_time: float
     diverged: bool
-    spec: NetSpec | None = None
+
+
+# a ledger line is these `key=value` tokens in order: (key, CandidateResult field, text format, parser)
+_LEDGER_FIELDS = (
+    ("tag", "tag", "{}", str),
+    ("id", "ident", "{}", str),
+    ("seed", "seed", "{}", int),
+    ("params", "params", "{}", int),
+    ("memory", "memory", "{}", int),
+    ("accuracy", "accuracy", "{:.6f}", float),
+    ("schedule", "schedule_id", "{}", str),
+    ("wall", "wall_time", "{:.3f}", float),
+    ("diverged", "diverged", "{:d}", lambda text: bool(int(text))),
+)
 
 
 def _ledger_line(r: CandidateResult) -> str:
-    return (
-        f"tag={r.tag} id={r.ident} seed={r.seed} params={r.params} memory={r.memory} "
-        f"accuracy={r.accuracy:.6f} schedule={r.schedule_id} wall={r.wall_time:.3f} "
-        f"diverged={int(r.diverged)}"
-    )
+    return " ".join(f"{key}={fmt.format(getattr(r, name))}" for key, name, fmt, _ in _LEDGER_FIELDS)
 
 
 def _parse_ledger_line(raw: bytes, lineno: int) -> CandidateResult:
-    fields = {}
     try:
-        for token in raw.decode("utf-8").split():
-            key, _, value = token.partition("=")
-            fields[key] = value
-        return CandidateResult(
-            tag=fields["tag"],
-            ident=fields["id"],
-            params=int(fields["params"]),
-            memory=int(fields["memory"]),
-            accuracy=float(fields["accuracy"]),
-            seed=int(fields["seed"]),
-            schedule_id=fields["schedule"],
-            wall_time=float(fields["wall"]),
-            diverged=bool(int(fields["diverged"])),
-        )
+        tokens = dict(token.partition("=")[::2] for token in raw.decode("utf-8").split())
+        return CandidateResult(**{name: parse(tokens[key]) for key, name, _, parse in _LEDGER_FIELDS})
     except KeyError as exc:
         raise SearchError(f"malformed ledger line {lineno} (missing {exc}): {raw!r}") from None
     except ValueError as exc:
@@ -353,9 +356,16 @@ def run_sweep(candidates: list[Candidate], oracle: Oracle, seeds=(0,),
     New records are appended to `ledger_path` as they finish, so an
     interrupted sweep resumes where it stopped.  Only records of the
     oracle's own schedule are reused; a record of another schedule
-    raises `SearchError`.  The returned list always covers all pairs in
-    candidate x seed order regardless of resume state.
+    raises `SearchError`.  A tag is the ledger key, so two candidates
+    under one tag raise `SearchError` before anything runs.  The
+    returned list always covers all pairs in candidate x seed order
+    regardless of resume state.
     """
+    by_tag: dict[str, NetSpec] = {}
+    for c in candidates:
+        if c.tag in by_tag:
+            raise SearchError(f"two candidates share the tag '{c.tag}'; the ledger could not tell their runs apart")
+        by_tag[c.tag] = c.spec
     schedule_id = getattr(oracle, "schedule_id", "unknown")
     done: dict[tuple[str, int], CandidateResult] = {}
     data = b""
@@ -370,7 +380,6 @@ def run_sweep(candidates: list[Candidate], oracle: Oracle, seeds=(0,),
             )
         done[(rec.tag, rec.seed)] = rec
 
-    by_tag = {c.tag: c.spec for c in candidates}
     accounts = {tag: analyze(spec) for tag, spec in by_tag.items()}
     pending = [(c.tag, seed) for c in candidates for seed in seeds if (c.tag, seed) not in done]
 
@@ -402,7 +411,7 @@ def run_sweep(candidates: list[Candidate], oracle: Oracle, seeds=(0,),
         if ledger_file:
             ledger_file.close()
 
-    return [replace(done[(c.tag, seed)], spec=by_tag[c.tag]) for c in candidates for seed in seeds]
+    return [done[(c.tag, seed)] for c in candidates for seed in seeds]
 
 
 # --- selection and frontier ----------------------------------------------------
@@ -417,9 +426,6 @@ class AggregateResult:
     memory: int
     accuracy: float
     n_runs: int
-    tags: tuple[str, ...]
-    spec: NetSpec | None = None
-    any_diverged: bool = False
 
 
 def _median(values: list[float]) -> float:
@@ -433,22 +439,11 @@ def aggregate_results(results: list[CandidateResult]) -> list[AggregateResult]:
     groups: dict[str, list[CandidateResult]] = {}
     for r in results:
         groups.setdefault(r.ident, []).append(r)
-    out = []
-    for ident, group in groups.items():
-        spec = next((g.spec for g in group if g.spec is not None), None)
-        out.append(
-            AggregateResult(
-                ident=ident,
-                params=group[0].params,
-                memory=group[0].memory,
-                accuracy=_median([g.accuracy for g in group]),
-                n_runs=len(group),
-                tags=tuple(dict.fromkeys(g.tag for g in group)),
-                spec=spec,
-                any_diverged=any(g.diverged for g in group),
-            )
-        )
-    return out
+    return [
+        AggregateResult(ident=ident, params=group[0].params, memory=group[0].memory,
+                        accuracy=_median([g.accuracy for g in group]), n_runs=len(group))
+        for ident, group in groups.items()
+    ]
 
 
 @dataclass(frozen=True)
@@ -520,29 +515,22 @@ def frontier_csv(frontier: list[FrontierPoint]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _grid_cell(spec: NetSpec, pool_window: int = 2, fc1_width: int = 128):
-    """(kernel, depth) when `spec` is a kernel/depth-grid member, else None."""
-    convs, pools, denses = ([spec.layers[i] for i in _indices(spec.layers, kind)]
-                            for kind in ("conv", "maxpool", "dense"))
-    if len(convs) != 1 or len(pools) != 1 or len(denses) != 2:
-        return None
-    if pools[0].window != pool_window or denses[0].out_features != fc1_width:
-        return None
-    return convs[0].kernel, convs[0].out_channels
-
-
+KERNELS = (5, 3, 1)
+DEPTHS = (32, 16, 8, 4, 2)
 _GRID_TAG = re.compile(r"^conv1=(\d+)x\1x(\d+)$")
+# spec id -> (kernel, depth) of the grid template: `optimized` with a 2x2 pool and a KxKxD conv1
+_GRID_IDENTS = {spec_id(apply_knob(apply_knob(optimized_spec(), "pool_window", 2), "conv1", (k, d))): (k, d)
+                for k in KERNELS for d in DEPTHS}
 
 
-def export_curves(results: list[CandidateResult], kernels=(5, 3, 1),
-                  depths=(32, 16, 8, 4, 2)) -> str:
+def export_curves(results: list[CandidateResult]) -> str:
     """Accuracy-vs-depth series, one column per kernel size, as CSV.
 
-    Grid cells come from the conv1 sweep rows (tags `conv1=KxKxD`),
-    median over seeds; when no such tags exist, any result whose spec
-    matches the grid template (single conv, 2x2 pool, 128-wide hidden
-    layer) is used instead.  Missing cells are left blank, never
-    interpolated.
+    A function of the ledger lines alone.  Grid cells come from the conv1
+    sweep rows (tags `conv1=KxKxD`), median over seeds; when no such tags
+    exist, cell (K, D) is the median of the runs whose id is the grid
+    template's: `optimized` with a 2x2 pool and a KxKxD first conv.
+    Missing cells are left blank, never interpolated.
     """
     cells: dict[tuple[int, int], list[float]] = {}
     for r in results:
@@ -551,15 +539,12 @@ def export_curves(results: list[CandidateResult], kernels=(5, 3, 1),
             cells.setdefault((int(m.group(1)), int(m.group(2))), []).append(r.accuracy)
     if not cells:
         for agg in aggregate_results(results):
-            if agg.spec is None:
-                continue
-            cell = _grid_cell(agg.spec)
-            if cell is not None:
-                cells.setdefault(cell, []).append(agg.accuracy)
-    lines = ["depth," + ",".join(f"{k}x{k}" for k in kernels)]
-    for d in depths:
+            if agg.ident in _GRID_IDENTS:
+                cells[_GRID_IDENTS[agg.ident]] = [agg.accuracy]
+    lines = ["depth," + ",".join(f"{k}x{k}" for k in KERNELS)]
+    for d in DEPTHS:
         row = [str(d)]
-        for k in kernels:
+        for k in KERNELS:
             values = cells.get((k, d))
             row.append("" if not values else f"{_median(values):g}")
         lines.append(",".join(row))
@@ -598,9 +583,9 @@ def run_search(plan: SearchPlan, oracle: Oracle, out_dir=None,
     if out_path is not None:
         (out_path / "frontier.csv").write_text(frontier_csv(frontier), encoding="utf-8")
         (out_path / "curves.csv").write_text(curves, encoding="utf-8")
-        if selection.feasible and selection.choice.spec is not None:
+        if selection.feasible:
             selected_path = out_path / "selected.spec"
-            save_spec(selection.choice.spec, selected_path)
+            save_spec(next(c.spec for c in candidates if spec_id(c.spec) == selection.choice.ident), selected_path)
     return SearchOutput(
         results=results,
         selection=selection,

@@ -82,6 +82,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.eval_every < 0:
             raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
         if self.loss_log_every < 0:

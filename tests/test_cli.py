@@ -112,6 +112,7 @@ def test_train_missing_data_dir_lists_files(tmp_path, capsys, monkeypatch):
         ("--eval-every", "-1", "eval_every must be >= 0, got -1"),
         ("--lr", "nan", "learning_rate must be finite, got nan"),
         ("--lr", "inf", "learning_rate must be finite, got inf"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
     ],
 )
 def test_train_config_fault_is_reported_before_data_or_manifest(tmp_path, capsys, flag, value, message):
@@ -130,6 +131,16 @@ def test_search_negative_iterations_is_config_error(tmp_path, capsys):
     assert code == EXIT_SPEC
     assert err.startswith("config error: iterations must be >= 0, got -1")
     assert not (out / "manifest.json").exists()
+
+
+def test_search_negative_seed_is_plan_error_before_data_or_manifest(tmp_path, capsys):
+    # the trained oracle's data directory does not exist: the seeds are checked before any data is read
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "search", "--data-dir", str(tmp_path / "nowhere"), "--seeds=-1",
+                           "--out", str(out))
+    assert code == EXIT_SPEC
+    assert err.startswith("plan error: plan seeds must be >= 0, got -1")
+    assert not out.exists()
 
 
 def test_train_wrong_record_count_is_data_error(tmp_path, capsys):

@@ -14,6 +14,7 @@ from slimnet.mnist import (
     make_splits,
     one_hot,
     one_hot_labels,
+    write_idx_images,
 )
 from slimnet.network import forward
 from tests.conftest import peak_alloc_bytes, pixel_spec, require_mnist
@@ -120,6 +121,20 @@ def test_dimension_mismatch_rejected(tmp_path):
     path.write_bytes(header + arr.tobytes())
     with pytest.raises(IdxFormatError):
         load_idx_images(path)
+
+
+def test_write_idx_images_round_trips_one_channel(tmp_path):
+    img = np.arange(2 * 4 * 4, dtype=np.uint8).reshape(2, 4, 4, 1)
+    write_idx_images(tmp_path / "one.idx", img)
+    assert (tmp_path / "one.idx").read_bytes() == build_image_bytes(img[..., 0])
+
+
+@pytest.mark.parametrize("shape", [(2, 28, 28, 3), (2, 28, 28, 1, 1), (28, 28)],
+                         ids=["three-channels", "five-dims", "two-dims"])
+def test_write_idx_images_rejects_other_shapes(tmp_path, shape):
+    with pytest.raises(ValueError, match=r"\[N, H, W\] or \[N, H, W, 1\]"):
+        write_idx_images(tmp_path / "bad.idx", np.zeros(shape, dtype=np.uint8))
+    assert not (tmp_path / "bad.idx").exists()
 
 
 def test_one_hot_basics():

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from slimnet.netspec import baseline_spec, optimized_3x3_spec, optimized_spec, s
 from slimnet.search import (
     Candidate,
     CandidateResult,
+    RunOutcome,
     SearchError,
     SearchPlan,
     Stage,
@@ -20,6 +22,7 @@ from slimnet.search import (
     enumerate_candidates,
     exhaustive_candidates,
     export_curves,
+    frontier_csv,
     load_ledger,
     run_search,
     run_sweep,
@@ -457,10 +460,88 @@ def test_run_search_infeasible_writes_no_spec(tmp_path):
 
 
 def test_candidate_results_consistent_with_accountant():
-    for r in run_sweep(enumerate_candidates(default_plan()), table_oracle()):
-        report = analyze(r.spec)
+    candidates = enumerate_candidates(default_plan())
+    spec_of = {c.tag: c.spec for c in candidates}
+    for r in run_sweep(candidates, table_oracle()):
+        report = analyze(spec_of[r.tag])
         assert r.params == report.total_params
         assert r.memory == report.total_memory
+
+
+def hashed_oracle(tag, spec, seed):
+    """A deterministic stand-in for training: a 4-decimal accuracy hashed from (tag, seed)."""
+    digest = int(hashlib.sha256(f"{tag}/{seed}".encode()).hexdigest(), 16)
+    return RunOutcome(round(0.9 + (digest % 1000) / 10000, 4), 0.0, False)
+
+
+hashed_oracle.schedule_id = "hashed"
+
+NO_CONV1_PLAN = SearchPlan(
+    base=baseline_spec(),
+    stages=(
+        Stage("drop_conv2", (False, True), True),
+        Stage("fc1_width", (1024, 128, 32), 128),
+        Stage("pool_window", (2, 4), 4),
+    ),
+    extras=(),
+    seeds=(0, 1),
+)
+
+
+@pytest.mark.parametrize(
+    "plan, oracle, exhaustive",
+    [
+        (default_plan(), table_oracle(), False),
+        (default_plan(seeds=(0, 1)), hashed_oracle, True),
+        (NO_CONV1_PLAN, hashed_oracle, False),
+    ],
+    ids=["staged-table", "exhaustive", "no-conv1"],
+)
+def test_every_artifact_is_rebuilt_from_the_ledger_alone(tmp_path, plan, oracle, exhaustive):
+    output = run_search(plan, oracle, out_dir=tmp_path, exhaustive=exhaustive)
+    ledger = load_ledger(tmp_path / "results.ledger")
+    assert ledger == output.results
+    assert export_curves(ledger) == (tmp_path / "curves.csv").read_text() == output.curves_csv
+    assert frontier_csv(build_frontier(ledger)) == (tmp_path / "frontier.csv").read_text()
+    assert select_minimal(ledger, plan.threshold) == output.selection
+
+
+def test_exhaustive_curves_come_from_the_grid_template_ids(tmp_path):
+    output = run_search(default_plan(seeds=(0, 1)), hashed_oracle, out_dir=tmp_path, exhaustive=True)
+    rows = [line.split(",")[1:] for line in output.curves_csv.splitlines()[1:]]
+    assert len(rows) == 5 and all(cell for row in rows for cell in row)
+    # cell (3, 8) is the median over both seeds of the one lattice point with the template's id
+    template = "lattice:drop_conv2=true,fc1_width=128,conv1=3x3x8,pool_window=2"
+    accs = sorted(r.accuracy for r in output.results if r.tag == template)
+    assert rows[2][1] == f"{(accs[0] + accs[1]) / 2:g}"
+
+
+def test_repeated_tag_is_rejected_before_anything_runs(tmp_path):
+    # fc1_width=128 is tagged in stage 1 and again after conv1 has changed the net
+    plan = SearchPlan(
+        base=baseline_spec(),
+        stages=(
+            Stage("fc1_width", (128,), 128),
+            Stage("conv1", ((3, 8),), (3, 8)),
+            Stage("fc1_width", (128,), 128),
+        ),
+        extras=(),
+    )
+    calls = []
+
+    def counting(tag, spec, seed):
+        calls.append(tag)
+        return RunOutcome(0.9, 0.0, False)
+
+    with pytest.raises(SearchError, match="'fc1_width=128'"):
+        run_search(plan, counting, out_dir=tmp_path)
+    assert calls == []
+    assert not (tmp_path / "results.ledger").exists()
+
+
+def test_plan_rejects_a_negative_seed():
+    with pytest.raises(SearchError, match="seeds must be >= 0, got -1"):
+        SearchPlan(base=optimized_spec(), seeds=(0, -1))
 
 
 def test_run_search_with_trained_oracle_end_to_end(synth_data, tmp_path):
