@@ -176,7 +176,6 @@ def cmd_search(args, argv) -> int:
     except SearchError as exc:
         print(f"plan error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    plan.schedule.validate()
 
     resolved = ["search", "--oracle", args.oracle]
     if args.plan:

@@ -40,7 +40,7 @@ class CheckResult:
         return f"{status}  {self.layer:<8} trials={self.trials}  max rel err {self.max_rel_err:.3e}"
 
 
-def numerical_gradient(f, x: np.ndarray, step: float = STEP) -> np.ndarray:
+def numerical_gradient(f, x: np.ndarray) -> np.ndarray:
     """Central finite difference of scalar-valued `f` at `x`, entrywise."""
     x = x.astype(np.float64)
     grad = np.zeros_like(x)
@@ -48,12 +48,12 @@ def numerical_gradient(f, x: np.ndarray, step: float = STEP) -> np.ndarray:
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + STEP
         hi = f(x)
-        flat[i] = orig - step
+        flat[i] = orig - STEP
         lo = f(x)
         flat[i] = orig
-        gflat[i] = (hi - lo) / (2 * step)
+        gflat[i] = (hi - lo) / (2 * STEP)
     return grad
 
 

@@ -322,12 +322,12 @@ def weight_shapes(spec: NetSpec, shapes: list[tuple[int, ...]]) -> list[tuple[in
     return out
 
 
-def validate_classifier(spec: NetSpec, num_classes: int = 10) -> list[tuple[int, ...]]:
-    """Shapes of `spec`, additionally requiring a final dense layer of `num_classes`."""
+def validate_classifier(spec: NetSpec) -> list[tuple[int, ...]]:
+    """Shapes of `spec`, additionally requiring a final dense layer of width 10."""
     shapes = propagate_shapes(spec)
-    if spec.layers[-1].kind != "dense" or shapes[-1] != (num_classes,):
+    if spec.layers[-1].kind != "dense" or shapes[-1] != (10,):
         raise SpecError(
-            f"network must end in a dense layer of width {num_classes}, "
+            "network must end in a dense layer of width 10, "
             f"got '{spec.layers[-1].kind}' with shape {shapes[-1]}",
             layer=len(spec.layers) - 1,
         )
@@ -344,10 +344,10 @@ def spec_id(spec: NetSpec) -> str:
     return "-".join(KINDS[layer.kind].token.format(**vars(layer)) for layer in spec.layers)
 
 
-def parse_spec(text: str, name: str = "") -> NetSpec:
+def parse_spec(text: str) -> NetSpec:
     """Parse the one-layer-per-line format.  Errors carry line numbers."""
     layers: list[LayerSpec] = []
-    spec_name = name
+    spec_name = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

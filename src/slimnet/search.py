@@ -7,6 +7,8 @@ candidate, and finally picks the smallest architecture whose accuracy
 stays at or above a worst-case threshold.  Each stage also records a
 `pick` (the value carried into later stages), so the historical
 procedure is reproducible as data rather than re-derived from results.
+Each knob is one `KNOBS` record: the values it takes, its tag text and
+its layer edit.  A plan checks every field when it is built.
 
 Accuracy comes from a pluggable oracle: `trained_oracle` runs real
 training, `table_oracle` replays the recorded accuracies bundled in
@@ -14,17 +16,17 @@ training, `table_oracle` replays the recorded accuracies bundled in
 milliseconds.
 
 A sweep's result is its ledger, one line per (candidate tag, seed), so a
-repeated tag is an error.  Selection, frontier and curves read only the
-fields a ledger line holds: `load_ledger` rebuilds every artifact.
+repeated tag or seed is an error.  Selection, frontier and curves read only
+the fields a ledger line holds: `load_ledger` rebuilds every artifact.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import re
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -72,30 +74,103 @@ __all__ = [
     "run_search",
 ]
 
-KNOBS = ("drop_conv2", "fc1_width", "conv1", "pool_window")
-
-
 class SearchError(ValueError):
     pass
 
 
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise SearchError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _positive(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise SearchError(f"must be a positive integer, got {value!r}")
+    return value
+
+
+def _kernel_depth(value) -> tuple[int, int]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise SearchError(f"must be a [kernel, depth] pair, got {value!r}")
+    return tuple(map(_positive, value))
+
+
+def _indices(layers, kind: str) -> list[int]:
+    return [i for i, layer in enumerate(layers) if layer.kind == kind]
+
+
+def _drop_conv2(layers: list[LayerSpec], drop: bool) -> list[LayerSpec]:
+    if not drop:
+        return layers
+    conv_idx = _indices(layers, "conv")
+    if len(conv_idx) < 2:
+        raise SearchError("drop_conv2: spec has no second conv layer")
+    i = conv_idx[1]
+    gone = [i, i + 1] if i + 1 in _indices(layers, "maxpool") else [i]
+    return [l for j, l in enumerate(layers) if j not in gone]
+
+
+def _replace_first(kind: str, need: int, missing: str, make, layers: list[LayerSpec], value) -> list[LayerSpec]:
+    """Swap the first `kind` layer for `make(value)`; fewer than `need` such layers raise `missing`."""
+    idx = _indices(layers, kind)
+    if len(idx) < need:
+        raise SearchError(missing)
+    layers[idx[0]] = make(value)
+    return layers
+
+
+class Knob(NamedTuple):
+    """One search knob: the plan values it takes, how a tag writes one, and its layer edit."""
+
+    parse: Callable[[object], object]  # plan value -> held value; SearchError for a value it does not take
+    text: Callable[[object], str]  # held value -> tag text
+    apply: Callable[[list[LayerSpec], object], list[LayerSpec]]  # SearchError when the spec lacks the layer
+
+
+KNOBS: dict[str, Knob] = {
+    "drop_conv2": Knob(_flag, lambda drop: "true" if drop else "false", _drop_conv2),
+    "fc1_width": Knob(_positive, str, partial(
+        _replace_first, "dense", 2, "fc1_width: spec has no hidden dense layer to resize", LayerSpec.dense)),
+    "conv1": Knob(_kernel_depth, lambda kd: f"{kd[0]}x{kd[0]}x{kd[1]}", partial(
+        _replace_first, "conv", 1, "conv1: spec has no conv layer", lambda kd: LayerSpec.conv(*kd))),
+    "pool_window": Knob(_positive, str, partial(
+        _replace_first, "maxpool", 1, "pool_window: spec has no maxpool layer", LayerSpec.maxpool)),
+}
+
+
+def _parse(knob: str, value):
+    """`value` as `knob` holds it; `SearchError` for an unknown knob or a value it does not take."""
+    if not isinstance(knob, str) or knob not in KNOBS:
+        raise SearchError(f"unknown knob '{knob}'; choose from {', '.join(KNOBS)}")
+    try:
+        return KNOBS[knob].parse(value)
+    except SearchError as exc:
+        raise SearchError(f"{knob} value {exc}") from None
+
+
 @dataclass(frozen=True)
 class Stage:
-    """One knob sweep plus the value adopted for the following stages."""
+    """One knob sweep plus the value adopted for the following stages, both parsed by the knob."""
 
     knob: str
     values: tuple
     pick: object
 
     def __post_init__(self):
-        if self.knob not in KNOBS:
-            raise SearchError(f"unknown knob '{self.knob}'; choose from {KNOBS}")
-        if not self.values:
-            raise SearchError(f"stage '{self.knob}' has no candidate values")
+        if not isinstance(self.values, (list, tuple)) or not self.values:
+            raise SearchError(f"stage '{self.knob}' values must be a non-empty list, got {self.values!r}")
+        object.__setattr__(self, "values", tuple(_parse(self.knob, v) for v in self.values))
+        object.__setattr__(self, "pick", _parse(self.knob, self.pick))
+
+    def tag(self, value) -> str:
+        return f"{self.knob}={KNOBS[self.knob].text(value)}"
 
 
 @dataclass(frozen=True)
 class SearchPlan:
+    """A whole search; construction checks every field, so a built plan is a valid one."""
+
     base: NetSpec
     threshold: float = 0.95
     stages: tuple[Stage, ...] = ()
@@ -104,12 +179,22 @@ class SearchPlan:
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self):
+        if isinstance(self.threshold, bool) or not isinstance(self.threshold, (int, float)):
+            raise SearchError(f"plan threshold must be a number, got {self.threshold!r}")
         if not 0.0 < self.threshold <= 1.0:
             raise SearchError(f"threshold must be in (0, 1], got {self.threshold}")
-        if not self.seeds:
+        seeds = self.seeds
+        if not isinstance(seeds, (list, tuple)) or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
+            raise SearchError(f"plan seeds must be a list of integers, got {seeds!r}")
+        if not seeds:
             raise SearchError("plan needs at least one seed")
-        if min(self.seeds) < 0:
-            raise SearchError(f"plan seeds must be >= 0, got {min(self.seeds)}")
+        if min(seeds) < 0:
+            raise SearchError(f"plan seeds must be >= 0, got {min(seeds)}")
+        repeated = [s for s in seeds if seeds.count(s) > 1]
+        if repeated:
+            raise SearchError(f"plan seeds repeat seed {repeated[0]}; each seed runs once per candidate")
+        object.__setattr__(self, "seeds", tuple(seeds))
+        self.schedule.validate()
 
 
 def default_plan(schedule: TrainConfig | None = None, seeds: tuple[int, ...] = (0,),
@@ -126,55 +211,14 @@ def default_plan(schedule: TrainConfig | None = None, seeds: tuple[int, ...] = (
         ),
         extras=(optimized_3x3_spec(),),
         schedule=schedule if schedule is not None else TrainConfig(),
-        seeds=tuple(seeds),
+        seeds=seeds,
     )
 
 
-def _format_value(knob: str, value) -> str:
-    if knob == "drop_conv2":
-        return "true" if value else "false"
-    if knob == "conv1":
-        k, d = value
-        return f"{k}x{k}x{d}"
-    return str(value)
-
-
-def _indices(layers, kind: str) -> list[int]:
-    """Positions of the layers of one kind, in chain order."""
-    return [i for i, layer in enumerate(layers) if layer.kind == kind]
-
-
 def apply_knob(spec: NetSpec, knob: str, value) -> NetSpec:
-    """Return `spec` with one knob changed; raises SearchError if it cannot apply."""
-    layers = list(spec.layers)
-    if knob == "drop_conv2":
-        if not value:
-            return spec
-        conv_idx = _indices(layers, "conv")
-        if len(conv_idx) < 2:
-            raise SearchError("drop_conv2: spec has no second conv layer")
-        i = conv_idx[1]
-        drop = [i, i + 1] if i + 1 in _indices(layers, "maxpool") else [i]
-        layers = [l for j, l in enumerate(layers) if j not in drop]
-    elif knob == "fc1_width":
-        dense_idx = _indices(layers, "dense")
-        if len(dense_idx) < 2:
-            raise SearchError("fc1_width: spec has no hidden dense layer to resize")
-        layers[dense_idx[0]] = LayerSpec.dense(int(value))
-    elif knob == "conv1":
-        conv_idx = _indices(layers, "conv")
-        if not conv_idx:
-            raise SearchError("conv1: spec has no conv layer")
-        k, d = value
-        layers[conv_idx[0]] = LayerSpec.conv(int(k), int(d))
-    elif knob == "pool_window":
-        pool_idx = _indices(layers, "maxpool")
-        if not pool_idx:
-            raise SearchError("pool_window: spec has no maxpool layer")
-        layers[pool_idx[0]] = LayerSpec.maxpool(int(value))
-    else:
-        raise SearchError(f"unknown knob '{knob}'")
-    return NetSpec(spec.name, tuple(layers))
+    """Return `spec` with one knob set; SearchError for a value the knob does not take or a spec it cannot edit."""
+    value = _parse(knob, value)
+    return NetSpec(spec.name, tuple(KNOBS[knob].apply(list(spec.layers), value)))
 
 
 class Candidate(NamedTuple):
@@ -203,7 +247,7 @@ def enumerate_candidates(plan: SearchPlan) -> list[Candidate]:
     current = plan.base
     for stage in plan.stages:
         for value in stage.values:
-            tag = f"{stage.knob}={_format_value(stage.knob, value)}"
+            tag = stage.tag(value)
             try:
                 candidate = apply_knob(current, stage.knob, value)
             except SearchError as exc:
@@ -223,7 +267,7 @@ def exhaustive_candidates(plan: SearchPlan) -> list[Candidate]:
         nxt = []
         for prefix, spec in combos:
             for value in stage.values:
-                piece = f"{stage.knob}={_format_value(stage.knob, value)}"
+                piece = stage.tag(value)
                 tag = f"{prefix},{piece}" if prefix else piece
                 try:
                     nxt.append((tag, apply_knob(spec, stage.knob, value)))
@@ -357,15 +401,17 @@ def run_sweep(candidates: list[Candidate], oracle: Oracle, seeds=(0,),
     interrupted sweep resumes where it stopped.  Only records of the
     oracle's own schedule are reused; a record of another schedule
     raises `SearchError`.  A tag is the ledger key, so two candidates
-    under one tag raise `SearchError` before anything runs.  The
-    returned list always covers all pairs in candidate x seed order
-    regardless of resume state.
+    under one tag, or a seed given twice, raise `SearchError` before
+    anything runs.  The returned list always covers all pairs in
+    candidate x seed order regardless of resume state.
     """
     by_tag: dict[str, NetSpec] = {}
     for c in candidates:
         if c.tag in by_tag:
             raise SearchError(f"two candidates share the tag '{c.tag}'; the ledger could not tell their runs apart")
         by_tag[c.tag] = c.spec
+    if len(set(seeds)) < len(seeds):
+        raise SearchError(f"seeds {tuple(seeds)} repeat a seed; the ledger could not tell its runs apart")
     schedule_id = getattr(oracle, "schedule_id", "unknown")
     done: dict[tuple[str, int], CandidateResult] = {}
     data = b""
@@ -517,7 +563,7 @@ def frontier_csv(frontier: list[FrontierPoint]) -> str:
 
 KERNELS = (5, 3, 1)
 DEPTHS = (32, 16, 8, 4, 2)
-_GRID_TAG = re.compile(r"^conv1=(\d+)x\1x(\d+)$")
+_GRID_TAGS = {f"conv1={KNOBS['conv1'].text((k, d))}": (k, d) for k in KERNELS for d in DEPTHS}
 # spec id -> (kernel, depth) of the grid template: `optimized` with a 2x2 pool and a KxKxD conv1
 _GRID_IDENTS = {spec_id(apply_knob(apply_knob(optimized_spec(), "pool_window", 2), "conv1", (k, d))): (k, d)
                 for k in KERNELS for d in DEPTHS}
@@ -534,9 +580,8 @@ def export_curves(results: list[CandidateResult]) -> str:
     """
     cells: dict[tuple[int, int], list[float]] = {}
     for r in results:
-        m = _GRID_TAG.match(r.tag)
-        if m:
-            cells.setdefault((int(m.group(1)), int(m.group(2))), []).append(r.accuracy)
+        if r.tag in _GRID_TAGS:
+            cells.setdefault(_GRID_TAGS[r.tag], []).append(r.accuracy)
     if not cells:
         for agg in aggregate_results(results):
             if agg.ident in _GRID_IDENTS:
@@ -609,64 +654,46 @@ def _resolve_base(token: str) -> NetSpec:
     )
 
 
-def plan_from_dict(raw: dict, base: NetSpec | None = None) -> SearchPlan:
+def plan_from_dict(raw: dict) -> SearchPlan:
     """Build a plan from parsed JSON; omitted fields fall back to the default plan.
 
-    `base` may also come from the JSON itself: a preset name or inline
-    spec text under the "base" key.  Contents of the wrong type raise
-    `SearchError` naming the field.
+    "base" is a preset name or inline spec text.  An unknown key, or
+    contents of the wrong type, raise `SearchError` naming the field.
     """
     if not isinstance(raw, dict):
         raise SearchError(f"a plan must be a JSON object, got {type(raw).__name__}")
+    keys = ("base", "threshold", "stages", "schedule", "seeds", "include_extras")
+    unknown = [key for key in raw if key not in keys]
+    if unknown:
+        raise SearchError(f"unknown plan field '{unknown[0]}'; a plan holds {', '.join(keys)}")
     defaults = default_plan()
-    if base is not None:
-        spec_base = base
-    elif "base" in raw:
-        if not isinstance(raw["base"], str):
-            raise SearchError(f"plan base must be a string, got {raw['base']!r}")
-        spec_base = _resolve_base(raw["base"])
-    else:
-        spec_base = defaults.base
-    stages = []
+    if "base" in raw and not isinstance(raw["base"], str):
+        raise SearchError(f"plan base must be a string, got {raw['base']!r}")
     raw_stages = raw.get("stages", [s.__dict__ for s in defaults.stages])
     if not isinstance(raw_stages, (list, tuple)):
         raise SearchError(f"plan stages must be a list, got {raw_stages!r}")
+    stages = []
     for item in raw_stages:
-        try:
-            knob = item["knob"]
-            values = item["values"]
-            if knob == "conv1":
-                values = tuple(tuple(v) for v in values)
-                pick = tuple(item["pick"])
-            else:
-                values = tuple(values)
-                pick = item["pick"]
-        except (KeyError, TypeError) as exc:
-            raise SearchError(f"malformed plan stage {item!r}: {exc}") from None
-        stages.append(Stage(knob, values, pick))
+        if not isinstance(item, dict) or item.keys() != {"knob", "values", "pick"}:
+            raise SearchError(f"malformed plan stage {item!r}: a stage holds exactly the keys knob, values, pick")
+        stages.append(Stage(**item))
+    include_extras = raw.get("include_extras", True)
+    if not isinstance(include_extras, bool):
+        raise SearchError(f"plan include_extras must be true or false, got {include_extras!r}")
     try:
         schedule = TrainConfig(**raw.get("schedule", {}))
-        schedule.validate()
     except TypeError as exc:
         raise SearchError(f"malformed plan schedule: {exc}") from None
-    try:
-        threshold = float(raw.get("threshold", defaults.threshold))
-    except (TypeError, ValueError):
-        raise SearchError(f"plan threshold must be a number, got {raw['threshold']!r}") from None
-    seeds = raw.get("seeds", defaults.seeds)
-    if not isinstance(seeds, (list, tuple)) or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
-        raise SearchError(f"plan seeds must be a list of integers, got {seeds!r}")
-    extras = defaults.extras if raw.get("include_extras", True) else ()
     return SearchPlan(
-        base=spec_base,
-        threshold=threshold,
+        base=_resolve_base(raw["base"]) if "base" in raw else defaults.base,
+        threshold=raw.get("threshold", defaults.threshold),
         stages=tuple(stages),
-        extras=extras,
+        extras=defaults.extras if include_extras else (),
         schedule=schedule,
-        seeds=tuple(seeds),
+        seeds=raw.get("seeds", defaults.seeds),
     )
 
 
-def load_plan(path, base: NetSpec | None = None) -> SearchPlan:
+def load_plan(path) -> SearchPlan:
     with open(path, "r", encoding="utf-8") as f:
-        return plan_from_dict(json.load(f), base=base)
+        return plan_from_dict(json.load(f))

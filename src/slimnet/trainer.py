@@ -69,25 +69,23 @@ class TrainConfig:
     loss_log_every: int = 1  # 0: no loss trace
 
     def validate(self, train_size: int | None = None):
-        """Raise `ConfigError` for a field out of range.
+        """Raise `ConfigError` for a field of the wrong type (a bool is no number) or out of range.
 
         With `train_size`, the training split's length, a run of any
         iterations also needs one minibatch to fit in it.
         """
+        if isinstance(self.learning_rate, bool) or not isinstance(self.learning_rate, (int, float)):
+            raise ConfigError(f"learning_rate must be a real number, got {self.learning_rate!r}")
         if not math.isfinite(self.learning_rate):
             raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.iterations < 0:
-            raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.eval_every < 0:
-            raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
-        if self.loss_log_every < 0:
-            raise ConfigError(f"loss_log_every must be >= 0, got {self.loss_log_every}")
+        for name, least in (("batch_size", 1), ("iterations", 0), ("seed", 0), ("eval_every", 0), ("loss_log_every", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
         if train_size is not None and self.iterations and self.batch_size > train_size:
             raise ConfigError(f"batch_size {self.batch_size} exceeds dataset size {train_size}")
 

@@ -330,9 +330,16 @@ def test_search_invalid_plan_json_is_plan_error(tmp_path, capsys):
         ('{"seeds": "12"}', "plan seeds must be a list of integers, got '12'"),
         ('{"seeds": [1.9]}', "plan seeds must be a list of integers, got [1.9]"),
         ('{"seeds": [true]}', "plan seeds must be a list of integers, got [True]"),
+        ('{"stages": [{"knob": "drop_conv2", "values": ["false"], "pick": true}], "include_extras": false}',
+         "drop_conv2 value must be true or false, got 'false'"),
+        ('{"stages": [{"knob": "fc1_width", "values": ["abc"], "pick": 128}]}',
+         "fc1_width value must be a positive integer, got 'abc'"),
+        ('{"threshhold": 0.99}', "unknown plan field 'threshhold'"),
+        ('{"include_extras": "false"}', "plan include_extras must be true or false, got 'false'"),
     ],
     ids=["list", "seeds-int", "threshold-null", "stages-int", "base-int", "schedule-removed-field",
-         "seeds-string", "seeds-float", "seeds-bool"],
+         "seeds-string", "seeds-float", "seeds-bool", "drop-conv2-string", "width-string",
+         "unknown-field", "include-extras-string"],
 )
 def test_search_malformed_plan_is_plan_error(tmp_path, capsys, contents, message):
     bad = tmp_path / "plan.json"
@@ -342,6 +349,33 @@ def test_search_malformed_plan_is_plan_error(tmp_path, capsys, contents, message
     assert code == EXIT_SPEC
     assert err.startswith(f"plan error: {message}")
     assert not (out / "manifest.json").exists()
+
+
+def test_search_repeated_seed_is_plan_error_before_data_or_manifest(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "search", "--data-dir", str(tmp_path / "nowhere"), "--seeds", "0,0",
+                           "--out", str(out))
+    assert code == EXIT_SPEC
+    assert err.startswith("plan error: plan seeds repeat seed 0")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "schedule, message",
+    [
+        ({"batch_size": 2.5}, "batch_size must be an integer, got 2.5"),
+        ({"iterations": True}, "iterations must be an integer, got True"),
+        ({"learning_rate": "0.001"}, "learning_rate must be a real number, got '0.001'"),
+    ],
+)
+def test_search_plan_schedule_of_the_wrong_type_is_config_error(tmp_path, capsys, schedule, message):
+    bad = tmp_path / "plan.json"
+    bad.write_text(json.dumps({"schedule": schedule}))
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "search", "--plan", str(bad), "--oracle", "table", "--out", str(out))
+    assert code == EXIT_SPEC
+    assert err.startswith(f"config error: {message}")
+    assert not out.exists()
 
 
 def test_train_batch_larger_than_training_split_is_config_error(synth_data_dir, tmp_path, capsys):

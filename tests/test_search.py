@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import re
 from dataclasses import replace
 
 import pytest
@@ -24,13 +25,14 @@ from slimnet.search import (
     export_curves,
     frontier_csv,
     load_ledger,
+    plan_from_dict,
     run_search,
     run_sweep,
     select_minimal,
     table_oracle,
     trained_oracle,
 )
-from slimnet.trainer import TrainConfig
+from slimnet.trainer import ConfigError, TrainConfig
 
 
 def synthetic_result(ident, params, accuracy, memory=None, tag=None, seed=0):
@@ -160,6 +162,79 @@ def test_plan_from_dict_malformed_inputs():
             plan_from_dict({"schedule": schedule})
     with pytest.raises(SearchError, match="unknown knob"):
         plan_from_dict({"stages": [{"knob": "alpha", "values": [1], "pick": 1}]})
+
+
+@pytest.mark.parametrize(
+    "knob, value",
+    [
+        ("drop_conv2", "false"),
+        ("drop_conv2", 1),
+        ("fc1_width", 128.9),
+        ("fc1_width", True),
+        ("fc1_width", "abc"),
+        ("fc1_width", 0),
+        ("pool_window", 2.0),
+        ("conv1", [5, 2.7]),
+        ("conv1", [5]),
+        ("conv1", 5),
+    ],
+)
+def test_plan_refuses_a_stage_value_its_knob_does_not_take(knob, value):
+    good = {"drop_conv2": False, "fc1_width": 128, "pool_window": 2, "conv1": [5, 2]}[knob]
+    for values, pick in (([good, value], good), ([good], value)):
+        with pytest.raises(SearchError, match=f"^{knob} value must be .*, got "):
+            plan_from_dict({"stages": [{"knob": knob, "values": values, "pick": pick}]})
+
+
+def test_stage_holds_parsed_values():
+    stage = Stage("conv1", [[5, 2], (3, 8)], [1, 4])
+    assert stage.values == ((5, 2), (3, 8)) and stage.pick == (1, 4)
+    assert [stage.tag(v) for v in stage.values] == ["conv1=5x5x2", "conv1=3x3x8"]
+    assert Stage("drop_conv2", (False, True), True).tag(True) == "drop_conv2=true"
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"threshhold": 0.99}, "unknown plan field 'threshhold'"),
+        ({"stages": [{"knob": "fc1_width", "values": [128], "pick": 128, "picks": 64}]}, "malformed plan stage"),
+        ({"stages": [["fc1_width", [128], 128]]}, "malformed plan stage"),
+        ({"include_extras": "false"}, "plan include_extras must be true or false, got 'false'"),
+        ({"include_extras": 0}, "plan include_extras must be true or false, got 0"),
+        ({"threshold": "0.99"}, "plan threshold must be a number, got '0.99'"),
+        ({"threshold": True}, "plan threshold must be a number, got True"),
+        ({"threshold": 0}, r"threshold must be in \(0, 1\], got 0"),
+        ({"seeds": [3, 1, 3]}, "plan seeds repeat seed 3"),
+        ({"stages": [{"knob": ["conv1"], "values": [[5, 2]], "pick": [5, 2]}]}, "unknown knob"),
+        ({"stages": [{"knob": "fc1_width", "values": "128", "pick": 128}]}, "stage 'fc1_width' values must be a non-empty list"),
+    ],
+    ids=["misspelt-field", "stage-extra-key", "stage-list", "include-extras-string", "include-extras-int",
+         "threshold-string", "threshold-bool", "threshold-zero", "repeated-seed", "knob-list", "values-string"],
+)
+def test_plan_from_dict_refuses_unknown_fields_and_wrong_types(raw, message):
+    with pytest.raises(SearchError, match=message):
+        plan_from_dict(raw)
+
+
+def test_plan_from_dict_keeps_include_extras_and_threshold():
+    assert plan_from_dict({"include_extras": False}).extras == ()
+    assert plan_from_dict({"include_extras": True}).extras == default_plan().extras
+    plan = plan_from_dict({"threshold": 1, "seeds": [2, 0]})
+    assert (plan.threshold, plan.seeds) == (1, (2, 0))
+
+
+# digests of the "{tag} {spec_id}\n" lines of the default plan's candidates
+CANDIDATE_DIGESTS = {
+    "enumerate": "72c3cdc4aaf01f071d991969b6e537578fe24448c60e49e35bc161817d515549",
+    "exhaustive": "ee718931f894248aa783d3154646e1d7b24e2da6f1759ceba8d3454f27d53cc0",
+}
+
+
+@pytest.mark.parametrize("name, enumerate_fn", [("enumerate", enumerate_candidates),
+                                                  ("exhaustive", exhaustive_candidates)])
+def test_default_plan_candidate_tags_and_ids_pinned(name, enumerate_fn):
+    text = "".join(f"{c.tag} {spec_id(c.spec)}\n" for c in enumerate_fn(default_plan()))
+    assert hashlib.sha256(text.encode()).hexdigest() == CANDIDATE_DIGESTS[name]
 
 
 # --- sweeping -------------------------------------------------------------------
@@ -542,6 +617,30 @@ def test_repeated_tag_is_rejected_before_anything_runs(tmp_path):
 def test_plan_rejects_a_negative_seed():
     with pytest.raises(SearchError, match="seeds must be >= 0, got -1"):
         SearchPlan(base=optimized_spec(), seeds=(0, -1))
+
+
+def test_repeated_seed_is_rejected_before_anything_runs(tmp_path):
+    with pytest.raises(SearchError, match="plan seeds repeat seed 0"):
+        default_plan(seeds=(0, 0))
+    calls = []
+
+    def counting(tag, spec, seed):
+        calls.append(tag)
+        return RunOutcome(0.9, 0.0, False)
+
+    candidates = enumerate_candidates(default_plan())
+    with pytest.raises(SearchError, match=re.escape("seeds (0, 1, 0) repeat a seed")):
+        run_sweep(candidates, counting, seeds=(0, 1, 0), ledger_path=tmp_path / "results.ledger")
+    assert calls == []
+    assert not (tmp_path / "results.ledger").exists()
+
+
+def test_plan_checks_its_schedule():
+    plan = default_plan()
+    with pytest.raises(ConfigError, match="iterations must be >= 0"):
+        replace(plan, schedule=replace(plan.schedule, iterations=-1))
+    with pytest.raises(ConfigError, match="batch_size must be an integer, got 2.5"):
+        default_plan(schedule=TrainConfig(batch_size=2.5))
 
 
 def test_run_search_with_trained_oracle_end_to_end(synth_data, tmp_path):

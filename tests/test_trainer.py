@@ -112,10 +112,17 @@ def test_schedule_id_names_every_field_that_changes_a_trained_result():
         {"iterations": -1},
         {"learning_rate": float("nan")},
         {"learning_rate": float("inf")},
+        {"batch_size": 2.5},
+        {"iterations": True},
+        {"seed": 1.0},
+        {"eval_every": "1"},
+        {"loss_log_every": None},
+        {"learning_rate": "0.001"},
+        {"learning_rate": True},
     ],
 )
 def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         TrainConfig(**kwargs).validate()
 
 
