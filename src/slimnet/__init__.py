@@ -33,7 +33,7 @@ from .search import (
     table_oracle,
     trained_oracle,
 )
-from .mnist import DataSplits, load_data_dir, load_idx_images, load_idx_labels, make_splits, one_hot
+from .mnist import DataSplits, load_data_dir, load_idx_images, load_idx_labels, make_splits
 
 __all__ = [
     "__version__",
@@ -47,5 +47,4 @@ __all__ = [
     "run_sweep", "run_search", "select_minimal", "build_frontier", "export_curves",
     "table_oracle", "trained_oracle",
     "DataSplits", "load_data_dir", "load_idx_images", "load_idx_labels", "make_splits",
-    "one_hot",
 ]

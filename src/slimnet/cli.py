@@ -160,9 +160,9 @@ def cmd_search(args, argv) -> int:
     overrides = {}
     if args.threshold is not None:
         overrides["threshold"] = args.threshold
-    if args.seeds is not None:
-        overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
     try:
+        if args.seeds is not None:  # an item that is no integer stays text, for the plan to refuse
+            overrides["seeds"] = tuple(int(s) if s.removeprefix("-").isdecimal() else s for s in args.seeds.split(","))
         plan = load_plan(args.plan) if args.plan else default_plan()
         if args.iterations is not None:
             overrides["schedule"] = replace(plan.schedule, iterations=args.iterations)

@@ -1,13 +1,13 @@
-"""MNIST-style IDX ingestion, one-hot encoding, and the canonical splits.
+"""MNIST-style IDX ingestion and the canonical splits.
 
 The IDX container is big-endian: a 32-bit magic (2051 for image files,
 2049 for label files), one 32-bit extent per dimension, then the raw
 unsigned-byte payload in row-major order.  Gzipped files are accepted
-transparently.  `load_data_dir` keeps the pixels as the uint8 bytes it
-read; `network.forward` reads a uint8 batch as pixel / 255, the same
-float64 values `load_idx_images` returns.  The 60,000-record training
-file is split 55,000 / 5,000 (validation = the last 5,000, a documented
-deterministic choice) and the test file supplies the remaining 10,000.
+transparently.  A split holds the uint8 pixels and class indices (0..9)
+as the files hold them; `network.forward` reads pixels as pixel / 255.
+The 60,000-record training file is split 55,000 / 5,000 (validation =
+the last 5,000, a documented deterministic choice) and the test file
+supplies the remaining 10,000.
 
 Nothing here touches the network: obtain the four canonical files from
 any MNIST mirror and point the loaders at the directory holding them.
@@ -33,8 +33,6 @@ __all__ = [
     "CANONICAL_FILES",
     "load_idx_images",
     "load_idx_labels",
-    "one_hot",
-    "one_hot_labels",
     "make_splits",
     "load_data_dir",
     "write_idx_images",
@@ -66,7 +64,7 @@ class MissingDataError(FileNotFoundError):
 
 class Dataset(NamedTuple):
     images: np.ndarray  # [N, 28, 28, 1] uint8 pixels (float64 in [0, 1] is also accepted)
-    labels: np.ndarray  # [N, 10] one-hot float64
+    labels: np.ndarray  # [N] uint8 class indices 0..9 (any integer dtype is also accepted)
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,7 @@ def _read_header(f, path, expected_magic: int, rank: int) -> tuple[int, ...]:
     return tuple(extents)
 
 
-def _read_idx_pixels(path) -> np.ndarray:
+def load_idx_images(path) -> np.ndarray:
     """Read an IDX image file into a read-only uint8 `[N, H, W, 1]` view of its payload."""
     with _open_maybe_gzip(path) as f:
         n, h, w = _read_header(f, path, IMAGE_MAGIC, rank=3)
@@ -114,42 +112,17 @@ def _read_idx_pixels(path) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(n, h, w, 1)
 
 
-def load_idx_images(path, normalize: bool = True) -> np.ndarray:
-    """Read an IDX image file into float64 `[N, H, W, 1]`, scaled into [0, 1]."""
-    raw = _read_idx_pixels(path)
-    # One float64 allocation; the quotient is the same as astype(float64) / 255.0.
-    return np.divide(raw, 255.0, dtype=np.float64) if normalize else raw.astype(np.float64)
-
-
 def load_idx_labels(path) -> np.ndarray:
-    """Read an IDX label file into an integer `[N]` array."""
+    """Read an IDX label file into a read-only uint8 `[N]` view of its payload."""
     with _open_maybe_gzip(path) as f:
         (n,) = _read_header(f, path, LABEL_MAGIC, rank=1)
         payload = f.read(n + 1)
     if len(payload) != n:
         raise IdxFormatError(f"{path}: payload holds {len(payload)} bytes, header promises {n}")
-    labels = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+    labels = np.frombuffer(payload, dtype=np.uint8)
     if labels.size and labels.max() > 9:
         raise IdxFormatError(f"{path}: label {labels.max()} out of range 0..9")
     return labels
-
-
-def one_hot(label: int) -> np.ndarray:
-    """Length-10 vector with a single 1 at `label`."""
-    if not 0 <= label <= 9:
-        raise ValueError(f"label must be in 0..9, got {label}")
-    vec = np.zeros(10, dtype=np.float64)
-    vec[label] = 1.0
-    return vec
-
-
-def one_hot_labels(labels: np.ndarray) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() > 9):
-        raise ValueError("labels must lie in 0..9")
-    out = np.zeros((len(labels), 10), dtype=np.float64)
-    out[np.arange(len(labels)), labels] = 1.0
-    return out
 
 
 def make_splits(train_images, train_labels, test_images, test_labels) -> DataSplits:
@@ -157,9 +130,10 @@ def make_splits(train_images, train_labels, test_images, test_labels) -> DataSpl
 
     Slicing is positional and deterministic: records 0..54,999 of the
     training file become the training split, the final 5,000 the
-    validation split.  Wrong record counts and labels outside 0..9 raise
-    `IdxFormatError`: they are faults of the data files.
+    validation split.  Wrong record counts and labels that are not `[N]`
+    integers within 0..9 raise `IdxFormatError`: they are faults of the data files.
     """
+    train_labels, test_labels = np.asarray(train_labels), np.asarray(test_labels)
     if len(train_images) != TRAIN_SIZE + VALIDATION_SIZE:
         raise IdxFormatError(f"expected {TRAIN_SIZE + VALIDATION_SIZE} training records, got {len(train_images)}")
     if len(test_images) != TEST_SIZE:
@@ -167,12 +141,13 @@ def make_splits(train_images, train_labels, test_images, test_labels) -> DataSpl
     if len(train_labels) != len(train_images) or len(test_labels) != len(test_images):
         raise IdxFormatError("image/label record counts disagree")
     for split, labels in (("training", train_labels), ("test", test_labels)):
-        labels = np.asarray(labels)
+        if labels.ndim != 1 or labels.dtype.kind not in "iu":
+            raise IdxFormatError(f"{split} labels must be a 1-D integer array, got {labels.dtype} {labels.shape}")
         if labels.size and (labels.min() < 0 or labels.max() > 9):
             raise IdxFormatError(f"{split} labels span {labels.min()}..{labels.max()}, outside 0..9")
-    train = Dataset(train_images[:TRAIN_SIZE], one_hot_labels(train_labels[:TRAIN_SIZE]))
-    validation = Dataset(train_images[TRAIN_SIZE:], one_hot_labels(train_labels[TRAIN_SIZE:]))
-    test = Dataset(test_images, one_hot_labels(test_labels))
+    train = Dataset(train_images[:TRAIN_SIZE], train_labels[:TRAIN_SIZE])
+    validation = Dataset(train_images[TRAIN_SIZE:], train_labels[TRAIN_SIZE:])
+    test = Dataset(test_images, test_labels)
     return DataSplits(train=train, validation=validation, test=test)
 
 
@@ -186,8 +161,8 @@ def _resolve(directory: Path, stem: str) -> Path | None:
 def load_data_dir(data_dir) -> DataSplits:
     """Load the four canonical MNIST files (optionally gzipped) from a directory.
 
-    Images stay the uint8 bytes read from disk, 1 byte a pixel where a
-    float64 copy would take 8.
+    Images and labels stay the uint8 bytes read from disk, 1 byte a pixel
+    or label where a float64 copy would take 8.
     """
     directory = Path(data_dir)
     paths = {}
@@ -203,9 +178,9 @@ def load_data_dir(data_dir) -> DataSplits:
             "Provide the canonical MNIST IDX files (gzipped or plain) under those names."
         )
     return make_splits(
-        _read_idx_pixels(paths["train_images"]),
+        load_idx_images(paths["train_images"]),
         load_idx_labels(paths["train_labels"]),
-        _read_idx_pixels(paths["test_images"]),
+        load_idx_images(paths["test_images"]),
         load_idx_labels(paths["test_labels"]),
     )
 
@@ -224,9 +199,10 @@ def write_idx_images(path, images: np.ndarray) -> None:
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
+    """Write a non-empty `[N]` integer array of class indices 0..9 as an IDX file."""
     arr = np.asarray(labels)
-    if arr.min() < 0 or arr.max() > 255:
-        raise ValueError("labels out of byte range")
+    if arr.ndim != 1 or not arr.size or arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() > 9:
+        raise ValueError(f"labels must be a non-empty [N] integer array within 0..9, got {arr.dtype} {arr.shape}")
     with open(path, "wb") as f:
         f.write(struct.pack(">ii", LABEL_MAGIC, len(arr)))
         f.write(arr.astype(np.uint8).tobytes())

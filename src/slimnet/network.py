@@ -59,9 +59,9 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = Fa
             dropout_rng: np.random.Generator | None = None, keep_caches: bool = True):
     """Run the chain on a `[N,28,28,C]` batch; returns (logits, caches).
 
-    `x` is either uint8 pixels, read as `np.divide(x, 255.0, dtype=float64)`
-    (bit for bit the values `mnist.load_idx_images` returns), or floating
-    point activations, used as float64.  Any other integer dtype raises
+    `x` is either uint8 pixels, as `mnist.load_idx_images` returns them,
+    read as `np.divide(x, 255.0, dtype=float64)`, or floating point
+    activations, used as float64.  Any other integer dtype raises
     `TypeError` rather than reach the net unscaled.
 
     `caches` holds everything `backward` needs.  ReLU overwrites the conv

@@ -307,29 +307,26 @@ def dropout_backward(grad_out, mask, keep_prob: float) -> np.ndarray:
     return g
 
 
-def _check_one_hot(labels: np.ndarray):
-    ok = np.all(np.logical_or(labels == 0.0, labels == 1.0)) and np.all(
-        labels.sum(axis=-1) == 1.0
-    )
-    if not ok:
-        raise ValueError("softmax_xent: label is not one-hot (need exactly one 1, rest 0)")
-
-
-def softmax_xent(logits, one_hot_label):
+def softmax_xent(logits, labels):
     """Softmax cross-entropy loss and its gradient w.r.t. the logits.
 
-    For an `[N, C]` batch returns the mean loss and `(softmax - labels) / N`,
-    so the gradient is exactly that of the returned scalar.  Stabilized by
-    max subtraction.
+    For `[N, C]` logits and `[N]` integer class indices returns the mean
+    loss and `(softmax - onehot(labels)) / N`, so the gradient is exactly
+    that of the returned scalar.  Stabilized by max subtraction.  Labels
+    that are not `[N]` integers raise `ShapeError`, an index outside 0..C-1 `ValueError`.
     """
     z = _rank(_as_f64(logits), 2, "softmax_xent")
-    y = _as_f64(one_hot_label)
-    if z.shape != y.shape:
-        raise ShapeError(f"softmax_xent: logits shape {z.shape} != label shape {y.shape}")
-    _check_one_hot(y)
+    y = np.asarray(labels)
+    if y.shape != z.shape[:1] or y.dtype.kind not in "iu":
+        raise ShapeError(f"softmax_xent: labels must be {z.shape[:1]} integer class indices, got {y.dtype} {y.shape}")
+    if y.size and (y.min() < 0 or y.max() >= z.shape[1]):
+        raise ValueError(f"softmax_xent: labels span {y.min()}..{y.max()}, outside 0..{z.shape[1] - 1}")
+    rows = np.arange(len(y))
     zs = z - z.max(axis=-1, keepdims=True)
     ez = np.exp(zs)
-    p = ez / ez.sum(axis=-1, keepdims=True)
-    logp = zs - np.log(ez.sum(axis=-1, keepdims=True))
-    losses = -(y * logp).sum(axis=-1)
-    return float(losses.mean()), (p - y) / z.shape[0]
+    total = ez.sum(axis=-1, keepdims=True)
+    p = ez / total
+    losses = -(zs[rows, y] - np.log(total[:, 0]))
+    p[rows, y] -= 1.0
+    p /= z.shape[0]
+    return float(losses.mean()), p

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mnist import CANONICAL_FILES, Dataset, DataSplits, one_hot_labels, write_idx_images, write_idx_labels
+from .mnist import CANONICAL_FILES, Dataset, DataSplits, write_idx_images, write_idx_labels
 from .rng import substream
 
 __all__ = ["synthetic_corpus", "synthetic_splits", "write_synthetic_data_dir"]
@@ -63,10 +63,10 @@ def _render(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def synthetic_corpus(n_train: int = 60000, n_test: int = 10000, seed: int = 0):
-    """(train_images u8 [N,28,28], train_labels, test_images, test_labels)."""
+    """(train_images u8 [N,28,28], train_labels u8 [N], test_images, test_labels)."""
     label_rng = substream(seed, "synth-labels")
-    train_labels = label_rng.integers(0, 10, size=n_train)
-    test_labels = label_rng.integers(0, 10, size=n_test)
+    train_labels = label_rng.integers(0, 10, size=n_train).astype(np.uint8)
+    test_labels = label_rng.integers(0, 10, size=n_test).astype(np.uint8)
     train_images = _render(train_labels, substream(seed, "synth-train"))
     test_images = _render(test_labels, substream(seed, "synth-test"))
     return train_images, train_labels, test_images, test_labels
@@ -74,18 +74,18 @@ def synthetic_corpus(n_train: int = 60000, n_test: int = 10000, seed: int = 0):
 
 def synthetic_splits(n_train: int = 2000, n_validation: int = 500, n_test: int = 1000,
                      seed: int = 0) -> DataSplits:
-    """Desk-scale ready-to-train splits: uint8 `[N,28,28,1]` pixels, one-hot labels.
+    """Desk-scale ready-to-train splits: uint8 `[N,28,28,1]` pixels, uint8 `[N]` labels.
 
-    The pixels are held as `mnist.load_data_dir` holds them; `network.forward`
-    reads them as pixel / 255.
+    The splits are held as `mnist.load_data_dir` holds them; `network.forward`
+    reads the pixels as pixel / 255.
     """
     ti, tl, vi2, vl2 = synthetic_corpus(n_train + n_validation, n_test, seed)
     images = ti[..., None]
     test_images = vi2[..., None]
     return DataSplits(
-        train=Dataset(images[:n_train], one_hot_labels(tl[:n_train])),
-        validation=Dataset(images[n_train:], one_hot_labels(tl[n_train:])),
-        test=Dataset(test_images, one_hot_labels(vl2)),
+        train=Dataset(images[:n_train], tl[:n_train]),
+        validation=Dataset(images[n_train:], tl[n_train:]),
+        test=Dataset(test_images, vl2),
     )
 
 

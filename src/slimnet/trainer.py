@@ -41,6 +41,7 @@ __all__ = [
 # four operands and the two scratch arrays (768 KiB) stay in L2.  On
 # dropped-conv2's 6.4M parameters, blocks of 4096 or 262144 were 10-25% slower.
 _ADAM_BLOCK = 16384
+_EVAL_BATCH = 1000  # images per forward pass of `evaluate`
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -207,22 +208,22 @@ class _MinibatchSampler:
         return idx
 
 
-def evaluate(spec: NetSpec, params: Params, images: np.ndarray, labels: np.ndarray,
-             *, batch_size: int = 1000) -> float:
+def evaluate(spec: NetSpec, params: Params, images: np.ndarray, labels: np.ndarray) -> float:
     """Argmax classification accuracy with dropout disabled.
 
-    `labels` may be one-hot `[N,10]` or integer `[N]`.  Consumes no RNG,
-    never mutates `params` or `images`, and keeps no backward state.
-    Raises `ValueError` for zero images, which have no accuracy.
+    `labels` holds `[N]` class indices; any other shape raises
+    `ValueError`, as do zero images, which have no accuracy.  Consumes no
+    RNG, never mutates `params` or `images`, and keeps no backward state.
     """
     if not len(images):
         raise ValueError("evaluate: no images to score")
-    truth = labels.argmax(axis=1) if labels.ndim == 2 else labels
+    if labels.shape != (len(images),):
+        raise ValueError(f"evaluate: labels must be one class index per image, got {labels.shape}")
     hits = 0
-    for start in range(0, len(images), batch_size):
-        xb = images[start : start + batch_size]
+    for start in range(0, len(images), _EVAL_BATCH):
+        xb = images[start : start + _EVAL_BATCH]
         logits, _ = forward(spec, params, xb, training=False, keep_caches=False)
-        hits += int((logits.argmax(axis=1) == truth[start : start + len(xb)]).sum())
+        hits += int((logits.argmax(axis=1) == labels[start : start + len(xb)]).sum())
     return hits / len(images)
 
 
@@ -230,16 +231,19 @@ def train(spec: NetSpec, data, config: TrainConfig) -> TrainResult:
     """Run the full loop and score the test split.
 
     `data` needs `.train`, `.validation` and `.test` splits of
-    `(images, labels)` with images shaped `[N, H, W, C]` matching the
-    spec's input layer.  Returns the result with the trained parameters
-    and optimizer state attached.  An empty test split, or an empty
-    validation split that `eval_every` would score, raises `ValueError`
-    before the first step.
+    `(images, labels)`: images `[N, H, W, C]` matching the spec's input
+    layer, labels `[N]` class indices.  Returns the result with the
+    trained parameters and optimizer state attached.  Labels of another
+    shape, an empty test split, or an empty validation split that
+    `eval_every` would score raise `ValueError` before the first step.
     """
     config.validate(len(data.train.images))
-    for split, scored in (("test", True), ("validation", 0 < config.eval_every <= config.iterations)):
-        if scored and not len(getattr(data, split).images):
+    for split, scored in (("train", False), ("test", True), ("validation", 0 < config.eval_every <= config.iterations)):
+        images, labels = getattr(data, split)
+        if scored and not len(images):
             raise ValueError(f"the {split} split is empty: it has no accuracy to score")
+        if labels.shape != (len(images),):
+            raise ValueError(f"the {split} split: labels must be one class index per image, got {labels.shape}")
     shapes = validate_classifier(spec)
     sample_shape = tuple(data.train.images.shape[1:])
     if sample_shape != shapes[0]:

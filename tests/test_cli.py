@@ -351,6 +351,16 @@ def test_search_malformed_plan_is_plan_error(tmp_path, capsys, contents, message
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("seeds, got", [("0,x", "(0, 'x')"), ("", "('',)")], ids=["letter", "empty"])
+def test_search_malformed_seed_list_is_plan_error_before_data_or_manifest(tmp_path, capsys, seeds, got):
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "search", "--data-dir", str(tmp_path / "nowhere"), "--seeds", seeds,
+                           "--out", str(out))
+    assert code == EXIT_SPEC
+    assert err.startswith(f"plan error: plan seeds must be a list of integers, got {got}")
+    assert not out.exists()
+
+
 def test_search_repeated_seed_is_plan_error_before_data_or_manifest(tmp_path, capsys):
     out = tmp_path / "out"
     code, _, err = run_cli(capsys, "search", "--data-dir", str(tmp_path / "nowhere"), "--seeds", "0,0",

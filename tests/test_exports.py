@@ -18,3 +18,10 @@ def test_every_exported_name_resolves(module):
 def test_the_package_exports_one_parameter_record():
     assert slimnet.Params is slimnet.ops.Params
     assert not {"ConvParams", "DenseParams"} & set(slimnet.__all__)
+
+
+def test_no_module_exports_a_one_hot_encoder():
+    # a split holds class indices, as the IDX label files do
+    for name in ("one_hot", "one_hot_labels"):
+        assert not hasattr(slimnet, name)
+        assert not hasattr(slimnet.mnist, name)

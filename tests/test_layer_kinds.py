@@ -92,7 +92,7 @@ def test_network_runs_the_record_with_exact_gradients(spec):
         p.bias *= 4
     assert params.keys() == {"conv1", "fc1"}
     x = substream(4, "x").uniform(0.05, 1.0, size=(2, 8, 8, 1))
-    labels = np.eye(10)[[3, 7]]
+    labels = np.array([3, 7])
     logits, caches = forward(spec, params, x, training=True, dropout_rng=substream(3, "dropout"))
     pooled = caches[1]["relu"].reshape(2, 4, 2, 4, 2, 2).mean(axis=(2, 4))
     assert np.array_equal(caches[4]["x"], pooled.reshape(2, -1))

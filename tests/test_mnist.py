@@ -12,9 +12,8 @@ from slimnet.mnist import (
     load_idx_images,
     load_idx_labels,
     make_splits,
-    one_hot,
-    one_hot_labels,
     write_idx_images,
+    write_idx_labels,
 )
 from slimnet.network import forward
 from tests.conftest import peak_alloc_bytes, pixel_spec, require_mnist
@@ -33,6 +32,11 @@ def build_label_bytes(labels, magic=2049):
     return struct.pack(">ii", magic, len(arr)) + arr.tobytes()
 
 
+def _decode(images):
+    """The pixels as they enter the network: `network.forward` on a net with no layer but the flatten."""
+    return forward(pixel_spec(), {}, images)[0].reshape(images.shape)
+
+
 def test_single_pixel_255_loads_as_one(tmp_path):
     img = np.zeros((1, 28, 28), dtype=np.uint8)
     img[0, 3, 4] = 255
@@ -40,23 +44,17 @@ def test_single_pixel_255_loads_as_one(tmp_path):
     path.write_bytes(build_image_bytes(img))
     loaded = load_idx_images(path)
     assert loaded.shape == (1, 28, 28, 1)
-    assert loaded[0, 3, 4, 0] == 1.0
-    assert loaded.min() == 0.0
-
-
-def test_normalization_optional(tmp_path):
-    img = np.full((2, 4, 4), 51, dtype=np.uint8)
-    path = tmp_path / "n.idx"
-    path.write_bytes(build_image_bytes(img))
-    assert load_idx_images(path).max() == pytest.approx(51 / 255)
-    assert load_idx_images(path, normalize=False).max() == 51.0
+    assert loaded.dtype == np.uint8 and not loaded.flags.writeable
+    decoded = _decode(loaded)
+    assert decoded[0, 3, 4, 0] == 1.0
+    assert decoded.min() == 0.0
 
 
 def test_gzip_transparent(tmp_path):
     img = np.arange(16, dtype=np.uint8).reshape(1, 4, 4)
     path = tmp_path / "img.idx.gz"
     path.write_bytes(gzip.compress(build_image_bytes(img)))
-    loaded = load_idx_images(path, normalize=False)
+    loaded = load_idx_images(path)
     np.testing.assert_array_equal(loaded[0, :, :, 0], img[0])
 
 
@@ -68,11 +66,11 @@ def _write_images(path, images, compress):
 
 @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
 def test_decode_is_the_two_step_quotient_bitwise(tmp_path, compress):
-    img = (np.arange(40 * 8 * 8) % 256).astype(np.uint8).reshape(40, 8, 8)  # every byte value
+    img = (np.arange(40 * 28 * 28) % 256).astype(np.uint8).reshape(40, 28, 28)  # every byte value
     path = _write_images(tmp_path / "img.idx", img, compress)
-    as_float = img.reshape(40, 8, 8, 1).astype(np.float64)
-    assert load_idx_images(path).tobytes() == (as_float / 255.0).tobytes()
-    assert load_idx_images(path, normalize=False).tobytes() == as_float.tobytes()
+    as_float = img.reshape(40, 28, 28, 1).astype(np.float64)
+    assert load_idx_images(path).tobytes() == img.tobytes()
+    assert _decode(load_idx_images(path)).tobytes() == (as_float / 255.0).tobytes()
 
 
 @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
@@ -82,16 +80,15 @@ def test_decode_allocates_one_float64_copy(tmp_path, compress):
     payload = img.nbytes
     # One float64 copy is 8 bytes a pixel; a second one (astype, then a
     # fresh quotient) would need 16.
-    assert peak_alloc_bytes(lambda: load_idx_images(path)) <= 1.25 * 8 * payload + payload
+    assert peak_alloc_bytes(lambda: _decode(load_idx_images(path))) <= 1.25 * 8 * payload + payload
 
 
-def test_labels_load_and_one_hot(tmp_path):
+def test_labels_load_as_the_uint8_indices_of_the_file(tmp_path):
     path = tmp_path / "labels.idx"
     path.write_bytes(build_label_bytes([7, 0, 9]))
     labels = load_idx_labels(path)
     np.testing.assert_array_equal(labels, [7, 0, 9])
-    encoded = one_hot_labels(labels)
-    assert encoded[0, 7] == 1.0 and encoded[0].sum() == 1.0
+    assert labels.dtype == np.uint8 and labels.shape == (3,)
 
 
 def test_wrong_magic_rejected(tmp_path):
@@ -137,15 +134,15 @@ def test_write_idx_images_rejects_other_shapes(tmp_path, shape):
     assert not (tmp_path / "bad.idx").exists()
 
 
-def test_one_hot_basics():
-    np.testing.assert_array_equal(one_hot(0), np.eye(10)[0])
-    np.testing.assert_array_equal(one_hot(9), np.eye(10)[9])
-    for label in range(10):
-        assert one_hot(label).sum() == 1.0
-    with pytest.raises(ValueError):
-        one_hot(10)
-    with pytest.raises(ValueError):
-        one_hot(-1)
+@pytest.mark.parametrize(
+    "labels",
+    [np.eye(10)[[1, 2, 3]], np.array([0.0, 3.7]), np.array([12]), np.array([], dtype=np.uint8)],
+    ids=["one-hot", "float", "index-12", "empty"],
+)
+def test_write_idx_labels_refuses_what_its_reader_refuses(tmp_path, labels):
+    with pytest.raises(ValueError, match=r"non-empty \[N\] integer array within 0..9"):
+        write_idx_labels(tmp_path / "bad.idx", labels)
+    assert not (tmp_path / "bad.idx").exists()
 
 
 # --- splits -------------------------------------------------------------------
@@ -172,8 +169,8 @@ def test_make_splits_sizes_and_order():
     np.testing.assert_array_equal(
         np.concatenate([splits.train.images, splits.validation.images]), ti
     )
-    assert splits.train.labels.shape == (55000, 10)
-    np.testing.assert_array_equal(splits.train.labels.sum(axis=1), np.ones(55000))
+    np.testing.assert_array_equal(splits.train.labels, tl[:55000])
+    np.testing.assert_array_equal(splits.validation.labels, tl[55000:])
 
 
 def test_make_splits_rejects_wrong_sizes():
@@ -198,6 +195,16 @@ def test_make_splits_rejects_out_of_range_labels(bad):
         make_splits(ti, tl, xi, xl)
 
 
+@pytest.mark.parametrize("kind", ["float", "one-hot"])
+def test_make_splits_rejects_labels_that_are_not_class_indices(kind):
+    ti, tl, xi, xl = _fake_corpus()
+    bad = {"float": lambda y: y.astype(np.float64), "one-hot": lambda y: np.eye(10)[y]}[kind]
+    with pytest.raises(IdxFormatError, match="training labels must be a 1-D integer array"):
+        make_splits(ti, bad(tl), xi, xl)
+    with pytest.raises(IdxFormatError, match="test labels must be a 1-D integer array"):
+        make_splits(ti, tl, xi, bad(xl))
+
+
 def test_load_data_dir_lists_missing_files(tmp_path):
     with pytest.raises(MissingDataError, match="train-images-idx3-ubyte"):
         load_data_dir(tmp_path)
@@ -206,7 +213,8 @@ def test_load_data_dir_lists_missing_files(tmp_path):
 def test_load_data_dir_round_trips_synthetic(synth_data_dir):
     splits = load_data_dir(synth_data_dir)
     assert splits.train.images.shape == (55000, 28, 28, 1)
-    assert splits.test.labels.shape == (10000, 10)
+    assert splits.test.labels.shape == (10000,)
+    assert splits.train.labels.dtype == splits.test.labels.dtype == np.uint8
     assert splits.train.images.dtype == np.uint8
     # the pixels enter the network scaled into [0, 1]
     decoded, _ = forward(pixel_spec(), {}, splits.train.images[:1000], keep_caches=False)
@@ -221,9 +229,9 @@ def test_load_data_dir_holds_the_payload_bytes_without_a_float_copy(synth_data_d
     payload = (60000 + 10000) * 28 * 28
     for split in (splits.train, splits.validation, splits.test):
         assert split.images.dtype == np.uint8
-    # the labels (int64, then one-hot float64) add 88 bytes a record, about 0.11x
+    # the labels add 1 byte a record
     assert peak <= 1.25 * payload
-    raw = load_idx_images(synth_data_dir / CANONICAL_FILES["test_images"], normalize=False)
+    raw = load_idx_images(synth_data_dir / CANONICAL_FILES["test_images"])
     np.testing.assert_array_equal(splits.test.images, raw)
 
 

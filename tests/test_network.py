@@ -104,7 +104,7 @@ def test_backward_stops_at_first_weights_with_identical_gradients(spec):
     params = init_params(spec, substream(7, "init"))
     x = tie_heavy_batch(6, seed=4)
     logits, caches = forward(spec, params, x, training=True, dropout_rng=substream(7, "dropout"))
-    _, g = ops.softmax_xent(logits, np.eye(10)[np.arange(6)])
+    _, g = ops.softmax_xent(logits, np.arange(6))
     g_before = g.copy()
     grads = backward(spec, params, caches, g)
     assert g.tobytes() == g_before.tobytes()  # the caller's grad_logits is not written
@@ -180,7 +180,7 @@ def test_relu_backward_runs_in_place_on_the_chain_gradient(monkeypatch):
     params = init_params(spec, substream(10, "init"))
     logits, caches = forward(spec, params, tie_heavy_batch(4, seed=10), training=True,
                              dropout_rng=substream(10, "dropout"))
-    _, g = ops.softmax_xent(logits, np.eye(10)[np.arange(4)])
+    _, g = ops.softmax_xent(logits, np.arange(4))
     expected = backward(spec, params, caches, g.copy())
     calls = []
     real = ops.relu_backward
@@ -229,7 +229,7 @@ def test_a_training_step_builds_each_im2col_once(path, monkeypatch):
                              dropout_rng=substream(14, "dropout"))
     convs = sum(layer.kind == "conv" for layer in spec.layers)
     assert len(built) == convs
-    backward(spec, params, caches, ops.softmax_xent(logits, np.eye(10)[:3])[1])
+    backward(spec, params, caches, ops.softmax_xent(logits, np.arange(3))[1])
     assert len(built) == convs
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from slimnet import trainer
 from slimnet.container import load_checkpoint, save_checkpoint
-from slimnet.mnist import Dataset, DataSplits, one_hot_labels
+from slimnet.mnist import Dataset, DataSplits
 from slimnet.netspec import LayerSpec, NetSpec, baseline_spec, dropped_conv2_spec, load_spec, optimized_spec
 from slimnet.network import backward, forward, param_arrays
 from slimnet.ops import Params, softmax_xent
@@ -51,7 +51,7 @@ def tiny_data(n_train=120, n_test=60, seed=0):
     rng = np.random.default_rng(seed)
 
     def split(n):
-        return Dataset(rng.uniform(size=(n, 8, 8, 1)), one_hot_labels(rng.integers(0, 10, n)))
+        return Dataset(rng.uniform(size=(n, 8, 8, 1)), rng.integers(0, 10, n))
 
     return DataSplits(train=split(n_train), validation=split(30), test=split(n_test))
 
@@ -548,7 +548,7 @@ def test_train_on_uint8_pixels_matches_its_float64_twin(tmp_path):
         rng = np.random.default_rng(seed)
         pixels = rng.integers(0, 256, size=(n, 8, 8, 1), dtype=np.uint8)
         pixels[0, 0, :2, 0] = 0, 255
-        labels = one_hot_labels(rng.integers(0, 10, n))
+        labels = rng.integers(0, 10, n)
         u8[name] = Dataset(pixels, labels)
         f64[name] = Dataset(np.divide(pixels, 255.0, dtype=np.float64), labels)
     cfg = TrainConfig(iterations=8, batch_size=10, seed=4, eval_every=3, loss_log_every=2)
@@ -644,14 +644,15 @@ def test_evaluate_is_side_effect_free(synth_data):
     np.testing.assert_array_equal(images, synth_data.test.images[:100])
 
 
-def test_evaluate_short_last_batch_matches_caching_forward(synth_data):
+def test_evaluate_short_last_batch_matches_caching_forward(synth_data, monkeypatch):
     spec = optimized_spec()
     params = init_params(spec, TrainConfig(), substream(11, "init"))
     images = synth_data.test.images[:20]
     preds = np.concatenate([forward(spec, params, images[s : s + 7])[0].argmax(axis=1) for s in range(0, 20, 7)])
     labels = preds.copy()
     labels[[0, 9, 19]] = (labels[[0, 9, 19]] + 1) % 10  # one miss per batch of 7, 7, 6
-    assert evaluate(spec, params, images, labels, batch_size=7) == 17 / 20
+    monkeypatch.setattr(trainer, "_EVAL_BATCH", 7)
+    assert evaluate(spec, params, images, labels) == 17 / 20
 
 
 def test_evaluate_holds_no_batch_sized_im2col(synth_data):
@@ -668,7 +669,7 @@ def test_evaluate_deterministic_and_chance_level():
     spec = optimized_spec()
     params = init_params(spec, TrainConfig(), substream(13, "init"))
     images = rng.uniform(size=(10000, 28, 28, 1))
-    labels = one_hot_labels(rng.permutation(np.repeat(np.arange(10), 1000)))
+    labels = rng.permutation(np.repeat(np.arange(10), 1000))
     acc1 = evaluate(spec, params, images, labels)
     acc2 = evaluate(spec, params, images, labels)
     assert acc1 == acc2
@@ -680,5 +681,27 @@ def test_evaluate_single_sample():
     params = init_params(spec, TrainConfig(), substream(17, "init"))
     x = np.random.default_rng(5).uniform(size=(1, 8, 8, 1))
     logits, _ = forward(spec, params, x)
-    label = one_hot_labels(np.array([int(logits.argmax())]))
+    label = np.array([int(logits.argmax())])
     assert evaluate(spec, params, x, label) == 1.0
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_evaluate_refuses_one_hot_labels(n):
+    # with 10 images, argmax == one-hot would broadcast (10,) against (10, 10) and score a number
+    spec = tiny_spec()
+    params = init_params(spec, TrainConfig(), substream(17, "init"))
+    x = np.random.default_rng(5).uniform(size=(n, 8, 8, 1))
+    with pytest.raises(ValueError, match="evaluate: labels must be one class index per image"):
+        evaluate(spec, params, x, np.eye(10)[np.arange(n) % 10])
+
+
+@pytest.mark.parametrize("split", ["train", "validation", "test"])
+def test_train_refuses_one_hot_labels_before_the_first_step(split, monkeypatch):
+    steps = []
+    monkeypatch.setattr(trainer, "adam_step", lambda *args: steps.append(args))
+    data = tiny_data()
+    part = getattr(data, split)
+    data = dataclasses.replace(data, **{split: Dataset(part.images, np.eye(10)[part.labels])})
+    with pytest.raises(ValueError, match=f"the {split} split: labels must be one class index per image"):
+        train(tiny_spec(), data, TrainConfig(iterations=4, batch_size=10, eval_every=2))
+    assert steps == []
