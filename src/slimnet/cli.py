@@ -7,7 +7,8 @@ be reproduced byte for byte.
 
 Exit codes: 0 success, 2 spec/parse problem, a training setting out of
 range ("config error") or a plan file that cannot be read, parsed or
-turned into a plan ("plan error"), 3 missing or malformed data,
+turned into a plan, or a ledger of another schedule to resume ("plan
+error"), 3 missing or malformed data,
 4 training divergence, 5 infeasible search threshold, 1 any other
 failure (including gradcheck mismatches).
 """
@@ -28,12 +29,14 @@ from .container import save_checkpoint
 from .golden import GOLDEN_LEDGERS, check_against_golden, display_ratio
 from .gradcheck import LAYERS, run_suite
 from .mnist import MissingDataError, IdxFormatError, load_data_dir
-from .netspec import PRESETS, NetSpec, SpecError, load_spec
+from .netspec import PRESETS, NetSpec, SpecError, load_spec, number_text
 from .ops import ShapeError
 from .search import (
+    LEDGER_FILE,
     SearchError,
     default_plan,
     load_plan,
+    resume_ledger,
     run_search,
     table_oracle,
     trained_oracle,
@@ -58,13 +61,29 @@ def _resolve_spec(token: str) -> NetSpec:
     return load_spec(token)
 
 
-def _write_manifest(out_dir: Path, command: str, argv: list[str]) -> None:
+def manifest_argv(args: argparse.Namespace) -> list[str]:
+    """The argv that parses back to `args`: command, `spec`, then `--<dest> value` per option, a flag bare.
+
+    `None` and `False` are left out by identity, which keeps `--seed 0`."""
+    values = dict(vars(args))
+    argv = [values.pop("command")]
+    if "spec" in values:
+        argv.append(values.pop("spec"))
+    for dest, value in values.items():
+        if value is not None and value is not False:
+            flag = f"--{dest.replace('_', '-')}"
+            argv += [flag] if value is True else [flag, number_text(value)]
+    return argv
+
+
+def _write_manifest(args: argparse.Namespace) -> None:
     manifest = {
         "artifact_version": __version__,
-        "command": command,
-        "argv": argv,
+        "command": args.command,
+        "argv": manifest_argv(args),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2)
@@ -87,7 +106,7 @@ def _data_dir_or_fail(value: str | None) -> Path:
 # --- subcommands ---------------------------------------------------------------
 
 
-def cmd_analyze(args, argv) -> int:
+def cmd_analyze(args) -> int:
     spec = _resolve_spec(args.spec)
     report = analyze(spec, args.convention.replace("-", "_"))
     print(report.render())
@@ -118,7 +137,7 @@ def cmd_analyze(args, argv) -> int:
     return EXIT_OK
 
 
-def cmd_train(args, argv) -> int:
+def cmd_train(args) -> int:
     spec = _resolve_spec(args.spec)
     config = TrainConfig(
         learning_rate=args.lr,
@@ -128,17 +147,11 @@ def cmd_train(args, argv) -> int:
         eval_every=args.eval_every,
     )
     config.validate()
-    data_dir = _data_dir_or_fail(args.data_dir)
-    data = load_data_dir(data_dir)
+    args.data_dir = _data_dir_or_fail(args.data_dir)
+    data = load_data_dir(args.data_dir)
     config.validate(len(data.train.images))
     out_dir = Path(args.out)
-    resolved = [
-        "train", args.spec, "--data-dir", str(data_dir),
-        "--iterations", str(args.iterations), "--batch", str(args.batch),
-        "--lr", f"{args.lr:g}", "--seed", str(args.seed),
-        "--eval-every", str(args.eval_every), "--out", str(out_dir),
-    ]
-    _write_manifest(out_dir, "train", resolved)
+    _write_manifest(args)
     result = train(spec, data, config)
     save_checkpoint(out_dir / "checkpoint.bin", result.params, result.adam_state, result.iterations_run)
     metrics = {
@@ -156,7 +169,7 @@ def cmd_train(args, argv) -> int:
     return EXIT_OK
 
 
-def cmd_search(args, argv) -> int:
+def cmd_search(args) -> int:
     overrides = {}
     if args.threshold is not None:
         overrides["threshold"] = args.threshold
@@ -173,30 +186,16 @@ def cmd_search(args, argv) -> int:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"plan error: cannot parse plan file '{args.plan}': {exc}", file=sys.stderr)
         return EXIT_SPEC
-    except SearchError as exc:
-        print(f"plan error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
 
-    resolved = ["search", "--oracle", args.oracle]
-    if args.plan:
-        resolved += ["--plan", args.plan]
     if args.oracle == "table":
         oracle = table_oracle()
     else:
-        data_dir = _data_dir_or_fail(args.data_dir)
-        data = load_data_dir(data_dir)
-        oracle = trained_oracle(data, plan.schedule)
-        resolved += ["--data-dir", str(data_dir)]
-    resolved += ["--threshold", f"{plan.threshold:g}", "--seeds", ",".join(str(s) for s in plan.seeds)]
-    if args.iterations is not None:
-        resolved += ["--iterations", str(args.iterations)]
-    if args.exhaustive:
-        resolved += ["--exhaustive"]
-
-    out_dir = Path(args.out)
-    resolved += ["--out", str(out_dir)]
-    _write_manifest(out_dir, "search", resolved)
-    output = run_search(plan, oracle, out_dir=out_dir, exhaustive=args.exhaustive)
+        args.data_dir = _data_dir_or_fail(args.data_dir)
+        oracle = trained_oracle(load_data_dir(args.data_dir), plan.schedule)
+    resume_ledger(Path(args.out) / LEDGER_FILE, oracle.schedule_id)  # refuses another schedule's ledger
+    args.threshold, args.seeds = plan.threshold, ",".join(map(str, plan.seeds))
+    _write_manifest(args)
+    output = run_search(plan, oracle, out_dir=args.out, exhaustive=args.exhaustive)
     print(f"swept {len(output.results)} runs; ledger at {output.ledger_path}")
     print(f"frontier points: {len(output.frontier)} (frontier.csv, curves.csv written)")
     print(output.selection.describe())
@@ -206,7 +205,7 @@ def cmd_search(args, argv) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(args, argv) -> int:
+def cmd_gradcheck(args) -> int:
     layers = args.layers.split(",") if args.layers else None
     if layers:
         unknown = set(layers) - set(LAYERS)
@@ -285,8 +284,7 @@ COMMANDS = {
 
 
 def _replay(argv: list[str]) -> int:
-    manifest_path = argv[0]
-    rest = argv[1:]
+    manifest_path, *rest = argv
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
@@ -295,19 +293,9 @@ def _replay(argv: list[str]) -> int:
         print(f"cannot replay manifest {manifest_path}: {exc}", file=sys.stderr)
         return EXIT_FAIL
     if rest[:1] == ["--out"] and len(rest) >= 2:
-        stored = _override_out(stored, rest[1])
+        stored += rest[:2]  # argparse keeps the last --out
     print(f"replaying: slimnet {' '.join(stored)}")
     return main(stored)
-
-
-def _override_out(argv: list[str], new_out: str) -> list[str]:
-    out = list(argv)
-    if "--out" in out:
-        i = out.index("--out")
-        out[i + 1] = new_out
-    else:
-        out += ["--out", new_out]
-    return out
 
 
 def main(argv=None) -> int:
@@ -320,7 +308,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args, argv)
+        return COMMANDS[args.command](args)
     except (MissingDataError, IdxFormatError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -330,7 +318,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    except (SpecError, ShapeError, SearchError, ValueError) as exc:
+    except SearchError as exc:
+        print(f"plan error: {exc}", file=sys.stderr)
+        return EXIT_SPEC
+    except (SpecError, ShapeError, ValueError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
 

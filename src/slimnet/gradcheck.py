@@ -93,11 +93,13 @@ def _check_affine(forward, backward, x, p: ops.Params, probe, fault: bool) -> fl
     gx, gw, gb = backward(x, p, probe)
     if fault:
         gw = -gw
-    worst = max_rel_err(gx, numerical_gradient(lambda v: _weighted_sum(forward(v, p), probe), x.copy()))
-    worst = max(worst, max_rel_err(gw, numerical_gradient(
-        lambda v: _weighted_sum(forward(x, ops.Params(v, p.bias)), probe), p.weights.copy())))
-    return max(worst, max_rel_err(gb, numerical_gradient(
-        lambda v: _weighted_sum(forward(x, ops.Params(p.weights, v)), probe), p.bias.copy())))
+    return float(np.max([  # NaN-propagating, where Python's `max` may skip a NaN
+        max_rel_err(gx, numerical_gradient(lambda v: _weighted_sum(forward(v, p), probe), x.copy())),
+        max_rel_err(gw, numerical_gradient(
+            lambda v: _weighted_sum(forward(x, ops.Params(v, p.bias)), probe), p.weights.copy())),
+        max_rel_err(gb, numerical_gradient(
+            lambda v: _weighted_sum(forward(x, ops.Params(p.weights, v)), probe), p.bias.copy())),
+    ]))
 
 
 def _check_conv(rng, fault: bool) -> float:
@@ -182,9 +184,7 @@ def check_layer(layer: str, trials: int = 20, seed: int = 0, fault: bool = False
     if layer not in LAYERS:
         raise ValueError(f"unknown layer '{layer}'; choose from {sorted(LAYERS)}")
     rng = substream(seed, f"gradcheck-{layer}")
-    worst = 0.0
-    for _ in range(trials):
-        worst = max(worst, LAYERS[layer](rng, fault))
+    worst = float(np.max([LAYERS[layer](rng, fault) for _ in range(trials)], initial=0.0))  # NaN-propagating
     return CheckResult(layer=layer, trials=trials, max_rel_err=worst, ok=worst <= TOLERANCE)
 
 

@@ -186,10 +186,10 @@ def load_data_dir(data_dir) -> DataSplits:
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
-    """Write `[N, H, W]` or `[N, H, W, 1]` uint8 images as an IDX file."""
+    """Write non-empty `[N, H, W]` or `[N, H, W, 1]` uint8 images as an IDX file."""
     arr = np.asarray(images)
-    if arr.ndim < 3 or arr.shape[3:] not in ((), (1,)):
-        raise ValueError(f"images must be [N, H, W] or [N, H, W, 1], got shape {arr.shape}")
+    if arr.ndim < 3 or arr.shape[3:] not in ((), (1,)) or not arr.size:
+        raise ValueError(f"images must be a non-empty [N, H, W] or [N, H, W, 1] array, got shape {arr.shape}")
     arr = arr.reshape(arr.shape[:3])
     if arr.dtype != np.uint8:
         raise ValueError(f"images must be uint8, got {arr.dtype}")

@@ -41,6 +41,7 @@ __all__ = [
     "parse_spec",
     "serialize_spec",
     "spec_id",
+    "number_text",
     "baseline_spec",
     "dropped_conv2_spec",
     "optimized_spec",
@@ -279,7 +280,7 @@ KINDS: dict[str, LayerKind] = {
         make_params=lambda w, b: ops.Params(w.reshape(-1, w.shape[-1]), b),
     ),
     "dropout": LayerKind(
-        (("keep", "keep_prob", float),), "do{keep_prob:g}", "Dropout", "dropout", False, _dropout_shape,
+        (("keep", "keep_prob", float),), "do{keep_prob}", "Dropout", "dropout", False, _dropout_shape,
         _dropout_forward, _dropout_backward, view=True,
     ),
 }
@@ -339,9 +340,18 @@ def validate_classifier(spec: NetSpec) -> list[tuple[int, ...]]:
 _TYPE_NAME = {int: "an integer", float: "a number"}
 
 
+def number_text(value) -> str:
+    """`str(value)`, but a float as `g` text when that reads back exactly, else as `repr`: no two share a text."""
+    if not isinstance(value, float):
+        return str(value)
+    text = format(value, "g")
+    return text if float(text) == value else repr(float(value))  # a numpy float's repr names its type
+
+
 def spec_id(spec: NetSpec) -> str:
     """Stable, human-readable identifier derived solely from the layers."""
-    return "-".join(KINDS[layer.kind].token.format(**vars(layer)) for layer in spec.layers)
+    return "-".join(KINDS[layer.kind].token.format(**{k: number_text(v) for k, v in vars(layer).items()})
+                    for layer in spec.layers)
 
 
 def parse_spec(text: str) -> NetSpec:
@@ -383,8 +393,7 @@ def parse_spec(text: str) -> NetSpec:
 def serialize_spec(spec: NetSpec) -> str:
     lines = [f"name: {spec.name}"] if spec.name else []
     for layer in spec.layers:
-        fields = [f"{key}={format(getattr(layer, attr), 'g' if typ is float else '')}"
-                  for key, attr, typ in KINDS[layer.kind].fields]
+        fields = [f"{key}={number_text(getattr(layer, attr))}" for key, attr, _ in KINDS[layer.kind].fields]
         lines.append(" ".join([layer.kind, *fields]))
     return "\n".join(lines) + "\n"
 

@@ -16,12 +16,13 @@ training, `table_oracle` replays the recorded accuracies bundled in
 milliseconds.
 
 A sweep's result is its ledger, one line per (candidate tag, seed), so a
-repeated tag or seed is an error.  Selection, frontier and curves read only
-the fields a ledger line holds: `load_ledger` rebuilds every artifact.
+repeated tag or seed is an error.  `run_sweep` returns the parse of those
+lines, and `load_ledger` the same records, so it rebuilds every artifact.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import time
@@ -337,6 +338,7 @@ class CandidateResult:
     diverged: bool
 
 
+LEDGER_FILE = "results.ledger"  # the ledger's name in a search's output directory
 # a ledger line is these `key=value` tokens in order: (key, CandidateResult field, text format, parser)
 _LEDGER_FIELDS = (
     ("tag", "tag", "{}", str),
@@ -355,22 +357,22 @@ def _ledger_line(r: CandidateResult) -> str:
     return " ".join(f"{key}={fmt.format(getattr(r, name))}" for key, name, fmt, _ in _LEDGER_FIELDS)
 
 
-def _parse_ledger_line(raw: bytes, lineno: int) -> CandidateResult:
+def _parse_ledger_line(raw: bytes, where) -> CandidateResult:
     try:
         tokens = dict(token.partition("=")[::2] for token in raw.decode("utf-8").split())
         return CandidateResult(**{name: parse(tokens[key]) for key, name, _, parse in _LEDGER_FIELDS})
     except KeyError as exc:
-        raise SearchError(f"malformed ledger line {lineno} (missing {exc}): {raw!r}") from None
+        raise SearchError(f"malformed ledger line {where} (missing {exc}): {raw!r}") from None
     except ValueError as exc:
-        raise SearchError(f"malformed ledger line {lineno} ({exc}): {raw!r}") from None
+        raise SearchError(f"malformed ledger line {where} ({exc}): {raw!r}") from None
 
 
-def _read_ledger(data: bytes) -> tuple[list[CandidateResult], int]:
-    """The records in a ledger's bytes, and how many of those bytes hold them.
+def _read_ledger(data: bytes) -> tuple[list[CandidateResult], bytes]:
+    """The records in a ledger's bytes, and the leading bytes that hold them.
 
     A crash in the middle of a write leaves an unterminated final line.
     When that line does not parse it is dropped with a warning and the
-    byte count stops before it; any other malformed line raises
+    kept bytes stop before it; any other malformed line raises
     `SearchError` naming its line number.
     """
     *lines, tail = data.split(b"\n")
@@ -379,31 +381,45 @@ def _read_ledger(data: bytes) -> tuple[list[CandidateResult], int]:
         for lineno, line in enumerate(lines, start=1)
         if line.strip() and not line.lstrip().startswith(b"#")
     ]
-    if not tail.strip():
-        return records, len(data)
-    try:
-        records.append(_parse_ledger_line(tail, len(lines) + 1))
-    except SearchError as exc:
-        logger.warning("dropping the unterminated last ledger line left by an interrupted write: %s", exc)
-        return records, len(data) - len(tail)
-    return records, len(data)
+    if tail.strip():
+        try:
+            records.append(_parse_ledger_line(tail, len(lines) + 1))
+        except SearchError as exc:
+            logger.warning("dropping the unterminated last ledger line left by an interrupted write: %s", exc)
+            return records, data[: len(data) - len(tail)]
+    return records, data
 
 
 def load_ledger(path) -> list[CandidateResult]:
     return _read_ledger(Path(path).read_bytes())[0]
 
 
+def resume_ledger(path, schedule_id: str) -> tuple[list[CandidateResult], bytes]:
+    """The records a sweep of `schedule_id` resumes from the ledger at `path` (if any), and the bytes holding them.
+
+    A record of another schedule raises `SearchError`.
+    """
+    records, kept = _read_ledger(Path(path).read_bytes() if path is not None and Path(path).exists() else b"")
+    for rec in records:
+        if rec.schedule_id != schedule_id:
+            raise SearchError(
+                f"ledger {path} holds tag {rec.tag} seed {rec.seed} under schedule "
+                f"{rec.schedule_id}, but this sweep runs schedule {schedule_id}"
+            )
+    return records, kept
+
+
 def run_sweep(candidates: list[Candidate], oracle: Oracle, seeds=(0,),
               ledger_path=None) -> list[CandidateResult]:
     """Run every (candidate, seed) pair not already in the ledger.
 
-    New records are appended to `ledger_path` as they finish, so an
-    interrupted sweep resumes where it stopped.  Only records of the
-    oracle's own schedule are reused; a record of another schedule
-    raises `SearchError`.  A tag is the ledger key, so two candidates
-    under one tag, or a seed given twice, raise `SearchError` before
-    anything runs.  The returned list always covers all pairs in
-    candidate x seed order regardless of resume state.
+    New records are appended to `ledger_path` (or to memory) as they
+    finish, so an interrupted sweep resumes where it stopped, and each is
+    the parse of its line, so a fresh sweep, its resume and `load_ledger`
+    return the same records.  See `resume_ledger` for what is reused.  A
+    tag is the ledger key, so two candidates under one tag, or a seed
+    given twice, raise `SearchError` before anything runs.  The returned
+    list always covers all pairs in candidate x seed order.
     """
     by_tag: dict[str, NetSpec] = {}
     for c in candidates:
@@ -413,32 +429,20 @@ def run_sweep(candidates: list[Candidate], oracle: Oracle, seeds=(0,),
     if len(set(seeds)) < len(seeds):
         raise SearchError(f"seeds {tuple(seeds)} repeat a seed; the ledger could not tell its runs apart")
     schedule_id = getattr(oracle, "schedule_id", "unknown")
-    done: dict[tuple[str, int], CandidateResult] = {}
-    data = b""
-    if ledger_path is not None and Path(ledger_path).exists():
-        data = Path(ledger_path).read_bytes()
-    records, kept = _read_ledger(data)
-    for rec in records:
-        if rec.schedule_id != schedule_id:
-            raise SearchError(
-                f"ledger {ledger_path} holds tag {rec.tag} seed {rec.seed} under schedule "
-                f"{rec.schedule_id}, but this sweep runs schedule {schedule_id}"
-            )
-        done[(rec.tag, rec.seed)] = rec
+    records, kept = resume_ledger(ledger_path, schedule_id)
+    done = {(rec.tag, rec.seed): rec for rec in records}
 
     accounts = {tag: analyze(spec) for tag, spec in by_tag.items()}
     pending = [(c.tag, seed) for c in candidates for seed in seeds if (c.tag, seed) not in done]
 
-    ledger_file = open(ledger_path, "a", encoding="utf-8") if ledger_path is not None else None
-    try:
-        if ledger_file:
-            ledger_file.truncate(kept)  # drops a partial last line
-            if kept and data[kept - 1 : kept] != b"\n":
-                ledger_file.write("\n")  # ends a last line that parsed but lost its newline
+    with open(ledger_path, "a", encoding="utf-8") if ledger_path is not None else io.StringIO() as ledger:
+        ledger.truncate(len(kept))  # drops a partial last line
+        if kept and not kept.endswith(b"\n"):
+            ledger.write("\n")  # ends a last line that parsed but lost its newline
         for tag, seed in pending:
             outcome = oracle(tag, by_tag[tag], seed)
             report = accounts[tag]
-            rec = CandidateResult(
+            line = _ledger_line(CandidateResult(
                 tag=tag,
                 ident=report.spec_ident,
                 params=report.total_params,
@@ -448,14 +452,10 @@ def run_sweep(candidates: list[Candidate], oracle: Oracle, seeds=(0,),
                 schedule_id=schedule_id,
                 wall_time=outcome.wall_time,
                 diverged=outcome.diverged,
-            )
-            done[(tag, seed)] = rec
-            if ledger_file:
-                ledger_file.write(_ledger_line(rec) + "\n")
-                ledger_file.flush()
-    finally:
-        if ledger_file:
-            ledger_file.close()
+            ))
+            done[(tag, seed)] = _parse_ledger_line(line.encode("utf-8"), f"for {tag} seed {seed}")
+            ledger.write(line + "\n")
+            ledger.flush()
 
     return [done[(c.tag, seed)] for c in candidates for seed in seeds]
 
@@ -616,10 +616,9 @@ def run_search(plan: SearchPlan, oracle: Oracle, out_dir=None,
     if not candidates:
         raise SearchError("plan produced no valid candidates")
     out_path = Path(out_dir) if out_dir is not None else None
-    ledger_path = None
+    ledger_path = out_path / LEDGER_FILE if out_path is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-        ledger_path = out_path / "results.ledger"
     results = run_sweep(candidates, oracle, seeds=plan.seeds, ledger_path=ledger_path)
     selection = select_minimal(results, plan.threshold)
     frontier = build_frontier(results)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netspec import NetSpec, validate_classifier
+from .netspec import NetSpec, number_text, validate_classifier
 from .network import Params, backward, forward, init_params as _init_net_params, param_arrays
 from .ops import softmax_xent
 from .rng import substream
@@ -91,7 +91,7 @@ class TrainConfig:
             raise ConfigError(f"batch_size {self.batch_size} exceeds dataset size {train_size}")
 
     def schedule_id(self) -> str:
-        return f"it{self.iterations}-bs{self.batch_size}-lr{self.learning_rate:g}"
+        return f"it{self.iterations}-bs{self.batch_size}-lr{number_text(self.learning_rate)}"
 
 
 @dataclass

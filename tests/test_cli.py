@@ -1,16 +1,20 @@
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from slimnet import ops
 from slimnet.cli import (
     EXIT_DATA,
     EXIT_FAIL,
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_SPEC,
+    build_parser,
     main,
+    manifest_argv,
 )
 from slimnet.mnist import CANONICAL_FILES, write_idx_images, write_idx_labels
 
@@ -208,11 +212,16 @@ def test_train_manifest_resolves_env_data_dir(synth_data_dir, tmp_path, capsys, 
 
 
 def test_replay_reproduces_checkpoint(synth_data_dir, tmp_path, capsys):
+    # `g` text would record the learning rate as 0.000123457
     code, _, _ = run_cli(
         capsys, "train", "optimized", "--data-dir", str(synth_data_dir),
-        "--iterations", "10", "--seed", "5", "--out", str(tmp_path / "orig"),
+        "--iterations", "10", "--seed", "5", "--lr", "0.000123456789", "--out", str(tmp_path / "orig"),
     )
     assert code == EXIT_OK
+    assert json.loads((tmp_path / "orig" / "manifest.json").read_text())["argv"] == [
+        "train", "optimized", "--data-dir", str(synth_data_dir), "--iterations", "10", "--batch", "50",
+        "--lr", "0.000123456789", "--seed", "5", "--eval-every", "0", "--out", str(tmp_path / "orig"),
+    ]
     code, out, _ = run_cli(
         capsys, "--replay", str(tmp_path / "orig" / "manifest.json"), "--out", str(tmp_path / "redo"),
     )
@@ -223,6 +232,28 @@ def test_replay_reproduces_checkpoint(synth_data_dir, tmp_path, capsys):
 
 
 # --- search -----------------------------------------------------------------------
+
+
+def test_search_manifest_records_the_threshold_given(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "search", "--oracle", "table", "--threshold", "0.123456789",
+                         "--out", str(tmp_path))
+    assert code == EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["argv"] == [
+        "search", "--oracle", "table", "--threshold", "0.123456789", "--seeds", "0", "--out", str(tmp_path),
+    ]
+
+
+def test_search_refuses_a_ledger_of_another_schedule_before_the_manifest(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "search", "--oracle", "table", "--out", str(tmp_path))
+    assert code == EXIT_OK
+    ledger = tmp_path / "results.ledger"
+    ledger.write_text(ledger.read_text().replace("schedule=table", "schedule=it5-bs50-lr0.0001"))
+    written = {name: (tmp_path / name).read_bytes() for name in ("manifest.json", "results.ledger")}
+    code, _, err = run_cli(capsys, "search", "--oracle", "table", "--threshold", "0.99", "--out", str(tmp_path))
+    assert code == EXIT_SPEC
+    assert err.startswith(f"plan error: ledger {ledger} holds tag drop_conv2=false seed 0 under schedule it5-")
+    assert {name: (tmp_path / name).read_bytes() for name in written} == written
 
 
 def test_search_table_oracle_selects_optimized(tmp_path, capsys):
@@ -451,6 +482,19 @@ def test_gradcheck_layer_subset(capsys):
     assert out.count("PASS") == 1 and "dense" in out
 
 
+def test_gradcheck_fails_on_a_nan_gradient(capsys, monkeypatch):
+    real = ops.conv2d_backward
+
+    def nan_weight_gradient(x, p, g):
+        gx, gw, gb = real(x, p, g)
+        return gx, np.full_like(gw, np.nan), gb
+
+    monkeypatch.setattr(ops, "conv2d_backward", nan_weight_gradient)
+    code, out, _ = run_cli(capsys, "gradcheck", "--layers", "conv", "--trials", "2")
+    assert code == EXIT_FAIL
+    assert out.startswith("FAIL  conv")
+
+
 def test_gradcheck_unknown_layer(capsys):
     code, _, err = run_cli(capsys, "gradcheck", "--layers", "conv3d")
     assert code == EXIT_SPEC
@@ -469,3 +513,40 @@ def test_version_flag(capsys):
 def test_exit_codes_are_distinct():
     codes = {EXIT_OK, EXIT_FAIL, EXIT_SPEC, EXIT_DATA, EXIT_INFEASIBLE}
     assert len(codes) == 5
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def argv_for(command: str, every_option: bool) -> list[str]:
+    """argv for `command`: its positional, and with `every_option` each option given, as a flag, its
+    last choice, or a number that `g` would round."""
+    argv = [command]
+    for action in subcommands()[command]._actions:
+        if not action.option_strings:
+            argv.append("optimized")
+        elif not every_option or isinstance(action, argparse._HelpAction):
+            continue
+        elif action.nargs == 0:
+            argv.append(action.option_strings[-1])
+        else:
+            value = action.choices[-1] if action.choices else {int: "0", float: "0.000123456789"}.get(action.type, "a/b")
+            argv += [action.option_strings[-1], value]
+    return argv
+
+
+@pytest.mark.parametrize("command", list(subcommands()))
+def test_every_long_flag_is_its_dest(command):
+    # the manifest writes each option as `--<dest with _ as ->`
+    for action in subcommands()[command]._actions:
+        if action.option_strings:
+            assert f"--{action.dest.replace('_', '-')}" in action.option_strings, action.option_strings
+
+
+@pytest.mark.parametrize("command", list(subcommands()))
+@pytest.mark.parametrize("every_option", [False, True], ids=["defaults", "every-option"])
+def test_manifest_argv_parses_back_to_the_same_namespace(command, every_option):
+    args = build_parser().parse_args(argv_for(command, every_option))
+    assert build_parser().parse_args(manifest_argv(args)) == args

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from slimnet import ops
 from slimnet.gradcheck import check_layer, max_rel_err, numerical_gradient, run_suite
 from slimnet.network import backward, forward
 from slimnet.ops import softmax_xent
@@ -89,3 +90,23 @@ def test_whole_network_gradient_matches_finite_differences():
 
 def test_max_rel_err_floor_handles_zero_gradients():
     assert max_rel_err(np.zeros(3), np.full(3, 1e-9)) < 1e-2
+
+
+def _nan_conv_weight_gradient(x, p, g):
+    gx, gw, gb = real_conv2d_backward(x, p, g)
+    return gx, np.full_like(gw, np.nan), gb
+
+
+real_conv2d_backward = ops.conv2d_backward
+
+
+@pytest.mark.parametrize("layer,op,broken", [
+    ("conv", "conv2d_backward", _nan_conv_weight_gradient),  # not the first error the check takes
+    ("relu", "relu_backward", lambda x, g: np.full_like(g, np.nan)),
+], ids=["conv-weights", "relu"])
+def test_a_nan_gradient_fails_the_check(monkeypatch, layer, op, broken):
+    monkeypatch.setattr(ops, op, broken)
+    result = check_layer(layer, trials=2)
+    assert not result.ok
+    assert np.isnan(result.max_rel_err)
+    assert result.line().startswith(f"FAIL  {layer}")

@@ -134,6 +134,15 @@ def test_write_idx_images_rejects_other_shapes(tmp_path, shape):
     assert not (tmp_path / "bad.idx").exists()
 
 
+@pytest.mark.parametrize("shape", [(0, 28, 28), (0, 28, 28, 1), (2, 0, 28)],
+                         ids=["no-images", "no-images-one-channel", "no-rows"])
+def test_write_idx_images_refuses_what_its_reader_refuses(tmp_path, shape):
+    # the reader refuses a header with a zero extent, so the writer must not make one
+    with pytest.raises(ValueError, match=r"non-empty \[N, H, W\]"):
+        write_idx_images(tmp_path / "bad.idx", np.zeros(shape, dtype=np.uint8))
+    assert not (tmp_path / "bad.idx").exists()
+
+
 @pytest.mark.parametrize(
     "labels",
     [np.eye(10)[[1, 2, 3]], np.array([0.0, 3.7]), np.array([12]), np.array([], dtype=np.uint8)],

@@ -160,6 +160,9 @@ def test_parse_error_carries_line_number():
         (LayerSpec.dropout(0.5), "dropout keep=0.5", "do0.5"),
         (LayerSpec.dropout(0.125), "dropout keep=0.125", "do0.125"),
         (LayerSpec.dropout(1.0), "dropout keep=1", "do1"),
+        # `g` text would merge these two into "0.123457"
+        (LayerSpec.dropout(0.1234567), "dropout keep=0.1234567", "do0.1234567"),
+        (LayerSpec.dropout(0.1234568), "dropout keep=0.1234568", "do0.1234568"),
     ],
 )
 def test_layer_text_and_id_token_pinned(layer, line, token):
@@ -221,7 +224,7 @@ def valid_specs(draw):
         elif kind == "maxpool":
             layers.append(LayerSpec.maxpool(2))
         else:
-            layers.append(LayerSpec.dropout(draw(st.sampled_from([0.25, 0.5, 0.9]))))
+            layers.append(LayerSpec.dropout(draw(st.floats(min_value=1e-6, max_value=1.0))))
     layers.append(LayerSpec.flatten())
     for _ in range(draw(st.integers(0, 2))):
         layers.append(LayerSpec.dense(draw(st.integers(1, 64))))

@@ -373,6 +373,39 @@ def test_malformed_complete_ledger_line_names_its_line_number(tmp_path, damage):
         run_sweep(enumerate_candidates(default_plan()), table_oracle(), ledger_path=ledger)
 
 
+def thousandths_oracle(tag, spec, seed):
+    """Accuracies of k/3000, more digits than a ledger line's six decimals hold.
+
+    The smallest net sits exactly at 2920/3000, and the conv1 cells fall
+    below 0.1, where six decimals keep fewer digits than `g` prints.
+    """
+    if tag == "extra=optimized-3x3":
+        k = 2920
+    elif tag.startswith("conv1="):
+        k = 37 + len(tag) + seed
+    else:
+        k = 2990 - len(tag) - seed
+    return RunOutcome(k / 3000, 0.0, False)
+
+
+def test_fresh_sweep_equals_its_resume_and_its_ledger(tmp_path):
+    plan = default_plan(seeds=(0, 1), threshold=2920 / 3000 - 1e-9)
+    fresh = run_search(plan, thousandths_oracle, out_dir=tmp_path / "fresh")
+    ledger = load_ledger(tmp_path / "fresh" / "results.ledger")
+    (tmp_path / "resumed").mkdir()
+    half = fresh.ledger_path.read_text().splitlines(keepends=True)[:20]
+    (tmp_path / "resumed" / "results.ledger").write_text("".join(half))
+    resumed = run_search(plan, thousandths_oracle, out_dir=tmp_path / "resumed")
+
+    def picked(selection):
+        return selection.feasible, selection.choice and selection.choice.ident
+
+    assert fresh.results == resumed.results == ledger
+    assert picked(fresh.selection) == picked(resumed.selection) == picked(select_minimal(ledger, plan.threshold))
+    assert (tmp_path / "fresh" / "curves.csv").read_text() == export_curves(ledger)
+    assert fresh.ledger_path.read_bytes() == resumed.ledger_path.read_bytes()
+
+
 def test_sweep_deterministic_across_runs():
     candidates = enumerate_candidates(default_plan())
     a = run_sweep(candidates, table_oracle())

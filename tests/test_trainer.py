@@ -101,6 +101,11 @@ def test_schedule_id_names_every_field_that_changes_a_trained_result():
         assert dataclasses.replace(base, **{field: 7}).schedule_id() == base.schedule_id(), field
 
 
+def test_schedule_id_tells_apart_learning_rates_that_g_would_merge():
+    assert TrainConfig().schedule_id() == "it20000-bs50-lr0.0001"
+    assert TrainConfig(learning_rate=1.0000001e-4).schedule_id() == "it20000-bs50-lr0.00010000001"
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
