@@ -18,7 +18,7 @@ from .netspec import (
     spec_id,
 )
 from .ops import Params, ShapeError
-from .trainer import AdamState, ConfigError, TrainConfig, TrainResult, TrainingDiverged, evaluate, train
+from .trainer import AdamState, ConfigError, Run, TrainConfig, TrainingDiverged, evaluate, train
 from .search import (
     FrontierPoint,
     SearchPlan,
@@ -42,7 +42,7 @@ __all__ = [
     "propagate_shapes", "baseline_spec", "dropped_conv2_spec", "optimized_spec",
     "optimized_3x3_spec",
     "Params", "ShapeError",
-    "AdamState", "ConfigError", "TrainConfig", "TrainResult", "TrainingDiverged", "evaluate", "train",
+    "AdamState", "ConfigError", "Run", "TrainConfig", "TrainingDiverged", "evaluate", "train",
     "FrontierPoint", "SearchPlan", "Stage", "default_plan", "enumerate_candidates",
     "run_sweep", "run_search", "select_minimal", "build_frontier", "export_curves",
     "table_oracle", "trained_oracle",

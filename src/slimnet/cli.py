@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: `analyze` (complexity ledger), `train`, `search`,
-`gradcheck`, plus `--replay <manifest>` to re-execute a recorded run.
+`gradcheck`, plus `--replay <manifest> [args]` to re-execute a recorded
+run, the trailing arguments overriding the recorded ones.
 Every run writes a manifest with the resolved arguments so results can
 be reproduced byte for byte.
 
@@ -41,7 +42,7 @@ from .search import (
     table_oracle,
     trained_oracle,
 )
-from .trainer import ConfigError, TrainConfig, TrainingDiverged, train
+from .trainer import ConfigError, Run, TrainConfig, TrainingDiverged
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -148,23 +149,22 @@ def cmd_train(args) -> int:
     )
     config.validate()
     args.data_dir = _data_dir_or_fail(args.data_dir)
-    data = load_data_dir(args.data_dir)
-    config.validate(len(data.train.images))
+    run = Run(spec, load_data_dir(args.data_dir), config)  # refuses what `train` refuses, before the manifest
     out_dir = Path(args.out)
     _write_manifest(args)
-    result = train(spec, data, config)
-    save_checkpoint(out_dir / "checkpoint.bin", result.params, result.adam_state, result.iterations_run)
+    run.train()
+    save_checkpoint(out_dir / "checkpoint.bin", run.params, run.adam_state, run.iterations_run)
     metrics = {
         "spec": spec.name,
-        "final_test_accuracy": result.final_test_accuracy,
-        "iterations": result.iterations_run,
-        "wall_time_seconds": result.wall_time_seconds,
-        "eval_trace": result.eval_trace,
+        "final_test_accuracy": run.final_test_accuracy,
+        "iterations": run.iterations_run,
+        "wall_time_seconds": run.wall_time_seconds,
+        "eval_trace": run.eval_trace,
     }
     with open(out_dir / "metrics.json", "w", encoding="utf-8") as f:
         json.dump(metrics, f, indent=2)
         f.write("\n")
-    print(f"final test accuracy: {result.final_test_accuracy:.4f}")
+    print(f"final test accuracy: {run.final_test_accuracy:.4f}")
     print(f"checkpoint: {out_dir / 'checkpoint.bin'}")
     return EXIT_OK
 
@@ -288,12 +288,13 @@ def _replay(argv: list[str]) -> int:
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
-        stored = list(manifest["argv"])
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+        stored = manifest.get("argv") if isinstance(manifest, dict) else None
+        if not (isinstance(stored, list) and all(isinstance(a, str) for a in stored)):
+            raise ValueError("a manifest is a JSON object whose 'argv' is a list of strings")
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 decode errors are ValueErrors
         print(f"cannot replay manifest {manifest_path}: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    if rest[:1] == ["--out"] and len(rest) >= 2:
-        stored += rest[:2]  # argparse keeps the last --out
+    stored += rest  # argparse keeps an option's last value
     print(f"replaying: slimnet {' '.join(stored)}")
     return main(stored)
 

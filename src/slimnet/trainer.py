@@ -26,7 +26,7 @@ from .rng import substream
 __all__ = [
     "ConfigError",
     "TrainConfig",
-    "TrainResult",
+    "Run",
     "AdamState",
     "TrainingDiverged",
     "init_params",
@@ -92,17 +92,6 @@ class TrainConfig:
 
     def schedule_id(self) -> str:
         return f"it{self.iterations}-bs{self.batch_size}-lr{number_text(self.learning_rate)}"
-
-
-@dataclass
-class TrainResult:
-    final_test_accuracy: float
-    loss_trace: list[tuple[int, float]]
-    eval_trace: list[tuple[int, float]]
-    wall_time_seconds: float
-    params: Params
-    adam_state: AdamState
-    iterations_run: int
 
 
 @dataclass
@@ -189,25 +178,6 @@ def adam_step(params: Params, grads: dict, state: AdamState, config: TrainConfig
                 np.subtract(a, s, out=a)
 
 
-class _MinibatchSampler:
-    """Sequential epochs over a seeded shuffle; short tails are dropped."""
-
-    def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
-        self.n = n
-        self.batch_size = batch_size
-        self.rng = rng
-        self.perm = rng.permutation(n)
-        self.pos = 0
-
-    def next_batch(self) -> np.ndarray:
-        if self.pos + self.batch_size > self.n:
-            self.perm = self.rng.permutation(self.n)
-            self.pos = 0
-        idx = self.perm[self.pos : self.pos + self.batch_size]
-        self.pos += self.batch_size
-        return idx
-
-
 def evaluate(spec: NetSpec, params: Params, images: np.ndarray, labels: np.ndarray) -> float:
     """Argmax classification accuracy with dropout disabled.
 
@@ -227,71 +197,96 @@ def evaluate(spec: NetSpec, params: Params, images: np.ndarray, labels: np.ndarr
     return hits / len(images)
 
 
-def train(spec: NetSpec, data, config: TrainConfig) -> TrainResult:
-    """Run the full loop and score the test split.
+class Run:
+    """One training run: its inputs, generators, sampler position, optimizer state and result.
 
-    `data` needs `.train`, `.validation` and `.test` splits of
+    `Run(spec, data, config)` checks the inputs and draws the initial
+    parameters.  `data` needs `.train`, `.validation` and `.test` splits of
     `(images, labels)`: images `[N, H, W, C]` matching the spec's input
-    layer, labels `[N]` class indices.  Returns the result with the
-    trained parameters and optimizer state attached.  Labels of another
-    shape, an empty test split, or an empty validation split that
-    `eval_every` would score raise `ValueError` before the first step.
+    layer, labels `[N]` class indices.  Labels of another shape, an empty
+    test split, or an empty validation split that `eval_every` would score
+    raise `ValueError` here, before the first step.  `step()` trains one
+    minibatch; `train()` runs the remaining iterations with their traces
+    and scores the test split.
     """
-    config.validate(len(data.train.images))
-    for split, scored in (("train", False), ("test", True), ("validation", 0 < config.eval_every <= config.iterations)):
-        images, labels = getattr(data, split)
-        if scored and not len(images):
-            raise ValueError(f"the {split} split is empty: it has no accuracy to score")
-        if labels.shape != (len(images),):
-            raise ValueError(f"the {split} split: labels must be one class index per image, got {labels.shape}")
-    shapes = validate_classifier(spec)
-    sample_shape = tuple(data.train.images.shape[1:])
-    if sample_shape != shapes[0]:
-        raise ValueError(f"spec input shape {shapes[0]} does not match data sample shape {sample_shape}")
 
-    init_rng = substream(config.seed, "init")
-    shuffle_rng = substream(config.seed, "shuffle")
-    dropout_rng = substream(config.seed, "dropout")
+    def __init__(self, spec: NetSpec, data, config: TrainConfig):
+        config.validate(len(data.train.images))
+        for split, scored in (("train", False), ("test", True), ("validation", 0 < config.eval_every <= config.iterations)):
+            images, labels = getattr(data, split)
+            if scored and not len(images):
+                raise ValueError(f"the {split} split is empty: it has no accuracy to score")
+            if labels.shape != (len(images),):
+                raise ValueError(f"the {split} split: labels must be one class index per image, got {labels.shape}")
+        shapes = validate_classifier(spec)
+        sample_shape = tuple(data.train.images.shape[1:])
+        if sample_shape != shapes[0]:
+            raise ValueError(f"spec input shape {shapes[0]} does not match data sample shape {sample_shape}")
 
-    params = init_params(spec, config, init_rng)
-    state = init_adam_state(params)
-    loss_trace: list[tuple[int, float]] = []
-    eval_trace: list[tuple[int, float]] = []
-    started = time.perf_counter()
+        self.spec, self.data, self.config = spec, data, config
+        self.shuffle_rng = substream(config.seed, "shuffle")
+        self.dropout_rng = substream(config.seed, "dropout")
+        self.params = init_params(spec, config, substream(config.seed, "init"))
+        self.adam_state = init_adam_state(self.params)
+        self.perm: np.ndarray | None = None  # drawn at the first step of each epoch
+        self.pos = 0
+        self.iterations_run = 0
+        self.loss_trace: list[tuple[int, float]] = []
+        self.eval_trace: list[tuple[int, float]] = []
+        self.final_test_accuracy: float | None = None
+        self.wall_time_seconds = 0.0
+        self._caches = self._grads = None
 
-    if config.iterations > 0:
-        sampler = _MinibatchSampler(len(data.train.images), config.batch_size, shuffle_rng)
-        for it in range(1, config.iterations + 1):
-            idx = sampler.next_batch()
-            xb = data.train.images[idx]
-            yb = data.train.labels[idx]
-            logits, caches = forward(spec, params, xb, training=True, dropout_rng=dropout_rng)
-            loss, grad_logits = softmax_xent(logits, yb)
-            if not np.isfinite(loss):
-                raise TrainingDiverged("minibatch loss is non-finite", iteration=it)
-            grads = backward(spec, params, caches, grad_logits)
-            try:
-                adam_step(params, grads, state, config)
-            except TrainingDiverged as exc:
-                raise TrainingDiverged(str(exc), iteration=it) from None
+    def step(self) -> float:
+        """Train one minibatch and return its loss.
+
+        Epochs run over a seeded shuffle of the training split, dropping a
+        short tail.  A step past `config.iterations` raises `ValueError`.
+        """
+        if self.iterations_run >= self.config.iterations:
+            raise ValueError(f"the run has taken all {self.config.iterations} of its iterations")
+        batch, train_split = self.config.batch_size, self.data.train
+        if self.perm is None or self.pos + batch > len(self.perm):
+            self.perm, self.pos = self.shuffle_rng.permutation(len(train_split.images)), 0
+        idx = self.perm[self.pos : self.pos + batch]
+        self.pos += batch
+        it = self.iterations_run + 1
+        logits, self._caches = forward(self.spec, self.params, train_split.images[idx], training=True,
+                                       dropout_rng=self.dropout_rng)
+        loss, grad_logits = softmax_xent(logits, train_split.labels[idx])
+        if not np.isfinite(loss):
+            raise TrainingDiverged("minibatch loss is non-finite", iteration=it)
+        self._grads = backward(self.spec, self.params, self._caches, grad_logits)
+        try:
+            adam_step(self.params, self._grads, self.adam_state, self.config)
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(str(exc), iteration=it) from None
+        self.iterations_run = it
+        return loss
+
+    def train(self) -> Run:
+        """Run the steps left until `config.iterations`, then score the test split; returns the run."""
+        config, started = self.config, time.perf_counter()
+        while self.iterations_run < config.iterations:
+            loss = self.step()
+            it = self.iterations_run
             if config.loss_log_every and it % config.loss_log_every == 0:
-                loss_trace.append((it, loss))
+                self.loss_trace.append((it, loss))
             if config.eval_every and it % config.eval_every == 0:
-                caches = grads = None  # see the release before the final evaluate
-                eval_trace.append((it, evaluate(spec, params, data.validation.images, data.validation.labels)))
+                self.eval_trace.append((it, self._evaluate(self.data.validation)))
+        self.final_test_accuracy = self._evaluate(self.data.test)
+        self.wall_time_seconds = time.perf_counter() - started
+        return self
 
-    # Evaluation does not hold the last step's activations and gradients.  They
-    # are released only here: freed after every step, their pages went back
-    # to the OS and were faulted in again by the next step (on the optimized
-    # net, 5-8x the minor page faults and 16-19% more CPU time).
-    caches = grads = None
-    test_accuracy = evaluate(spec, params, data.test.images, data.test.labels)
-    return TrainResult(
-        final_test_accuracy=test_accuracy,
-        loss_trace=loss_trace,
-        eval_trace=eval_trace,
-        wall_time_seconds=time.perf_counter() - started,
-        params=params,
-        adam_state=state,
-        iterations_run=config.iterations,
-    )
+    def _evaluate(self, split) -> float:
+        # Evaluation does not hold the last step's activations and gradients.  They
+        # are released only here: freed after every step, their pages went back
+        # to the OS and were faulted in again by the next step (on the optimized
+        # net, 5-8x the minor page faults and 16-19% more CPU time).
+        self._caches = self._grads = None
+        return evaluate(self.spec, self.params, split.images, split.labels)
+
+
+def train(spec: NetSpec, data, config: TrainConfig) -> Run:
+    """Train `spec` for `config.iterations` steps and score the test split: `Run(...).train()`."""
+    return Run(spec, data, config).train()

@@ -129,6 +129,25 @@ def test_train_config_fault_is_reported_before_data_or_manifest(tmp_path, capsys
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("input h=28 w=28 c=1", "input h=32 w=32 c=1"),  # the data are 28x28
+        ("dense out=10", "dense out=7"),  # a classifier ends in 10 classes
+    ],
+    ids=["input-32x32", "dense-out-7"],
+)
+def test_train_spec_refused_by_train_leaves_no_manifest(synth_data_dir, tmp_path, capsys, old, new):
+    spec = tmp_path / "net.spec"
+    spec.write_text((SPECS / "optimized.spec").read_text().replace(old, new))
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "train", str(spec), "--data-dir", str(synth_data_dir),
+                           "--iterations", "1", "--out", str(out))
+    assert code == EXIT_SPEC
+    assert err.startswith("spec error: ")
+    assert not (out / "manifest.json").exists()
+
+
 def test_search_negative_iterations_is_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     code, _, err = run_cli(capsys, "search", "--oracle", "table", "--iterations", "-1", "--out", str(out))
@@ -229,6 +248,33 @@ def test_replay_reproduces_checkpoint(synth_data_dir, tmp_path, capsys):
     assert (tmp_path / "orig" / "checkpoint.bin").read_bytes() == (
         tmp_path / "redo" / "checkpoint.bin"
     ).read_bytes()
+
+
+def test_replay_keeps_every_trailing_argument(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "search", "--oracle", "table", "--out", str(tmp_path / "a"))
+    assert code == EXIT_OK
+    recorded = (tmp_path / "a" / "manifest.json").read_bytes()
+    code, _, _ = run_cli(capsys, "--replay", str(tmp_path / "a" / "manifest.json"),
+                         "--threshold", "0.5", "--out", str(tmp_path / "b"))
+    assert code == EXIT_OK
+    assert (tmp_path / "a" / "manifest.json").read_bytes() == recorded
+    argv = json.loads((tmp_path / "b" / "manifest.json").read_text())["argv"]
+    assert argv[argv.index("--threshold") + 1] == "0.5"
+    assert argv[argv.index("--out") + 1] == str(tmp_path / "b")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"[]", b"\xff\xfe{}", b'{"argv": [1, 2]}', b'{"argv": "search"}'],
+    ids=["not-an-object", "not-utf8", "argv-not-strings", "argv-a-string"],
+)
+def test_replay_refuses_a_malformed_manifest(tmp_path, capsys, content):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(content)
+    code, out, err = run_cli(capsys, "--replay", str(manifest))
+    assert code == EXIT_FAIL
+    assert err.startswith(f"cannot replay manifest {manifest}: ")
+    assert "Traceback" not in err and "replaying" not in out
 
 
 # --- search -----------------------------------------------------------------------

@@ -25,3 +25,11 @@ def test_no_module_exports_a_one_hot_encoder():
     for name in ("one_hot", "one_hot_labels"):
         assert not hasattr(slimnet, name)
         assert not hasattr(slimnet.mnist, name)
+
+
+def test_a_training_run_is_one_record():
+    # `trainer.Run` holds the sampler's state and the result fields
+    assert slimnet.Run is slimnet.trainer.Run
+    for name in ("TrainResult", "_MinibatchSampler"):
+        assert not hasattr(slimnet, name)
+        assert not hasattr(slimnet.trainer, name)

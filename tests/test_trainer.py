@@ -20,9 +20,9 @@ from slimnet.trainer import (
     _ADAM_EPSILON,
     AdamState,
     ConfigError,
+    Run,
     TrainConfig,
     TrainingDiverged,
-    _MinibatchSampler,
     adam_step,
     evaluate,
     init_adam_state,
@@ -425,6 +425,14 @@ def test_train_holds_no_step_state_through_evaluate(monkeypatch):
     assert len(evaluations) == 3  # after steps 2 and 4, then the test split
 
 
+def reference_batches(n, batch_size, rng):
+    """Sequential epochs over a seeded shuffle, short tails dropped: the draws `Run.step` makes."""
+    while True:
+        perm = rng.permutation(n)
+        for pos in range(0, n - batch_size + 1, batch_size):
+            yield perm[pos : pos + batch_size]
+
+
 def test_train_checkpoint_bytes_match_reference_adam_loop(tmp_path):
     spec, data = tiny_dropout_spec(), tiny_data()
     cfg = TrainConfig(iterations=6, batch_size=10, seed=9)
@@ -433,10 +441,9 @@ def test_train_checkpoint_bytes_match_reference_adam_loop(tmp_path):
 
     params = init_params(spec, cfg, substream(cfg.seed, "init"))
     state = init_adam_state(params)
-    sampler = _MinibatchSampler(len(data.train.images), cfg.batch_size, substream(cfg.seed, "shuffle"))
+    batches = reference_batches(len(data.train.images), cfg.batch_size, substream(cfg.seed, "shuffle"))
     drop = substream(cfg.seed, "dropout")
-    for _ in range(cfg.iterations):
-        idx = sampler.next_batch()
+    for _, idx in zip(range(cfg.iterations), batches):
         logits, caches = forward(spec, params, data.train.images[idx], training=True, dropout_rng=drop)
         _, grad = softmax_xent(logits, data.train.labels[idx])
         grads = backward(spec, params, caches, grad)
@@ -460,6 +467,37 @@ def test_loaded_checkpoint_steps_in_place_like_memory(tmp_path):
 
 
 # --- train / evaluate ----------------------------------------------------------
+
+
+def test_a_run_stepped_by_hand_then_trained_matches_one_trained_straight_through(tmp_path):
+    # 12 steps per epoch: the hand-stepped part crosses an epoch boundary and
+    # stops before an evaluation step
+    spec, data = tiny_dropout_spec(), tiny_data()
+    cfg = TrainConfig(iterations=21, batch_size=10, seed=6, eval_every=7)
+    straight = train(spec, data, cfg)
+    resumed = Run(spec, data, cfg)
+    for _ in range(13):
+        resumed.step()
+    assert resumed.iterations_run == 13
+    resumed.train()
+    for name, run in (("straight", straight), ("resumed", resumed)):
+        save_checkpoint(tmp_path / name, run.params, run.adam_state, run.iterations_run)
+    assert (tmp_path / "straight").read_bytes() == (tmp_path / "resumed").read_bytes()
+    assert resumed.final_test_accuracy == straight.final_test_accuracy
+    assert [it for it, _ in straight.eval_trace] == [7, 14, 21]
+    assert resumed.eval_trace == straight.eval_trace[1:]
+
+
+def test_a_run_takes_no_step_past_its_iterations():
+    run = Run(tiny_spec(), tiny_data(), TrainConfig(iterations=2, batch_size=10))
+    run.step()
+    run.step()
+    with pytest.raises(ValueError, match="taken all 2 of its iterations"):
+        run.step()
+    # a run of no iterations never checked its batch against the 120 training images
+    with pytest.raises(ValueError, match="taken all 0"):
+        Run(tiny_spec(), tiny_data(), TrainConfig(iterations=0, batch_size=500)).step()
+    assert run.train().iterations_run == 2
 
 
 def test_train_reproducible_bit_for_bit():
@@ -615,26 +653,12 @@ def adam_step_bound(lr, b1, b2, t):
 
 def test_adam_step_size_within_provable_bound(synth_data):
     cfg = TrainConfig(iterations=120, seed=8)
-    spec = optimized_spec()
-    data = synth_data
-    from slimnet.network import backward as net_backward, forward as net_forward
-    from slimnet.ops import softmax_xent
-    from slimnet.trainer import _MinibatchSampler
-
-    init_rng = substream(cfg.seed, "init")
-    params = init_params(spec, cfg, init_rng)
-    state = init_adam_state(params)
-    sampler = _MinibatchSampler(len(data.train.images), cfg.batch_size, substream(cfg.seed, "shuffle"))
-    drop = substream(cfg.seed, "dropout")
+    run = Run(optimized_spec(), synth_data, cfg)
     for _ in range(cfg.iterations):
-        idx = sampler.next_batch()
-        logits, caches = net_forward(spec, params, data.train.images[idx], training=True, dropout_rng=drop)
-        _, grad = softmax_xent(logits, data.train.labels[idx])
-        grads = net_backward(spec, params, caches, grad)
-        before = [arr.copy() for _, arr in param_arrays(params)]
-        adam_step(params, grads, state, cfg)
-        bound = adam_step_bound(cfg.learning_rate, _ADAM_BETA1, _ADAM_BETA2, state.t)
-        for old, (_, new) in zip(before, param_arrays(params)):
+        before = [arr.copy() for _, arr in param_arrays(run.params)]
+        run.step()
+        bound = adam_step_bound(cfg.learning_rate, _ADAM_BETA1, _ADAM_BETA2, run.adam_state.t)
+        for old, (_, new) in zip(before, param_arrays(run.params)):
             assert np.abs(new - old).max() <= bound * (1 + 1e-6)
 
 
