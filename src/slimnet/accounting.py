@@ -22,10 +22,9 @@ from.  This module holds no per-kind rule of its own.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
-from .netspec import KINDS, NetSpec, propagate_shapes, spec_id, weight_shapes
+from .netspec import KINDS, NetSpec, layer_names, propagate_shapes, spec_id, weight_shapes
 
 __all__ = [
     "CONVENTIONS",
@@ -97,20 +96,6 @@ class ComplexityReport:
         lines.append(f"total.memory={self.total_memory}")
         lines.append(f"total.params={self.total_params}")
         return "\n".join(lines)
-
-
-def layer_names(spec: NetSpec) -> list[str]:
-    """Ledger row names: each kind's prefix, numbered per kind when the kind
-    is always numbered (conv1, pool1, fc1) or occurs more than once."""
-    totals = Counter(layer.kind for layer in spec.layers)
-    seen: Counter = Counter()
-    names = []
-    for layer in spec.layers:
-        kind = KINDS[layer.kind]
-        seen[layer.kind] += 1
-        numbered = kind.numbered or totals[layer.kind] > 1
-        names.append(f"{kind.prefix}{seen[layer.kind]}" if numbered else kind.prefix)
-    return names
 
 
 def analyze(spec: NetSpec, convention: str = "paper_compat") -> ComplexityReport:

@@ -213,6 +213,9 @@ def cmd_gradcheck(args) -> int:
             print(f"unknown layer(s): {', '.join(sorted(unknown))}; "
                   f"choose from {', '.join(sorted(LAYERS))}", file=sys.stderr)
             return EXIT_SPEC
+    if args.trials < 1:  # zero trials would pass every layer, an injected fault too
+        print(f"--trials must be at least 1, got {args.trials}", file=sys.stderr)
+        return EXIT_SPEC
     results = run_suite(layers=layers, trials=args.trials, seed=args.seed,
                         fault_layer=args.inject_fault)
     for r in results:

@@ -17,6 +17,8 @@ produce identical bytes.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -75,10 +77,14 @@ def read_tensors(path) -> dict[str, np.ndarray]:
             shape = tuple(
                 struct.unpack(">Q", _read_exact(f, 8, f"extent of {name}"))[0] for _ in range(rank)
             )
-            n_items = int(np.prod(shape, dtype=np.int64)) if rank else 1
-            payload = _read_exact(f, 8 * n_items, f"payload of {name}")
-            arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
-            tensors[name] = arr
+            size, left = 8 * math.prod(shape), os.fstat(f.fileno()).st_size - f.tell()
+            if size > left:  # checked before a read the size of `shape`
+                raise ContainerError(f"truncated container: {name} {shape} needs {size} bytes, {left} remain")
+            payload = _read_exact(f, size, f"payload of {name}")
+            try:
+                tensors[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
+            except ValueError as exc:  # an empty tensor with an extent numpy cannot index
+                raise ContainerError(f"tensor {name} has extents {shape}: {exc}") from None
         trailing = f.read(1)
     if trailing:
         raise ContainerError(f"trailing bytes after last tensor in {path}")

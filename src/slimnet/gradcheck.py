@@ -180,11 +180,13 @@ LAYERS = {
 
 
 def check_layer(layer: str, trials: int = 20, seed: int = 0, fault: bool = False) -> CheckResult:
-    """Run `trials` randomized instances of one layer's gradient check."""
+    """Run `trials` randomized instances of one layer's gradient check; `trials` must be at least 1."""
     if layer not in LAYERS:
         raise ValueError(f"unknown layer '{layer}'; choose from {sorted(LAYERS)}")
+    if trials < 1:
+        raise ValueError(f"a gradient check needs at least one trial, got {trials}")
     rng = substream(seed, f"gradcheck-{layer}")
-    worst = float(np.max([LAYERS[layer](rng, fault) for _ in range(trials)], initial=0.0))  # NaN-propagating
+    worst = float(np.max([LAYERS[layer](rng, fault) for _ in range(trials)]))  # NaN-propagating
     return CheckResult(layer=layer, trials=trials, max_rel_err=worst, ok=worst <= TOLERANCE)
 
 

@@ -16,6 +16,7 @@ any MNIST mirror and point the loaders at the directory holding them.
 from __future__ import annotations
 
 import gzip
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +46,8 @@ LABEL_MAGIC = 2049
 TRAIN_SIZE = 55000
 VALIDATION_SIZE = 5000
 TEST_SIZE = 10000
+
+_GZIP_PIECE = 1 << 16  # bytes per read of a gzipped payload
 
 CANONICAL_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -100,15 +103,32 @@ def _read_header(f, path, expected_magic: int, rank: int) -> tuple[int, ...]:
     return tuple(extents)
 
 
+def _read_payload(f, path, size: int) -> memoryview:
+    """A read-only view of the `size` payload bytes the header promises.
+
+    A count other than `size` raises `IdxFormatError`.  A plain file is
+    checked against its length, then read in one call.  A gzipped one is
+    read a bounded piece at a time into one growing buffer, so a header
+    that promises more than the file holds allocates no more than it holds.
+    """
+    if isinstance(f, gzip.GzipFile):
+        payload = bytearray()
+        while len(payload) <= size and (piece := f.read(min(_GZIP_PIECE, size + 1 - len(payload)))):
+            payload += piece
+        held = len(payload)
+    else:
+        held = os.fstat(f.fileno()).st_size - f.tell()
+        payload = f.read(size) if held == size else b""
+    if len(payload) != size:  # a header's extents are positive
+        raise IdxFormatError(f"{path}: payload holds {held} bytes, header promises {size}")
+    return memoryview(payload).toreadonly()
+
+
 def load_idx_images(path) -> np.ndarray:
     """Read an IDX image file into a read-only uint8 `[N, H, W, 1]` view of its payload."""
     with _open_maybe_gzip(path) as f:
         n, h, w = _read_header(f, path, IMAGE_MAGIC, rank=3)
-        payload = f.read(n * h * w + 1)
-    if len(payload) != n * h * w:
-        raise IdxFormatError(
-            f"{path}: payload holds {len(payload)} bytes, header promises {n * h * w}"
-        )
+        payload = _read_payload(f, path, n * h * w)
     return np.frombuffer(payload, dtype=np.uint8).reshape(n, h, w, 1)
 
 
@@ -116,9 +136,7 @@ def load_idx_labels(path) -> np.ndarray:
     """Read an IDX label file into a read-only uint8 `[N]` view of its payload."""
     with _open_maybe_gzip(path) as f:
         (n,) = _read_header(f, path, LABEL_MAGIC, rank=1)
-        payload = f.read(n + 1)
-    if len(payload) != n:
-        raise IdxFormatError(f"{path}: payload holds {len(payload)} bytes, header promises {n}")
+        payload = _read_payload(f, path, n)
     labels = np.frombuffer(payload, dtype=np.uint8)
     if labels.size and labels.max() > 9:
         raise IdxFormatError(f"{path}: label {labels.max()} out of range 0..9")

@@ -17,13 +17,15 @@ Lines starting with `#` are comments; the `name:` line is optional.
 `KINDS` is the one place a layer kind is defined.  Its record holds the
 kind's text fields and `spec_id` token, its shape rule, its ledger row
 (name prefix, label, filter text, weight shape, whether it holds storage)
-and its forward and backward passes; `accounting` and `network` read every
-per-kind fact from it, so a new kind is one new record.
+and its forward and backward passes, which read the layer's fields from
+the layer and cache only the arrays forward made; `accounting` and
+`network` read every per-kind fact from it, so a new kind is one new record.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -35,7 +37,7 @@ __all__ = [
     "NetSpec",
     "LayerKind",
     "KINDS",
-    "ForwardPass",
+    "layer_names",
     "propagate_shapes",
     "weight_shapes",
     "parse_spec",
@@ -157,69 +159,57 @@ def _dropout_shape(layer, shape, i):
     return shape
 
 
-class ForwardPass(NamedTuple):
-    """What one forward pass asks of its layers; only dropout reads it."""
-
-    training: bool
-    dropout_rng: object  # numpy Generator for the training masks, or None
-
-
 def _keep_input(h, cache):
     if cache is not None:
         cache["x"] = h
     return h
 
 
-def _conv_forward(layer, h, p, cache, run):
+def _conv_forward(layer, h, p, cache, rng):
     if cache is None:
         return ops.conv2d_forward(h, p)
     h, cache["cols"] = ops.conv2d_forward(_keep_input(h, cache), p, keep_cols=True)
     return h
 
 
-def _maxpool_forward(layer, h, p, cache, run):
+def _maxpool_forward(layer, h, p, cache, rng):
     if cache is None:
         return ops.maxpool_values(h, layer.window)
     h, cache["argmax"] = ops.maxpool_forward(h, layer.window)
-    cache["window"] = layer.window
     return h
 
 
-def _maxpool_backward(cache, g, p, input_grad):
-    return ops.maxpool_backward(g, cache["argmax"], cache["window"]), None
+def _maxpool_backward(layer, cache, g, p, input_grad):
+    return ops.maxpool_backward(g, cache["argmax"], layer.window), None
 
 
-def _flatten_forward(layer, h, p, cache, run):
-    if cache is not None:
-        cache["shape"] = h.shape
+def _flatten_forward(layer, h, p, cache, rng):
+    h = _keep_input(h, cache)
     return h.reshape(h.shape[0], math.prod(h.shape[1:]))
 
 
-def _dropout_forward(layer, h, p, cache, run):
-    if run.training:
-        if run.dropout_rng is None:
-            raise ValueError("training-mode dropout needs a dropout_rng")
-        h, mask = ops.dropout(h, layer.keep_prob, run.dropout_rng)
-        if cache is not None:
-            cache["mask"] = mask
-    if cache is not None:
-        cache.update(keep=layer.keep_prob, training=run.training)
+def _dropout_forward(layer, h, p, cache, rng):
+    if rng is None:  # evaluation
+        return h
+    h, mask = ops.dropout(h, layer.keep_prob, rng)
+    if cache is not None and layer.keep_prob < 1.0:  # at 1 the op is the identity
+        cache["mask"] = mask
     return h
 
 
-def _conv_backward(cache, g, p, input_grad):
+def _conv_backward(layer, cache, g, p, input_grad):
     g, gw, gb = ops.conv2d_backward(cache["x"], p, g, input_grad=input_grad, cols=cache["cols"])
     return g, (gw, gb)
 
 
-def _dense_backward(cache, g, p, input_grad):
+def _dense_backward(layer, cache, g, p, input_grad):
     g, gw, gb = ops.dense_backward(cache["x"], p, g)
     return g, (gw, gb)
 
 
-def _dropout_backward(cache, g, p, input_grad):
-    if cache["training"] and cache["keep"] < 1.0:
-        g = ops.dropout_backward(g, cache["mask"], cache["keep"])
+def _dropout_backward(layer, cache, g, p, input_grad):
+    if "mask" in cache:
+        g = ops.dropout_backward(g, cache["mask"], layer.keep_prob)
     return g, None
 
 
@@ -232,8 +222,11 @@ class LayerKind(NamedTuple):
     initial draw and "has parameters" all follow from it.
     `make_params(w, b)` turns a draw at that shape into the `ops.Params`
     the kind's ops read; dense reshapes it to `[fan_in, fan_out]`.
-    `forward(layer, h, params, cache, run)` fills `cache`, which is `None`
-    in evaluation; `backward(cache, g, params, input_grad)` returns
+    `forward(layer, h, params, cache, rng)` puts into `cache` the arrays
+    backward needs and nothing else; `cache` is `None` when nothing is
+    kept, and `rng` is the dropout generator in training, `None` in
+    evaluation.  `backward(layer, cache, g, params, input_grad)` reads the
+    layer's own fields from `layer` and returns
     `(grad_input, (grad_w, grad_b) or None)`.
     """
 
@@ -255,7 +248,7 @@ class LayerKind(NamedTuple):
 KINDS: dict[str, LayerKind] = {
     "input": LayerKind(
         (("h", "height", int), ("w", "width", int), ("c", "channels", int)), "in{height}x{width}x{channels}",
-        "Image", "input", False, _input_shape, lambda layer, h, p, cache, run: h,
+        "Image", "input", False, _input_shape, lambda layer, h, p, cache, rng: h,
     ),
     "conv": LayerKind(
         (("k", "kernel", int), ("out", "out_channels", int)), "c{kernel}.{out_channels}",
@@ -271,11 +264,11 @@ KINDS: dict[str, LayerKind] = {
     ),
     "flatten": LayerKind(
         (), "fl", "Flatten", "flatten", False, lambda layer, shape, i: (math.prod(shape),),
-        _flatten_forward, lambda cache, g, p, input_grad: (g.reshape(cache["shape"]), None), view=True,
+        _flatten_forward, lambda layer, cache, g, p, input_grad: (g.reshape(cache["x"].shape), None), view=True,
     ),
     "dense": LayerKind(
         (("out", "out_features", int),), "fc{out_features}", "Fully Connected", "fc", True, _dense_shape,
-        lambda layer, h, p, cache, run: ops.dense_forward(_keep_input(h, cache), p), _dense_backward,
+        lambda layer, h, p, cache, rng: ops.dense_forward(_keep_input(h, cache), p), _dense_backward,
         weights=lambda layer, in_shape: (*in_shape, layer.out_features),
         make_params=lambda w, b: ops.Params(w.reshape(-1, w.shape[-1]), b),
     ),
@@ -304,6 +297,20 @@ def propagate_shapes(spec: NetSpec) -> list[tuple[int, ...]]:
             raise SpecError(f"unknown layer kind '{layer.kind}'", layer=i)
         shapes.append(KINDS[layer.kind].shape(layer, shapes[-1] if shapes else None, i))
     return shapes
+
+
+def layer_names(spec: NetSpec) -> list[str]:
+    """Ledger row names: each kind's prefix, numbered per kind when the kind
+    is always numbered (conv1, pool1, fc1) or occurs more than once."""
+    totals = Counter(layer.kind for layer in spec.layers)
+    seen: Counter = Counter()
+    names = []
+    for layer in spec.layers:
+        kind = KINDS[layer.kind]
+        seen[layer.kind] += 1
+        numbered = kind.numbered or totals[layer.kind] > 1
+        names.append(f"{kind.prefix}{seen[layer.kind]}" if numbered else kind.prefix)
+    return names
 
 
 def weight_shapes(spec: NetSpec, shapes: list[tuple[int, ...]]) -> list[tuple[int, ...] | None]:

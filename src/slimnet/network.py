@@ -16,8 +16,7 @@ import math
 import numpy as np
 
 from . import ops
-from .accounting import layer_names
-from .netspec import KINDS, ForwardPass, NetSpec, propagate_shapes, validate_classifier, weight_shapes
+from .netspec import KINDS, NetSpec, layer_names, propagate_shapes, validate_classifier, weight_shapes
 
 __all__ = ["Params", "init_params", "forward", "backward", "param_arrays"]
 
@@ -64,10 +63,11 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = Fa
     activations, used as float64.  Any other integer dtype raises
     `TypeError` rather than reach the net unscaled.
 
-    `caches` holds everything `backward` needs.  ReLU overwrites the conv
-    and dense outputs this call allocated, and the cache keeps that one
-    array (`"relu"`) for `ops.relu_backward`: relu(z) > 0 exactly where
-    z > 0.  A conv layer also keeps its im2col matrix (`"cols"`) for
+    `caches` holds, per layer, the arrays `backward` needs and nothing
+    else; `backward` reads names and fields from `spec`.  ReLU overwrites
+    the conv and dense outputs this call allocated, and the cache keeps
+    that one array (`"relu"`) for `ops.relu_backward`: relu(z) > 0 exactly
+    where z > 0.  A conv layer also keeps its im2col matrix (`"cols"`) for
     `ops.conv2d_backward`.  With `keep_caches=False` `caches` is `None`
     and nothing is kept for backward: no per-layer state, no im2col
     matrix and no pooling argmax (`ops.maxpool_values`).  That path also
@@ -77,27 +77,30 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = Fa
     runs the rest on the whole batch.  The logits are bit-identical
     either way.
     Dropout runs only when `training` is true, drawing its masks from
-    `dropout_rng`; otherwise it is skipped.
+    `dropout_rng`, which training needs (`ValueError` without one, before
+    any layer runs); otherwise it is skipped.
     """
     x = np.asarray(x)
     if np.issubdtype(x.dtype, np.integer) and x.dtype != np.uint8:
         raise TypeError(f"forward: input must be uint8 pixels or floating point, got {x.dtype}")
+    if training and dropout_rng is None:
+        raise ValueError("a training forward needs a dropout_rng")
     names = layer_names(spec)
-    run = ForwardPass(training, dropout_rng)
+    rng = dropout_rng if training else None
     if keep_caches:
         caches: list[dict] = []
-        return _chain(spec, params, names, run, _decode(x), 0, len(spec.layers), caches), caches
+        return _chain(spec, params, names, rng, _decode(x), 0, len(spec.layers), caches), caches
     flat, bounds = _image_chunks(spec, len(x))
     h = None
     for start, stop in zip(bounds, bounds[1:]):
-        out = _chain(spec, params, names, run, _decode(x[start:stop]), 0, flat, None)
+        out = _chain(spec, params, names, rng, _decode(x[start:stop]), 0, flat, None)
         if len(bounds) == 2:  # one chunk: its output is the batch's
             h = out
         else:
             if h is None:
                 h = np.empty((len(x), *out.shape[1:]))
             h[start:stop] = out
-    return _chain(spec, params, names, run, h, flat, len(spec.layers), None), None
+    return _chain(spec, params, names, rng, h, flat, len(spec.layers), None), None
 
 
 def _decode(x: np.ndarray) -> np.ndarray:
@@ -106,14 +109,14 @@ def _decode(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _chain(spec, params, names, run, h, first, stop, caches):
+def _chain(spec, params, names, rng, h, first, stop, caches):
     """Layers `first` to `stop - 1` on `h`; appends a cache per layer to `caches` unless it is `None`."""
     last = len(spec.layers) - 1
     for i in range(first, stop):
         layer = spec.layers[i]
         kind = KINDS[layer.kind]
-        cache: dict | None = {"kind": layer.kind, "name": names[i]} if caches is not None else None
-        h = kind.forward(layer, h, params.get(names[i]), cache, run)
+        cache: dict | None = {} if caches is not None else None
+        h = kind.forward(layer, h, params.get(names[i]), cache, rng)
         if kind.weights and i != last:
             h = ops.relu(h, out=h)
             if cache is not None:
@@ -150,16 +153,17 @@ def backward(spec: NetSpec, params: Params, caches: list[dict], grad_logits: np.
     never written.
     """
     first = next((i for i, layer in enumerate(spec.layers) if KINDS[layer.kind].weights), len(spec.layers))
+    names = layer_names(spec)
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     g, owned = grad_logits, False
     for i in reversed(range(first, len(spec.layers))):
-        cache = caches[i]
-        kind = KINDS[spec.layers[i].kind]
+        layer, cache = spec.layers[i], caches[i]
+        kind = KINDS[layer.kind]
         if "relu" in cache:
             g = ops.relu_backward(cache["relu"], g, out=g if owned else None)
             owned = True
-        g, layer_grads = kind.backward(cache, g, params.get(cache["name"]), i != first)
+        g, layer_grads = kind.backward(layer, cache, g, params.get(names[i]), i != first)
         owned = owned or not kind.view  # a view kind may hand back its input gradient
         if layer_grads is not None:
-            grads[cache["name"]] = layer_grads
+            grads[names[i]] = layer_grads
     return grads

@@ -227,24 +227,32 @@ class Candidate(NamedTuple):
     spec: NetSpec
 
 
-def _try_candidate(tag: str, spec: NetSpec, out: list[Candidate]):
+def _try_candidate(tag: str, spec: NetSpec, out: list[Candidate], skipped: list):
     try:
         propagate_shapes(spec)
     except SpecError as exc:
-        logger.warning("skipping candidate %s: %s", tag, exc)
+        skipped.append((tag, exc))
         return
     out.append(Candidate(tag, NetSpec(tag, spec.layers)))
+
+
+def _warn_skipped(skipped: list) -> None:
+    """One warning for all the points a plan could not build: their count, and the first with its reason."""
+    if skipped:
+        tag, exc = skipped[0]
+        logger.warning("skipping %d candidate(s), the first %s: %s", len(skipped), tag, exc)
 
 
 def enumerate_candidates(plan: SearchPlan) -> list[Candidate]:
     """All stage candidates in order, each applied to the previous picks.
 
-    Shape-incompatible candidates are skipped with a logged reason.  The
-    plan's extras are appended with `extra=<name>` tags.
+    Shape-incompatible candidates are skipped, and one logged warning
+    counts them.  The plan's extras are appended with `extra=<name>` tags.
     """
     candidates: list[Candidate] = []
+    skipped: list = []
     if not plan.stages:
-        _try_candidate("base", plan.base, candidates)
+        _try_candidate("base", plan.base, candidates, skipped)
     current = plan.base
     for stage in plan.stages:
         for value in stage.values:
@@ -252,18 +260,20 @@ def enumerate_candidates(plan: SearchPlan) -> list[Candidate]:
             try:
                 candidate = apply_knob(current, stage.knob, value)
             except SearchError as exc:
-                logger.warning("skipping candidate %s: %s", tag, exc)
+                skipped.append((tag, exc))
                 continue
-            _try_candidate(tag, candidate, candidates)
+            _try_candidate(tag, candidate, candidates, skipped)
         current = apply_knob(current, stage.knob, stage.pick)
     for extra in plan.extras:
-        _try_candidate(f"extra={extra.name}", extra, candidates)
+        _try_candidate(f"extra={extra.name}", extra, candidates, skipped)
+    _warn_skipped(skipped)
     return candidates
 
 
 def exhaustive_candidates(plan: SearchPlan) -> list[Candidate]:
-    """Full lattice over every stage's values (no picks); skips invalid combos."""
+    """Full lattice over every stage's values (no picks); skips invalid combos under one warning."""
     combos: list[tuple[str, NetSpec]] = [("", plan.base)]
+    skipped: list = []
     for stage in plan.stages:
         nxt = []
         for prefix, spec in combos:
@@ -273,11 +283,12 @@ def exhaustive_candidates(plan: SearchPlan) -> list[Candidate]:
                 try:
                     nxt.append((tag, apply_knob(spec, stage.knob, value)))
                 except SearchError as exc:
-                    logger.warning("skipping lattice point %s: %s", tag, exc)
+                    skipped.append((f"lattice:{tag}", exc))
         combos = nxt
     candidates: list[Candidate] = []
     for tag, spec in combos:
-        _try_candidate(f"lattice:{tag}", spec, candidates)
+        _try_candidate(f"lattice:{tag}", spec, candidates, skipped)
+    _warn_skipped(skipped)
     return candidates
 
 
@@ -294,10 +305,14 @@ Oracle = Callable[[str, NetSpec, int], RunOutcome]
 
 
 def trained_oracle(data, schedule: TrainConfig) -> Oracle:
-    """Oracle that really trains: each (candidate, seed) gets its own stream."""
+    """Oracle that really trains: each (candidate, seed) gets its own stream.
+
+    Of `schedule` only the learning rate, batch size and iterations count:
+    the seed is derived per candidate, and no trace is kept.
+    """
 
     def run(tag: str, spec: NetSpec, seed: int) -> RunOutcome:
-        config = replace(schedule, seed=derive_seed(seed, f"candidate:{tag}"))
+        config = replace(schedule, seed=derive_seed(seed, f"candidate:{tag}"), eval_every=0, loss_log_every=0)
         started = time.perf_counter()
         try:
             result = train(spec, data, config)
@@ -656,8 +671,10 @@ def _resolve_base(token: str) -> NetSpec:
 def plan_from_dict(raw: dict) -> SearchPlan:
     """Build a plan from parsed JSON; omitted fields fall back to the default plan.
 
-    "base" is a preset name or inline spec text.  An unknown key, or
-    contents of the wrong type, raise `SearchError` naming the field.
+    "base" is a preset name or inline spec text.  An unknown key, a
+    schedule's `seed`, `eval_every` or `loss_log_every` (the sweep derives
+    each candidate's seed and keeps no trace), or contents of the wrong
+    type, raise `SearchError` naming the field.
     """
     if not isinstance(raw, dict):
         raise SearchError(f"a plan must be a JSON object, got {type(raw).__name__}")
@@ -679,8 +696,13 @@ def plan_from_dict(raw: dict) -> SearchPlan:
     include_extras = raw.get("include_extras", True)
     if not isinstance(include_extras, bool):
         raise SearchError(f"plan include_extras must be true or false, got {include_extras!r}")
+    raw_schedule = raw.get("schedule", {})
+    for name in ("seed", "eval_every", "loss_log_every"):
+        if isinstance(raw_schedule, dict) and name in raw_schedule:
+            raise SearchError(f"a plan schedule cannot set '{name}': the sweep derives each "
+                              "candidate's seed and keeps no trace")
     try:
-        schedule = TrainConfig(**raw.get("schedule", {}))
+        schedule = TrainConfig(**raw_schedule)
     except TypeError as exc:
         raise SearchError(f"malformed plan schedule: {exc}") from None
     return SearchPlan(

@@ -1,5 +1,6 @@
 import argparse
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -474,6 +475,17 @@ def test_train_batch_larger_than_training_split_is_config_error(synth_data_dir, 
     assert not (out / "manifest.json").exists()
 
 
+def test_train_on_an_image_header_promising_more_than_its_file_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for stem in CANONICAL_FILES.values():
+        (data / stem).write_bytes(struct.pack(">iiii", 2051, *(2**31 - 1,) * 3) + bytes(100))
+    code, _, err = run_cli(capsys, "train", "optimized", "--data-dir", str(data),
+                           "--iterations", "1", "--out", str(tmp_path / "out"))
+    assert code == EXIT_DATA
+    assert err.startswith("data error: ") and "payload holds 100 bytes" in err
+
+
 def test_train_missing_idx_file_stays_data_error(synth_data_dir, tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()
@@ -539,6 +551,18 @@ def test_gradcheck_fails_on_a_nan_gradient(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "gradcheck", "--layers", "conv", "--trials", "2")
     assert code == EXIT_FAIL
     assert out.startswith("FAIL  conv")
+
+
+@pytest.mark.parametrize("argv", [("--trials", "0"), ("--trials", "-3", "--layers", "conv"),
+                                  ("--inject-fault", "conv", "--trials", "0", "--layers", "conv")])
+def test_gradcheck_refuses_fewer_than_one_trial(capsys, monkeypatch, argv):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr("slimnet.cli.run_suite", no_check)
+    code, out, err = run_cli(capsys, "gradcheck", *argv)
+    assert code == EXIT_SPEC
+    assert out == "" and "--trials" in err
 
 
 def test_gradcheck_unknown_layer(capsys):

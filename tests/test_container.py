@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,16 @@ def test_trailing_bytes_rejected(tmp_path):
     (tmp_path / "fat.bin").write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ContainerError, match="trailing"):
         read_tensors(tmp_path / "fat.bin")
+
+
+@pytest.mark.parametrize("shape", [(2**32, 2**32), (2**63, 2), (3, 2**63), (2**63, 0)])
+def test_extents_past_the_file_or_numpy_are_refused(tmp_path, shape):
+    # products of 2**64, 2**64 and 3 * 2**63 wrap in int64; the last holds nothing but cannot be indexed
+    path = tmp_path / "big.bin"
+    path.write_bytes(b"NTBX" + struct.pack(">IQI", 1, 1, 1) + b"x" + struct.pack(">I", len(shape))
+                     + b"".join(struct.pack(">Q", e) for e in shape) + bytes(64))
+    with pytest.raises(ContainerError, match="needs|extents"):
+        read_tensors(path)
 
 
 def test_checkpoint_round_trip(tmp_path):

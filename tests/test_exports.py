@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -33,3 +35,13 @@ def test_a_training_run_is_one_record():
     for name in ("TrainResult", "_MinibatchSampler"):
         assert not hasattr(slimnet, name)
         assert not hasattr(slimnet.trainer, name)
+
+
+def test_the_layer_contract_is_the_layer_and_its_arrays():
+    # a kind's forward gets the dropout generator itself, and the network names its layers itself
+    assert not hasattr(slimnet.netspec, "ForwardPass")
+    assert slimnet.accounting.layer_names is slimnet.netspec.layer_names
+    tree = ast.parse(inspect.getsource(slimnet.network))
+    imported = {name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for name in (node.module, *(alias.name for alias in node.names))}
+    assert "accounting" not in imported

@@ -42,6 +42,14 @@ def test_layer_subset():
     assert [r.layer for r in results] == ["dense"]
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_fewer_than_one_trial_is_refused(trials):
+    # zero trials checked nothing and passed, an injected fault too
+    for fault in (False, True):
+        with pytest.raises(ValueError, match="at least one trial"):
+            check_layer("conv", trials=trials, fault=fault)
+
+
 def test_unknown_layer_rejected():
     with pytest.raises(ValueError, match="unknown layer"):
         check_layer("conv3d")

@@ -23,16 +23,14 @@ def avgpool_shape(layer, shape, i):
     return (shape[0] // k, shape[1] // k, shape[2])
 
 
-def avgpool_forward(layer, h, p, cache, run):
+def avgpool_forward(layer, h, p, cache, rng):
     n, height, width, c = h.shape
     k = layer.window
-    if cache is not None:
-        cache["window"] = k
     return h.reshape(n, height // k, k, width // k, k, c).mean(axis=(2, 4))
 
 
-def avgpool_backward(cache, g, p, input_grad):
-    k = cache["window"]
+def avgpool_backward(layer, cache, g, p, input_grad):
+    k = layer.window
     return np.repeat(np.repeat(g, k, axis=1), k, axis=2) / (k * k), None
 
 
@@ -94,6 +92,7 @@ def test_network_runs_the_record_with_exact_gradients(spec):
     x = substream(4, "x").uniform(0.05, 1.0, size=(2, 8, 8, 1))
     labels = np.array([3, 7])
     logits, caches = forward(spec, params, x, training=True, dropout_rng=substream(3, "dropout"))
+    assert caches[2] == {}  # the record keeps no array, and its backward reads the layer
     pooled = caches[1]["relu"].reshape(2, 4, 2, 4, 2, 2).mean(axis=(2, 4))
     assert np.array_equal(caches[4]["x"], pooled.reshape(2, -1))
     assert forward(spec, params, x, keep_caches=False)[0].tobytes() == logits.tobytes()

@@ -56,12 +56,16 @@ def test_gzip_transparent(tmp_path):
     path.write_bytes(gzip.compress(build_image_bytes(img)))
     loaded = load_idx_images(path)
     np.testing.assert_array_equal(loaded[0, :, :, 0], img[0])
+    assert not loaded.flags.writeable
+
+
+def _write_bytes(path, data, compress):
+    path.write_bytes(gzip.compress(data) if compress else data)
+    return path
 
 
 def _write_images(path, images, compress):
-    data = build_image_bytes(images)
-    path.write_bytes(gzip.compress(data) if compress else data)
-    return path
+    return _write_bytes(path, build_image_bytes(images), compress)
 
 
 @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
@@ -118,6 +122,33 @@ def test_dimension_mismatch_rejected(tmp_path):
     path.write_bytes(header + arr.tobytes())
     with pytest.raises(IdxFormatError):
         load_idx_images(path)
+
+
+# Headers over a 100-byte payload: a size that overflows a read, 1 TiB and 2 GiB.
+HUGE_HEADERS = {
+    "images-overflow": (load_idx_images, struct.pack(">iiii", 2051, *(2**31 - 1,) * 3)),
+    "images-tebibyte": (load_idx_images, struct.pack(">iiii", 2051, 2**20, 2**10, 2**10)),
+    "labels-2gib": (load_idx_labels, struct.pack(">ii", 2049, 2**31 - 1)),
+}
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+@pytest.mark.parametrize("loader, header", HUGE_HEADERS.values(), ids=HUGE_HEADERS)
+def test_a_header_promising_more_than_the_file_holds_allocates_nothing(tmp_path, loader, header, compress):
+    path = _write_bytes(tmp_path / "huge.idx", header + bytes(100), compress)
+
+    def load():
+        with pytest.raises(IdxFormatError, match="payload holds 100 bytes"):
+            loader(path)
+
+    assert peak_alloc_bytes(load) < 2**20
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+def test_trailing_payload_bytes_are_rejected(tmp_path, compress):
+    data = build_image_bytes(np.zeros((2, 4, 4), dtype=np.uint8)) + b"\0"
+    with pytest.raises(IdxFormatError, match="payload holds 33 bytes, header promises 32"):
+        load_idx_images(_write_bytes(tmp_path / "long.idx", data, compress))
 
 
 def test_write_idx_images_round_trips_one_channel(tmp_path):

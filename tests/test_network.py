@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from slimnet import ops
-from slimnet.netspec import LayerSpec, NetSpec, load_spec
+from slimnet.netspec import LayerSpec, NetSpec, layer_names, load_spec
 from slimnet.network import backward, forward, init_params
 from slimnet.rng import substream
 from slimnet.synth import synthetic_corpus, synthetic_splits
@@ -43,19 +43,19 @@ def negative_bias_params(spec, seed):
 def full_backward(spec, params, caches, g):
     """Reference: every layer and every input gradient, down to the image."""
     grads = {}
-    for layer, cache in zip(reversed(spec.layers), reversed(caches)):
+    for layer, name, cache in reversed(list(zip(spec.layers, layer_names(spec), caches))):
         if layer.kind in ("conv", "dense"):
             if "relu" in cache:
                 g = ops.relu_backward(cache["relu"], g)
             op = ops.conv2d_backward if layer.kind == "conv" else ops.dense_backward
-            g, gw, gb = op(cache["x"], params[cache["name"]], g)
-            grads[cache["name"]] = (gw, gb)
+            g, gw, gb = op(cache["x"], params[name], g)
+            grads[name] = (gw, gb)
         elif layer.kind == "maxpool":
-            g = ops.maxpool_backward(g, cache["argmax"], cache["window"])
+            g = ops.maxpool_backward(g, cache["argmax"], layer.window)
         elif layer.kind == "flatten":
-            g = g.reshape(cache["shape"])
-        elif layer.kind == "dropout" and cache["training"] and cache["keep"] < 1.0:
-            g = ops.dropout_backward(g, cache["mask"], cache["keep"])
+            g = g.reshape(cache["x"].shape)
+        elif layer.kind == "dropout" and "mask" in cache:
+            g = ops.dropout_backward(g, cache["mask"], layer.keep_prob)
     return grads, g
 
 
@@ -132,9 +132,9 @@ def test_training_forward_keeps_one_array_per_activated_layer():
     params = init_params(spec, substream(8, "init"))
     x = np.random.default_rng(8).normal(size=(4, 8, 8, 1))
     _, caches = forward(spec, params, x, training=True, dropout_rng=substream(8, "dropout"))
-    activated = [c for c in caches if "relu" in c]
-    assert [c["name"] for c in activated] == ["conv1", "conv2", "fc1", "fc2"]
-    assert [c.keys() for c in activated] == [{"kind", "name", "x", "cols", "relu"}] * 2 + [{"kind", "name", "x", "relu"}] * 2
+    activated = [(name, c) for name, c in zip(layer_names(spec), caches) if "relu" in c]
+    assert [name for name, _ in activated] == ["conv1", "conv2", "fc1", "fc2"]
+    assert [c.keys() for _, c in activated] == [{"x", "cols", "relu"}] * 2 + [{"x", "relu"}] * 2
     assert caches[2]["x"] is caches[1]["relu"]  # conv1 -> conv2
     assert caches[5]["x"] is caches[4]["relu"]  # fc1 -> fc2
     assert np.shares_memory(caches[4]["x"], caches[2]["relu"])  # conv2 -> flatten -> fc1
@@ -154,8 +154,33 @@ def test_evaluation_forward_skips_dropout(monkeypatch):
     monkeypatch.setattr(ops, "dropout", no_dropout)
     logits, caches = forward(spec, params, x)
     assert logits.tobytes() == expected.tobytes()
-    assert [c.keys() for c in caches if c["kind"] == "dropout"] == [{"kind", "name", "keep", "training"}]
+    assert [c for layer, c in zip(spec.layers, caches) if layer.kind == "dropout"] == [{}]  # no mask drawn
     assert forward(spec, params, x, keep_caches=False)[0].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
+def test_a_training_cache_holds_only_the_arrays_forward_made(path):
+    spec = load_spec(path)
+    params = init_params(spec, substream(16, "init"))
+    _, caches = forward(spec, params, tie_heavy_batch(3, seed=16), training=True,
+                        dropout_rng=substream(16, "dropout"))
+    assert len(caches) == len(spec.layers)
+    for layer, cache in zip(spec.layers, caches):
+        assert all(isinstance(value, np.ndarray) for value in cache.values()), layer.kind
+        assert not cache.keys() & {"kind", "name", "window", "keep", "training", "shape"}, layer.kind
+
+
+@pytest.mark.parametrize("keep_caches", [True, False])
+def test_a_training_forward_without_a_dropout_rng_raises_before_any_layer_runs(keep_caches, monkeypatch):
+    spec = dense_only_spec()
+    params = init_params(spec, substream(17, "init"))
+
+    def no_layer(*args, **kwargs):
+        raise AssertionError("a layer ran")
+
+    monkeypatch.setattr(ops, "dense_forward", no_layer)
+    with pytest.raises(ValueError, match="dropout_rng"):
+        forward(spec, params, tie_heavy_batch(2, seed=17), training=True, keep_caches=keep_caches)
 
 
 @pytest.mark.parametrize("input_grad", [True, False])
@@ -164,15 +189,15 @@ def test_cached_cols_give_the_recomputed_conv_gradients(path, input_grad):
     spec = load_spec(path)
     params = negative_bias_params(spec, 6)
     _, caches = forward(spec, params, tie_heavy_batch(5, seed=6), training=True, dropout_rng=substream(6, "dropout"))
-    convs = [c for c in caches if c["kind"] == "conv"]
+    convs = [(name, c) for layer, name, c in zip(spec.layers, layer_names(spec), caches) if layer.kind == "conv"]
     assert convs
     rng = np.random.default_rng(6)
-    for cache in convs:
-        p, g = params[cache["name"]], rng.normal(size=cache["relu"].shape)
+    for name, cache in convs:
+        p, g = params[name], rng.normal(size=cache["relu"].shape)
         cached = ops.conv2d_backward(cache["x"], p, g, input_grad=input_grad, cols=cache["cols"])
         rebuilt = ops.conv2d_backward(cache["x"], p, g, input_grad=input_grad)
         assert [a if a is None else a.tobytes() for a in cached] == [
-            a if a is None else a.tobytes() for a in rebuilt], cache["name"]
+            a if a is None else a.tobytes() for a in rebuilt], name
 
 
 def test_relu_backward_runs_in_place_on_the_chain_gradient(monkeypatch):

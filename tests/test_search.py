@@ -150,6 +150,7 @@ def test_exhaustive_lattice_skips_invalid_combos(caplog):
     assert len(candidates) == 270
     assert len({c.tag for c in candidates}) == 270
     assert any("pool_window=4" in rec.message for rec in caplog.records)
+    assert len(caplog.records) == 1 and caplog.records[0].message.startswith("skipping 90 candidate(s)")
 
 
 def test_plan_from_dict_malformed_inputs():
@@ -674,6 +675,30 @@ def test_plan_checks_its_schedule():
         replace(plan, schedule=replace(plan.schedule, iterations=-1))
     with pytest.raises(ConfigError, match="batch_size must be an integer, got 2.5"):
         default_plan(schedule=TrainConfig(batch_size=2.5))
+
+
+@pytest.mark.parametrize("name", ["seed", "eval_every", "loss_log_every"])
+def test_a_plan_schedule_holds_only_what_the_sweep_uses(name):
+    with pytest.raises(SearchError, match=f"a plan schedule cannot set '{name}'"):
+        plan_from_dict({"schedule": {"iterations": 6, name: 1}})
+
+
+def test_trained_oracle_scores_only_the_test_split(synth_data, monkeypatch):
+    # a schedule's traces were computed and dropped, a validation pass per step
+    import slimnet.trainer
+
+    scored = []
+    real = slimnet.trainer.evaluate
+
+    def counting(spec, params, images, labels):
+        scored.append(len(images))
+        return real(spec, params, images, labels)
+
+    monkeypatch.setattr(slimnet.trainer, "evaluate", counting)
+    traced = trained_oracle(synth_data, TrainConfig(iterations=6, eval_every=1, seed=5))("t", optimized_spec(), 0)
+    assert scored == [len(synth_data.test.images)]
+    plain = trained_oracle(synth_data, TrainConfig(iterations=6))("t", optimized_spec(), 0)
+    assert traced.accuracy == plain.accuracy
 
 
 def test_run_search_with_trained_oracle_end_to_end(synth_data, tmp_path):
