@@ -21,6 +21,7 @@ from .ops import Params, ShapeError
 from .trainer import AdamState, ConfigError, Run, TrainConfig, TrainingDiverged, evaluate, train
 from .search import (
     FrontierPoint,
+    Search,
     SearchPlan,
     Stage,
     build_frontier,
@@ -43,7 +44,7 @@ __all__ = [
     "optimized_3x3_spec",
     "Params", "ShapeError",
     "AdamState", "ConfigError", "Run", "TrainConfig", "TrainingDiverged", "evaluate", "train",
-    "FrontierPoint", "SearchPlan", "Stage", "default_plan", "enumerate_candidates",
+    "FrontierPoint", "Search", "SearchPlan", "Stage", "default_plan", "enumerate_candidates",
     "run_sweep", "run_search", "select_minimal", "build_frontier", "export_curves",
     "table_oracle", "trained_oracle",
     "DataSplits", "load_data_dir", "load_idx_images", "load_idx_labels", "make_splits",

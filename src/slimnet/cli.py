@@ -6,12 +6,15 @@ run, the trailing arguments overriding the recorded ones.
 Every run writes a manifest with the resolved arguments so results can
 be reproduced byte for byte.
 
-Exit codes: 0 success, 2 spec/parse problem, a training setting out of
-range ("config error") or a plan file that cannot be read, parsed or
-turned into a plan, or a ledger of another schedule to resume ("plan
-error"), 3 missing or malformed data,
-4 training divergence, 5 infeasible search threshold, 1 any other
-failure (including gradcheck mismatches).
+Exit codes: 0 success; 2 a spec/parse problem, a training setting out of
+range ("config error"), or a search that `search.Search` refuses ("plan
+error": a plan file that cannot be read, parsed or turned into a plan, a
+pick the base cannot take, no valid candidate, two candidates under one
+tag, an `--out` ledger of another schedule or of another net under a
+tag, a tag the table oracle holds no accuracy for), each reported before
+the manifest is written; 3 missing or malformed data; 4 training
+divergence; 5 infeasible search threshold; 1 any other failure
+(including gradcheck mismatches).
 """
 
 from __future__ import annotations
@@ -32,16 +35,7 @@ from .gradcheck import LAYERS, run_suite
 from .mnist import MissingDataError, IdxFormatError, load_data_dir
 from .netspec import PRESETS, NetSpec, SpecError, load_spec, number_text
 from .ops import ShapeError
-from .search import (
-    LEDGER_FILE,
-    SearchError,
-    default_plan,
-    load_plan,
-    resume_ledger,
-    run_search,
-    table_oracle,
-    trained_oracle,
-)
+from .search import Search, SearchError, default_plan, load_plan, table_oracle, trained_oracle
 from .trainer import ConfigError, Run, TrainConfig, TrainingDiverged
 
 EXIT_OK = 0
@@ -192,16 +186,16 @@ def cmd_search(args) -> int:
     else:
         args.data_dir = _data_dir_or_fail(args.data_dir)
         oracle = trained_oracle(load_data_dir(args.data_dir), plan.schedule)
-    resume_ledger(Path(args.out) / LEDGER_FILE, oracle.schedule_id)  # refuses another schedule's ledger
+    search = Search(plan, oracle, out_dir=args.out, exhaustive=args.exhaustive)  # refuses before the manifest
     args.threshold, args.seeds = plan.threshold, ",".join(map(str, plan.seeds))
     _write_manifest(args)
-    output = run_search(plan, oracle, out_dir=args.out, exhaustive=args.exhaustive)
-    print(f"swept {len(output.results)} runs; ledger at {output.ledger_path}")
-    print(f"frontier points: {len(output.frontier)} (frontier.csv, curves.csv written)")
-    print(output.selection.describe())
-    if not output.selection.feasible:
+    search.run()
+    print(f"swept {len(search.results)} runs; ledger at {search.ledger_path}")
+    print(f"frontier points: {len(search.frontier)} (frontier.csv, curves.csv written)")
+    print(search.selection.describe())
+    if not search.selection.feasible:
         return EXIT_INFEASIBLE
-    print(f"selected spec written to {output.selected_spec_path}")
+    print(f"selected spec written to {search.selected_spec_path}")
     return EXIT_OK
 
 

@@ -72,6 +72,7 @@ __all__ = [
     "select_minimal",
     "build_frontier",
     "export_curves",
+    "Search",
     "run_search",
 ]
 
@@ -308,8 +309,11 @@ def trained_oracle(data, schedule: TrainConfig) -> Oracle:
     """Oracle that really trains: each (candidate, seed) gets its own stream.
 
     Of `schedule` only the learning rate, batch size and iterations count:
-    the seed is derived per candidate, and no trace is kept.
+    the seed is derived per candidate, and no trace is kept.  A batch
+    larger than the training split raises `ConfigError` here, not at the
+    first candidate.
     """
+    schedule.validate(len(data.train.images))
 
     def run(tag: str, spec: NetSpec, seed: int) -> RunOutcome:
         config = replace(schedule, seed=derive_seed(seed, f"candidate:{tag}"), eval_every=0, loss_log_every=0)
@@ -325,18 +329,21 @@ def trained_oracle(data, schedule: TrainConfig) -> Oracle:
     return run
 
 
+def _unrecorded(tag: str) -> SearchError:
+    return SearchError(f"no recorded accuracy for candidate '{tag}'; the table oracle only "
+                       "covers the default plan's sweep")
+
+
 def table_oracle() -> Oracle:
-    """Oracle that replays the recorded accuracies keyed by sweep tag."""
+    """Oracle that replays the recorded accuracies keyed by sweep tag; `tags` names the ones it holds."""
 
     def run(tag: str, spec: NetSpec, seed: int) -> RunOutcome:
         if tag not in RECORDED_ACCURACY:
-            raise SearchError(
-                f"no recorded accuracy for candidate '{tag}'; the table oracle only "
-                "covers the default plan's sweep"
-            )
+            raise _unrecorded(tag)
         return RunOutcome(RECORDED_ACCURACY[tag], 0.0, False)
 
     run.schedule_id = "table"
+    run.tags = frozenset(RECORDED_ACCURACY)
     return run
 
 
@@ -382,12 +389,12 @@ def _parse_ledger_line(raw: bytes, where) -> CandidateResult:
         raise SearchError(f"malformed ledger line {where} ({exc}): {raw!r}") from None
 
 
-def _read_ledger(data: bytes) -> tuple[list[CandidateResult], bytes]:
+def _read_ledger(data: bytes, warn: bool = True) -> tuple[list[CandidateResult], bytes]:
     """The records in a ledger's bytes, and the leading bytes that hold them.
 
     A crash in the middle of a write leaves an unterminated final line.
-    When that line does not parse it is dropped with a warning and the
-    kept bytes stop before it; any other malformed line raises
+    When that line does not parse it is dropped, with a warning if `warn`,
+    and the kept bytes stop before it; any other malformed line raises
     `SearchError` naming its line number.
     """
     *lines, tail = data.split(b"\n")
@@ -400,7 +407,8 @@ def _read_ledger(data: bytes) -> tuple[list[CandidateResult], bytes]:
         try:
             records.append(_parse_ledger_line(tail, len(lines) + 1))
         except SearchError as exc:
-            logger.warning("dropping the unterminated last ledger line left by an interrupted write: %s", exc)
+            if warn:
+                logger.warning("dropping the unterminated last ledger line left by an interrupted write: %s", exc)
             return records, data[: len(data) - len(tail)]
     return records, data
 
@@ -409,32 +417,16 @@ def load_ledger(path) -> list[CandidateResult]:
     return _read_ledger(Path(path).read_bytes())[0]
 
 
-def resume_ledger(path, schedule_id: str) -> tuple[list[CandidateResult], bytes]:
-    """The records a sweep of `schedule_id` resumes from the ledger at `path` (if any), and the bytes holding them.
+def _resume(candidates: list[Candidate], oracle: Oracle, seeds, ledger_path, warn: bool = True):
+    """Check a sweep against itself and its ledger, writing nothing.
 
-    A record of another schedule raises `SearchError`.
-    """
-    records, kept = _read_ledger(Path(path).read_bytes() if path is not None and Path(path).exists() else b"")
-    for rec in records:
-        if rec.schedule_id != schedule_id:
-            raise SearchError(
-                f"ledger {path} holds tag {rec.tag} seed {rec.seed} under schedule "
-                f"{rec.schedule_id}, but this sweep runs schedule {schedule_id}"
-            )
-    return records, kept
-
-
-def run_sweep(candidates: list[Candidate], oracle: Oracle, seeds=(0,),
-              ledger_path=None) -> list[CandidateResult]:
-    """Run every (candidate, seed) pair not already in the ledger.
-
-    New records are appended to `ledger_path` (or to memory) as they
-    finish, so an interrupted sweep resumes where it stopped, and each is
-    the parse of its line, so a fresh sweep, its resume and `load_ledger`
-    return the same records.  See `resume_ledger` for what is reused.  A
-    tag is the ledger key, so two candidates under one tag, or a seed
-    given twice, raise `SearchError` before anything runs.  The returned
-    list always covers all pairs in candidate x seed order.
+    Returns the oracle's schedule id, the ledger's records by (tag, seed),
+    the bytes holding them, and the (candidate, seed) pairs left to run.
+    A tag is the ledger key, so `SearchError` is raised for two candidates
+    under one tag, a seed given twice, a record of another schedule or of
+    another net than its tag names here, and a pending tag that a table
+    oracle (one with `tags`) holds no accuracy for.  Records of other tags
+    are ignored.  `warn` as for `_read_ledger`.
     """
     by_tag: dict[str, NetSpec] = {}
     for c in candidates:
@@ -444,18 +436,46 @@ def run_sweep(candidates: list[Candidate], oracle: Oracle, seeds=(0,),
     if len(set(seeds)) < len(seeds):
         raise SearchError(f"seeds {tuple(seeds)} repeat a seed; the ledger could not tell its runs apart")
     schedule_id = getattr(oracle, "schedule_id", "unknown")
-    records, kept = resume_ledger(ledger_path, schedule_id)
+    path = Path(ledger_path) if ledger_path is not None else None
+    records, kept = _read_ledger(path.read_bytes() if path is not None and path.exists() else b"", warn)
+    for rec in records:
+        if rec.schedule_id != schedule_id:
+            raise SearchError(
+                f"ledger {path} holds tag {rec.tag} seed {rec.seed} under schedule "
+                f"{rec.schedule_id}, but this sweep runs schedule {schedule_id}"
+            )
+        if rec.tag in by_tag and rec.ident != spec_id(by_tag[rec.tag]):
+            raise SearchError(f"ledger {path} holds tag {rec.tag} seed {rec.seed} as net {rec.ident}, "
+                              f"but this plan's candidate under that tag is {spec_id(by_tag[rec.tag])}")
     done = {(rec.tag, rec.seed): rec for rec in records}
+    pending = [(c, seed) for c in candidates for seed in seeds if (c.tag, seed) not in done]
+    tags = getattr(oracle, "tags", None)
+    unrecorded = [c.tag for c, _ in pending if tags is not None and c.tag not in tags]
+    if unrecorded:
+        raise _unrecorded(unrecorded[0])
+    return schedule_id, done, kept, pending
 
-    accounts = {tag: analyze(spec) for tag, spec in by_tag.items()}
-    pending = [(c.tag, seed) for c in candidates for seed in seeds if (c.tag, seed) not in done]
+
+def run_sweep(candidates: list[Candidate], oracle: Oracle, seeds=(0,),
+              ledger_path=None) -> list[CandidateResult]:
+    """Run every (candidate, seed) pair not already in the ledger.
+
+    New records are appended to `ledger_path` (or to memory) as they
+    finish, so an interrupted sweep resumes where it stopped, and each is
+    the parse of its line, so a fresh sweep, its resume and `load_ledger`
+    return the same records.  See `_resume` for what is reused and what
+    raises `SearchError` before anything runs.  The returned list always
+    covers all pairs in candidate x seed order.
+    """
+    schedule_id, done, kept, pending = _resume(candidates, oracle, seeds, ledger_path)
+    accounts = {c.tag: analyze(c.spec) for c in candidates}
 
     with open(ledger_path, "a", encoding="utf-8") if ledger_path is not None else io.StringIO() as ledger:
         ledger.truncate(len(kept))  # drops a partial last line
         if kept and not kept.endswith(b"\n"):
             ledger.write("\n")  # ends a last line that parsed but lost its newline
-        for tag, seed in pending:
-            outcome = oracle(tag, by_tag[tag], seed)
+        for (tag, spec), seed in pending:
+            outcome = oracle(tag, spec, seed)
             report = accounts[tag]
             line = _ledger_line(CandidateResult(
                 tag=tag,
@@ -614,45 +634,50 @@ def export_curves(results: list[CandidateResult]) -> str:
 # --- the whole procedure ---------------------------------------------------------
 
 
-@dataclass
-class SearchOutput:
-    results: list[CandidateResult]
-    selection: SelectionResult
-    frontier: list[FrontierPoint]
-    curves_csv: str
-    ledger_path: Path | None
-    selected_spec_path: Path | None
+class Search:
+    """One search: its plan, oracle and candidates, then its results and the files it wrote.
+
+    Building it makes every refusal of the sweep (a pick the base cannot
+    take, no valid candidate, and the checks of `_resume`) as a
+    `SearchError`, and writes nothing.  `run()` sweeps the pairs the
+    ledger lacks, selects, and writes the ledger, `frontier.csv`,
+    `curves.csv` and, when feasible, `selected.spec` into `out_dir`.
+    """
+
+    def __init__(self, plan: SearchPlan, oracle: Oracle, out_dir=None, exhaustive: bool = False):
+        self.candidates = exhaustive_candidates(plan) if exhaustive else enumerate_candidates(plan)
+        if not self.candidates:
+            raise SearchError("plan produced no valid candidates")
+        self.plan, self.oracle = plan, oracle
+        self.out_dir = Path(out_dir) if out_dir is not None else None
+        self.ledger_path = self.out_dir / LEDGER_FILE if self.out_dir is not None else None
+        _resume(self.candidates, oracle, plan.seeds, self.ledger_path, warn=False)  # run_sweep warns of a cut line
+        self.results = self.selection = self.frontier = self.curves_csv = self.selected_spec_path = None
+
+    def run(self) -> Search:
+        """Sweep, select, and write the ledger/frontier/curves/selected-spec artifacts; returns the search."""
+        out = self.out_dir
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+        self.results = run_sweep(self.candidates, self.oracle, seeds=self.plan.seeds, ledger_path=self.ledger_path)
+        self.selection = select_minimal(self.results, self.plan.threshold)
+        self.frontier = build_frontier(self.results)
+        self.curves_csv = export_curves(self.results)
+        if out is not None:
+            (out / "frontier.csv").write_text(frontier_csv(self.frontier), encoding="utf-8")
+            (out / "curves.csv").write_text(self.curves_csv, encoding="utf-8")
+            selected = out / "selected.spec"
+            selected.unlink(missing_ok=True)  # an infeasible rerun leaves no earlier pick behind
+            if self.selection.feasible:
+                ident = self.selection.choice.ident
+                save_spec(next(c.spec for c in self.candidates if spec_id(c.spec) == ident), selected)
+                self.selected_spec_path = selected
+        return self
 
 
-def run_search(plan: SearchPlan, oracle: Oracle, out_dir=None,
-               exhaustive: bool = False) -> SearchOutput:
-    """Sweep, select, and write the ledger/frontier/curves artifacts."""
-    candidates = exhaustive_candidates(plan) if exhaustive else enumerate_candidates(plan)
-    if not candidates:
-        raise SearchError("plan produced no valid candidates")
-    out_path = Path(out_dir) if out_dir is not None else None
-    ledger_path = out_path / LEDGER_FILE if out_path is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-    results = run_sweep(candidates, oracle, seeds=plan.seeds, ledger_path=ledger_path)
-    selection = select_minimal(results, plan.threshold)
-    frontier = build_frontier(results)
-    curves = export_curves(results)
-    selected_path = None
-    if out_path is not None:
-        (out_path / "frontier.csv").write_text(frontier_csv(frontier), encoding="utf-8")
-        (out_path / "curves.csv").write_text(curves, encoding="utf-8")
-        if selection.feasible:
-            selected_path = out_path / "selected.spec"
-            save_spec(next(c.spec for c in candidates if spec_id(c.spec) == selection.choice.ident), selected_path)
-    return SearchOutput(
-        results=results,
-        selection=selection,
-        frontier=frontier,
-        curves_csv=curves,
-        ledger_path=ledger_path,
-        selected_spec_path=selected_path,
-    )
+def run_search(plan: SearchPlan, oracle: Oracle, out_dir=None, exhaustive: bool = False) -> Search:
+    """Sweep, select, and write the artifacts: `Search(...).run()`."""
+    return Search(plan, oracle, out_dir, exhaustive).run()
 
 
 # --- plan (de)serialization ------------------------------------------------------

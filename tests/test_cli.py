@@ -303,6 +303,71 @@ def test_search_refuses_a_ledger_of_another_schedule_before_the_manifest(tmp_pat
     assert {name: (tmp_path / name).read_bytes() for name in written} == written
 
 
+def stage(knob, *values):
+    return {"knob": knob, "values": list(values), "pick": values[-1]}
+
+
+def table_ledger(text):
+    # a default table sweep's ledger, its lines passed through `text`
+    from slimnet.search import default_plan, enumerate_candidates, run_sweep, table_oracle
+
+    def write(path):
+        run_sweep(enumerate_candidates(default_plan()), table_oracle(), ledger_path=path)
+        path.write_text(text(path.read_text()))
+    return write
+
+
+@pytest.mark.parametrize(
+    "plan, argv, ledger, message",
+    [
+        ({"stages": [stage("fc1_width", 64), stage("fc1_width", 64)], "include_extras": False}, [], None,
+         "plan error: two candidates share the tag 'fc1_width=64'"),
+        ({"base": "optimized", "stages": [stage("drop_conv2", True)]}, [], None,
+         "plan error: drop_conv2: spec has no second conv layer"),
+        ({"base": "optimized", "stages": [stage("pool_window", 3)], "include_extras": False}, [], None,
+         "plan error: plan produced no valid candidates"),
+        (None, ["--exhaustive"], None, "plan error: no recorded accuracy for candidate 'lattice:drop_conv2=false,"),
+        # the default sweep filed conv2-dropped nets under the fc1_width tags; this plan keeps conv2
+        ({"stages": [stage("fc1_width", 1024, 128)]}, [], table_ledger(lambda text: text),
+         "plan error: ledger {ledger} holds tag fc1_width=1024 seed 0 as net "),
+        (None, [], table_ledger(lambda text: text.replace("schedule=table", "schedule=it5-bs50-lr0.0001")),
+         "plan error: ledger {ledger} holds tag drop_conv2=false seed 0 under schedule it5-"),
+        ({"schedule": {"batch_size": 60000}}, ["--data-dir", "{synth}"], None,
+         "config error: batch_size 60000 exceeds dataset size 55000"),
+    ],
+    ids=["repeated-tag", "pick-the-base-cannot-take", "no-valid-candidate", "exhaustive-table",
+         "another-net-under-a-tag", "another-schedule", "batch-beyond-the-training-split"],
+)
+def test_search_refusals_leave_no_manifest_and_no_new_ledger(tmp_path, capsys, request, plan, argv, ledger, message):
+    out = tmp_path / "out"
+    out.mkdir()
+    if plan is not None:
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        argv = [*argv, "--plan", str(tmp_path / "plan.json")]
+    if ledger is not None:
+        ledger(out / "results.ledger")
+    if "{synth}" in argv:  # the trained oracle, on the 55k training split
+        argv = [arg.format(synth=request.getfixturevalue("synth_data_dir")) for arg in argv]
+    else:
+        argv = [*argv, "--oracle", "table"]
+    written = {path.name: path.read_bytes() for path in out.iterdir()}
+    code, _, err = run_cli(capsys, "search", *argv, "--out", str(out))
+    assert code == EXIT_SPEC
+    assert err.startswith(message.format(ledger=out / "results.ledger"))
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+
+
+def test_an_infeasible_rerun_removes_the_earlier_selected_spec(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "search", "--oracle", "table", "--threshold", "0.95", "--out", str(tmp_path))
+    assert code == EXIT_OK
+    assert (tmp_path / "selected.spec").exists()
+    code, out, _ = run_cli(capsys, "search", "--oracle", "table", "--threshold", "0.999", "--out", str(tmp_path))
+    assert code == EXIT_INFEASIBLE
+    assert "infeasible" in out
+    assert not (tmp_path / "selected.spec").exists()
+    assert "0.999" in json.loads((tmp_path / "manifest.json").read_text())["argv"]
+
+
 def test_search_table_oracle_selects_optimized(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "search", "--oracle", "table", "--threshold", "0.95", "--out", str(tmp_path),

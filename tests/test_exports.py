@@ -37,6 +37,14 @@ def test_a_training_run_is_one_record():
         assert not hasattr(slimnet.trainer, name)
 
 
+def test_a_search_is_one_record():
+    # `search.Search` carries the results and the paths it wrote, and makes the sweep's refusals itself
+    assert slimnet.Search is slimnet.search.Search
+    for name in ("SearchOutput", "resume_ledger"):
+        assert not hasattr(slimnet, name)
+        assert not hasattr(slimnet.search, name)
+
+
 def test_the_layer_contract_is_the_layer_and_its_arrays():
     # a kind's forward gets the dropout generator itself, and the network names its layers itself
     assert not hasattr(slimnet.netspec, "ForwardPass")

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import logging
 import re
@@ -13,6 +14,7 @@ from slimnet.search import (
     Candidate,
     CandidateResult,
     RunOutcome,
+    Search,
     SearchError,
     SearchPlan,
     Stage,
@@ -335,6 +337,34 @@ def test_sweep_resume_rejects_records_of_another_schedule(tmp_path):
     assert {r.schedule_id for r in resumed} == {"it150-bs50-lr0.0001"}
 
 
+def test_resume_refuses_a_record_whose_id_is_not_the_net_its_tag_names(tmp_path):
+    # the default sweep files conv2-dropped nets under the fc1_width tags; this plan keeps conv2
+    run_sweep(enumerate_candidates(default_plan()), table_oracle(), ledger_path=tmp_path / "results.ledger")
+    written = (tmp_path / "results.ledger").read_bytes()
+    plan = SearchPlan(base=baseline_spec(), stages=(Stage("fc1_width", (1024, 128), 128),), extras=())
+    dropped = spec_id(apply_knob(apply_knob(baseline_spec(), "drop_conv2", True), "fc1_width", 1024))
+    kept = spec_id(apply_knob(baseline_spec(), "fc1_width", 1024))
+    message = re.escape(f"tag fc1_width=1024 seed 0 as net {dropped}, "
+                        f"but this plan's candidate under that tag is {kept}")
+    with pytest.raises(SearchError, match=message):
+        Search(plan, table_oracle(), out_dir=tmp_path)
+    with pytest.raises(SearchError, match=message):
+        run_sweep(enumerate_candidates(plan), table_oracle(), ledger_path=tmp_path / "results.ledger")
+    assert (tmp_path / "results.ledger").read_bytes() == written
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["results.ledger"]
+    # records of tags the plan does not make are not checked, and not used
+    calls = []
+
+    def counting(tag, spec, seed):
+        calls.append(tag)
+        return RunOutcome(0.9, 0.0, False)
+
+    counting.schedule_id = "table"
+    only_drop = SearchPlan(base=baseline_spec(), stages=(Stage("drop_conv2", (False, True), True),), extras=())
+    assert len(run_search(only_drop, counting, out_dir=tmp_path).results) == 2
+    assert calls == []
+
+
 @pytest.mark.parametrize("cut,reruns", [(1, 0), (3, 1), (40, 1)])
 def test_sweep_resume_after_a_crash_cut_the_last_ledger_line(tmp_path, caplog, cut, reruns):
     # cut 1 loses only the newline; 3 leaves "diverged="; 40 ends inside "accuracy="
@@ -566,6 +596,50 @@ def test_run_search_infeasible_writes_no_spec(tmp_path):
     assert not output.selection.feasible
     assert output.selected_spec_path is None
     assert not (tmp_path / "selected.spec").exists()
+
+
+def test_a_search_warns_once_of_a_ledger_line_cut_by_a_crash(tmp_path, caplog):
+    # the search reads its ledger when it is built and again when it sweeps
+    run_search(default_plan(), table_oracle(), out_dir=tmp_path)
+    ledger = tmp_path / "results.ledger"
+    ledger.write_bytes(ledger.read_bytes()[:-40])
+    with caplog.at_level(logging.WARNING, logger="slimnet.search"):
+        run_search(default_plan(), table_oracle(), out_dir=tmp_path)
+    assert sum("unterminated last ledger line" in rec.message for rec in caplog.records) == 1
+
+
+def test_an_infeasible_rerun_leaves_no_earlier_pick(tmp_path):
+    assert run_search(default_plan(), table_oracle(), out_dir=tmp_path).selected_spec_path.exists()
+    rerun = run_search(replace(default_plan(), threshold=0.999), table_oracle(), out_dir=tmp_path)
+    assert not rerun.selection.feasible
+    assert rerun.selected_spec_path is None
+    assert not (tmp_path / "selected.spec").exists()
+
+
+def test_the_sweep_calls_the_search_module_names_the_benchmark_counts(monkeypatch, synth_data):
+    # bench/spans.py counts a sweep's spans by patching these names in `slimnet.search`
+    import slimnet.search
+
+    calls = collections.Counter()
+
+    def count(name):
+        real = getattr(slimnet.search, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(slimnet.search, name, counting)
+
+    for name in ("run_sweep", "analyze", "train"):
+        count(name)
+    run_search(default_plan(), table_oracle())
+    assert calls == {"run_sweep": 1, "analyze": 26}
+    calls.clear()
+    schedule = TrainConfig(iterations=2)
+    plan = SearchPlan(base=optimized_spec(), stages=(Stage("pool_window", (2, 4), 4),), extras=(),
+                      schedule=schedule, seeds=(0, 1))
+    run_search(plan, trained_oracle(synth_data, schedule))
+    assert calls == {"run_sweep": 1, "analyze": 2, "train": 4}
 
 
 def test_candidate_results_consistent_with_accountant():
