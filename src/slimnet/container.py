@@ -12,7 +12,9 @@ Layout (byte order fixed for cross-platform replay):
 
 Rank-0 tensors carry a single value and are used for scalars such as the
 optimizer timestep.  Writing is deterministic: identical tensor dicts
-produce identical bytes.
+produce identical bytes.  Each payload is written from the tensor's own
+buffer, so a C-ordered float64 tensor is not copied (a checkpoint's
+largest tensors would otherwise set the peak memory of a training run).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
             f.write(struct.pack(">I", arr.ndim))
             for extent in arr.shape:
                 f.write(struct.pack(">Q", extent))
-            f.write(arr.astype("<f8").tobytes())
+            f.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
 def _read_exact(f, n: int, what: str) -> bytes:

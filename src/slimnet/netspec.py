@@ -179,7 +179,7 @@ def _maxpool_forward(layer, h, p, cache, rng):
     return h
 
 
-def _maxpool_backward(layer, cache, g, p, input_grad):
+def _maxpool_backward(layer, cache, g, p, input_grad, out):
     return ops.maxpool_backward(g, cache["argmax"], layer.window), None
 
 
@@ -197,17 +197,17 @@ def _dropout_forward(layer, h, p, cache, rng):
     return h
 
 
-def _conv_backward(layer, cache, g, p, input_grad):
-    g, gw, gb = ops.conv2d_backward(cache["x"], p, g, input_grad=input_grad, cols=cache["cols"])
+def _conv_backward(layer, cache, g, p, input_grad, out):
+    g, gw, gb = ops.conv2d_backward(cache["x"], p, g, input_grad=input_grad, cols=cache["cols"], out=out)
     return g, (gw, gb)
 
 
-def _dense_backward(layer, cache, g, p, input_grad):
-    g, gw, gb = ops.dense_backward(cache["x"], p, g)
+def _dense_backward(layer, cache, g, p, input_grad, out):
+    g, gw, gb = ops.dense_backward(cache["x"], p, g, out=out)
     return g, (gw, gb)
 
 
-def _dropout_backward(layer, cache, g, p, input_grad):
+def _dropout_backward(layer, cache, g, p, input_grad, out):
     if "mask" in cache:
         g = ops.dropout_backward(g, cache["mask"], layer.keep_prob)
     return g, None
@@ -225,9 +225,11 @@ class LayerKind(NamedTuple):
     `forward(layer, h, params, cache, rng)` puts into `cache` the arrays
     backward needs and nothing else; `cache` is `None` when nothing is
     kept, and `rng` is the dropout generator in training, `None` in
-    evaluation.  `backward(layer, cache, g, params, input_grad)` reads the
-    layer's own fields from `layer` and returns
-    `(grad_input, (grad_w, grad_b) or None)`.
+    evaluation.  `backward(layer, cache, g, params, input_grad, out)`
+    reads the layer's own fields from `layer` and returns
+    `(grad_input, (grad_w, grad_b) or None)`; a kind with weights writes
+    its pair into `out`, the pair its previous backward returned, when
+    that is not `None` (the `out` of `ops.dense_backward`).
     """
 
     fields: tuple[tuple[str, str, type], ...]  # text fields as (key, attribute, type)
@@ -264,7 +266,7 @@ KINDS: dict[str, LayerKind] = {
     ),
     "flatten": LayerKind(
         (), "fl", "Flatten", "flatten", False, lambda layer, shape, i: (math.prod(shape),),
-        _flatten_forward, lambda layer, cache, g, p, input_grad: (g.reshape(cache["x"].shape), None), view=True,
+        _flatten_forward, lambda layer, cache, g, p, input_grad, out: (g.reshape(cache["x"].shape), None), view=True,
     ),
     "dense": LayerKind(
         (("out", "out_features", int),), "fc{out_features}", "Fully Connected", "fc", True, _dense_shape,

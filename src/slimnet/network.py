@@ -143,14 +143,16 @@ def _image_chunks(spec: NetSpec, n: int) -> tuple[int, list[int]]:
     return flat, [i * size for i in range(max(n // size, 1))] + [n]
 
 
-def backward(spec: NetSpec, params: Params, caches: list[dict], grad_logits: np.ndarray):
+def backward(spec: NetSpec, params: Params, caches: list[dict], grad_logits: np.ndarray, *, out=None):
     """Reverse the chain; returns {name: (grad_w, grad_b)}.
 
     Nothing below the first layer with weights is processed, and that
     layer's input gradient is not computed for a conv.  Weight and bias
     gradients are bit-identical to a full pass.  The ReLU gradient is
     taken in place in the gradient the chain owns; `grad_logits` is
-    never written.
+    never written.  `out` is a dict an earlier `backward` of the same
+    spec returned: each pair is overwritten and returned again, so a
+    training run holds one set of gradients; without it they are fresh.
     """
     first = next((i for i, layer in enumerate(spec.layers) if KINDS[layer.kind].weights), len(spec.layers))
     names = layer_names(spec)
@@ -162,7 +164,8 @@ def backward(spec: NetSpec, params: Params, caches: list[dict], grad_logits: np.
         if "relu" in cache:
             g = ops.relu_backward(cache["relu"], g, out=g if owned else None)
             owned = True
-        g, layer_grads = kind.backward(layer, cache, g, params.get(names[i]), i != first)
+        g, layer_grads = kind.backward(layer, cache, g, params.get(names[i]), i != first,
+                                       None if out is None else out.get(names[i]))
         owned = owned or not kind.view  # a view kind may hand back its input gradient
         if layer_grads is not None:
             grads[names[i]] = layer_grads

@@ -24,9 +24,15 @@ Conventions
   again.  `conv2d_backward(..., input_grad=False)` skips the col2im
   input gradient and returns `None` in its place, for a layer whose
   input needs no gradient.
-* Every function is pure (`relu` and `relu_backward` write into `out`
-  only when given one): randomness (dropout) comes from an explicitly
-  passed `numpy.random.Generator`.
+* `conv2d_backward` and `dense_backward` take `out=(grad_w, grad_b)`,
+  writable C-contiguous float64 arrays of the weights' and the bias's
+  shapes, which they overwrite and return, so a training run allocates
+  its weight and bias gradients once.  Without `out` both are fresh.
+  Either way they are written by `np.matmul(..., out=)` and
+  `np.sum(..., out=)`, so the bits are the same.
+* Every function is pure (`relu`, `relu_backward` and the two affine
+  backwards write into `out` only when given one): randomness (dropout)
+  comes from an explicitly passed `numpy.random.Generator`.
 """
 
 from __future__ import annotations
@@ -89,6 +95,19 @@ def _affine(op: str, x, params: Params, rank: int):
     return x, w, b
 
 
+def _grads_out(op: str, out, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The `(grad_w, grad_b)` arrays a backward writes: `out` once checked, or two fresh ones."""
+    if out is None:
+        return np.empty(w.shape), np.empty(w.shape[-1:])
+    grad_w, grad_b = out
+    for arr, shape in ((grad_w, w.shape), (grad_b, w.shape[-1:])):
+        if not (isinstance(arr, np.ndarray) and arr.shape == shape and arr.dtype == np.float64
+                and arr.flags.c_contiguous and arr.flags.writeable):
+            raise ShapeError(f"{op}: out must be writable C-contiguous float64 arrays of shapes "
+                             f"{w.shape} and {w.shape[-1:]}, got {getattr(arr, 'dtype', type(arr).__name__)} {np.shape(arr)}")
+    return grad_w, grad_b
+
+
 def _same_pad(extent: int) -> tuple[int, int]:
     # Total padding extent-1, biased to the trailing side for even kernels.
     before = (extent - 1) // 2
@@ -123,14 +142,16 @@ def conv2d_forward(x, params: Params, *, keep_cols: bool = False):
     return (y, cols) if keep_cols else y
 
 
-def conv2d_backward(x, params: Params, grad_out, *, input_grad: bool = True, cols=None):
+def conv2d_backward(x, params: Params, grad_out, *, input_grad: bool = True, cols=None, out=None):
     """Gradients of `conv2d_forward` w.r.t. input, weights and bias.
 
     Returns `(grad_x, grad_w, grad_b)`.  With `input_grad=False` the
     col2im pass is skipped and `grad_x` is `None`; `grad_w` and `grad_b`
     are the same arrays either way.  `cols` is the im2col matrix of `x`
     from `conv2d_forward(..., keep_cols=True)`; without it the matrix is
-    built again from `x`, and the gradients are the same.
+    built again from `x`, and the gradients are the same.  `grad_w` and
+    `grad_b` are written into `out` when given (see the module notes);
+    the weight GEMM writes through `grad_w.reshape(-1, C_out)`, a view.
     """
     x, w, _ = _affine("conv2d_backward", x, params, 4)
     grad_out = _as_f64(grad_out)
@@ -138,13 +159,14 @@ def conv2d_backward(x, params: Params, grad_out, *, input_grad: bool = True, col
     n, h, wd, _ = x.shape
     if grad_out.shape != (n, h, wd, cout):
         raise ShapeError(f"conv2d_backward: grad_out shape {grad_out.shape} does not match output {(n, h, wd, cout)}")
+    grad_w, grad_b = _grads_out("conv2d_backward", out, w)
     if cols is None:
         cols = _im2col(x, kh, kw)
     elif cols.shape != (n * h * wd, kh * kw * cin):
         raise ShapeError(f"conv2d_backward: cols shape {cols.shape} is not the im2col of input {x.shape}")
     g_mat = grad_out.reshape(n * h * wd, cout)
-    grad_w = (cols.T @ g_mat).reshape(w.shape)
-    grad_b = g_mat.sum(axis=0)
+    np.matmul(cols.T, g_mat, out=grad_w.reshape(-1, cout))
+    np.sum(g_mat, axis=0, out=grad_b)
     if not input_grad:
         return None, grad_w, grad_b
     # col2im: scatter each window-column gradient back onto the padded input
@@ -251,15 +273,23 @@ def dense_forward(x, params: Params) -> np.ndarray:
     return y
 
 
-def dense_backward(x, params: Params, grad_out):
-    """Gradients of `dense_forward` w.r.t. input, weights and bias."""
+def dense_backward(x, params: Params, grad_out, *, out=None):
+    """Gradients of `dense_forward` w.r.t. input, weights and bias.
+
+    Returns `(grad_x, grad_w, grad_b)`; `grad_w` and `grad_b` are written
+    into `out` when given (see the module notes).
+    """
     x, w, _ = _affine("dense_backward", x, params, 2)
     grad_out = _as_f64(grad_out)
     if grad_out.shape != (x.shape[0], w.shape[1]):
         raise ShapeError(
             f"dense_backward: grad_out shape {grad_out.shape} does not match output {(x.shape[0], w.shape[1])}"
         )
-    return grad_out @ w.T, x.T @ grad_out, grad_out.sum(axis=0)
+    grad_w, grad_b = _grads_out("dense_backward", out, w)
+    grad_x = grad_out @ w.T
+    np.matmul(x.T, grad_out, out=grad_w)
+    np.sum(grad_out, axis=0, out=grad_b)
+    return grad_x, grad_w, grad_b
 
 
 def relu(x, out: np.ndarray | None = None) -> np.ndarray:

@@ -256,7 +256,7 @@ class Run:
         loss, grad_logits = softmax_xent(logits, train_split.labels[idx])
         if not np.isfinite(loss):
             raise TrainingDiverged("minibatch loss is non-finite", iteration=it)
-        self._grads = backward(self.spec, self.params, self._caches, grad_logits)
+        self._grads = backward(self.spec, self.params, self._caches, grad_logits, out=self._grads)
         try:
             adam_step(self.params, self._grads, self.adam_state, self.config)
         except TrainingDiverged as exc:
@@ -282,7 +282,9 @@ class Run:
         # Evaluation does not hold the last step's activations and gradients.  They
         # are released only here: freed after every step, their pages went back
         # to the OS and were faulted in again by the next step (on the optimized
-        # net, 5-8x the minor page faults and 16-19% more CPU time).
+        # net, 5-8x the minor page faults and 16-19% more CPU time).  Between
+        # evaluations each step's backward overwrites the gradients the step
+        # before returned; the first step after one allocates them again.
         self._caches = self._grads = None
         return evaluate(self.spec, self.params, split.images, split.labels)
 

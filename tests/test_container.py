@@ -10,11 +10,12 @@ from slimnet.container import (
     save_checkpoint,
     write_tensors,
 )
-from slimnet.netspec import optimized_spec
+from slimnet.netspec import dropped_conv2_spec, optimized_spec
 from slimnet.network import forward
 from slimnet.ops import ShapeError
 from slimnet.rng import substream
 from slimnet.trainer import TrainConfig, init_adam_state, init_params
+from tests.conftest import peak_alloc_bytes
 
 
 def test_round_trip_exact_bits(tmp_path):
@@ -43,6 +44,46 @@ def test_deterministic_bytes(tmp_path):
     write_tensors(p1, tensors)
     write_tensors(p2, dict(reversed(list(tensors.items()))))  # insertion order must not matter
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def reference_write_tensors(path, tensors):
+    """The container writer as first written: each payload through `astype("<f8").tobytes()`."""
+    with open(path, "wb") as f:
+        f.write(b"NTBX" + struct.pack(">I", 1) + struct.pack(">Q", len(tensors)))
+        for name in sorted(tensors):
+            arr = np.asarray(tensors[name], dtype=np.float64)
+            raw = name.encode("utf-8")
+            f.write(struct.pack(">I", len(raw)) + raw + struct.pack(">I", arr.ndim))
+            for extent in arr.shape:
+                f.write(struct.pack(">Q", extent))
+            f.write(arr.astype("<f8").tobytes())
+
+
+def test_writer_bytes_match_the_copying_reference_for_every_layout(tmp_path):
+    rng = np.random.default_rng(5)
+    block = rng.normal(size=(6, 8))
+    tensors = {
+        "c-ordered": rng.normal(size=(3, 4, 5)),
+        "f-ordered": np.asfortranarray(rng.normal(size=(4, 7))),
+        "strided-slice": block[1::2, ::-3],
+        "transposed": block.T,
+        "zero-d": np.float64(-0.0),
+        "zero-d-array": np.array(np.nan),
+        "empty": np.zeros((3, 0, 2)),
+        "big-endian": rng.normal(size=5).astype(">f8"),
+        "float32": rng.normal(size=(2, 3)).astype(np.float32),
+        "integers": np.arange(-3, 4),
+    }
+    write_tensors(tmp_path / "ours", tensors)
+    reference_write_tensors(tmp_path / "reference", tensors)
+    assert (tmp_path / "ours").read_bytes() == (tmp_path / "reference").read_bytes()
+
+
+def test_checkpoint_writer_copies_no_payload(tmp_path):
+    params = init_params(dropped_conv2_spec(), TrainConfig(), substream(0, "init"))
+    state = init_adam_state(params)
+    assert params["fc1"].weights.nbytes > 48 * 2**20
+    assert peak_alloc_bytes(lambda: save_checkpoint(tmp_path / "ckpt", params, state, 3)) < 2**20
 
 
 def test_header_fields(tmp_path):

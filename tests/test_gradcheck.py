@@ -3,6 +3,7 @@ import pytest
 
 from slimnet import ops
 from slimnet.gradcheck import check_layer, max_rel_err, numerical_gradient, run_suite
+from slimnet.netspec import LayerSpec, NetSpec
 from slimnet.network import backward, forward
 from slimnet.ops import softmax_xent
 from slimnet.rng import substream
@@ -55,10 +56,44 @@ def test_unknown_layer_rejected():
         check_layer("conv3d")
 
 
+def network_gradient_errors(spec, x, labels, params, dropout_seed=None, out=None):
+    """`{"name.w": rel err}` of each `backward` gradient against central differences of the loss.
+
+    With `dropout_seed` every forward, the analytic one and each difference's,
+    trains with a generator in the same state, so all draw the same dropout
+    masks.  `out` is handed to `backward` as the arrays to write into.
+    """
+    def run(trial):
+        rng = None if dropout_seed is None else substream(dropout_seed, "dropout")
+        return forward(spec, trial, x, training=rng is not None, dropout_rng=rng)
+
+    def loss_for(name, suffix, flat_value):
+        trial = {k: type(v)(v.weights.copy(), v.bias.copy()) for k, v in params.items()}
+        arr = trial[name].weights if suffix == "w" else trial[name].bias
+        arr.reshape(-1)[:] = flat_value.reshape(-1)
+        return softmax_xent(run(trial)[0], labels)[0]
+
+    logits, caches = run(params)
+    _, grad_logits = softmax_xent(logits, labels)
+    grads = backward(spec, params, caches, grad_logits, out=out)
+    errors = {}
+    for name, p in params.items():
+        for suffix, arr, analytic in (("w", p.weights, grads[name][0]), ("b", p.bias, grads[name][1])):
+            numeric = numerical_gradient(lambda v: loss_for(name, suffix, v), arr.copy())
+            errors[f"{name}.{suffix}"] = max_rel_err(analytic, numeric)
+    return errors
+
+
+def scaled_init(spec, seed):
+    params = init_params(spec, TrainConfig(), substream(seed, "init"))
+    for p in params.values():  # Gaussian(0, 0.4^2)
+        p.weights *= 4
+        p.bias *= 4
+    return params
+
+
 def test_whole_network_gradient_matches_finite_differences():
     """End-to-end composition check on a shrunken classifier."""
-    from slimnet.netspec import LayerSpec, NetSpec
-
     spec = NetSpec(
         "mini",
         (
@@ -69,31 +104,36 @@ def test_whole_network_gradient_matches_finite_differences():
             LayerSpec.dense(10),
         ),
     )
-    rng = substream(21, "init")
-    params = init_params(spec, TrainConfig(), rng)
-    for p in params.values():  # Gaussian(0, 0.4^2)
-        p.weights *= 4
-        p.bias *= 4
     x = substream(22, "x").uniform(0.05, 1.0, size=(2, 6, 6, 1))
-    labels = np.array([3, 7])
+    for key, err in network_gradient_errors(spec, x, np.array([3, 7]), scaled_init(spec, 21)).items():
+        assert err <= 1e-4, f"{key}: rel err {err:.2e}"
 
-    def loss_for(name, suffix, flat_value):
-        import copy
 
-        trial = {k: type(v)(v.weights.copy(), v.bias.copy()) for k, v in params.items()}
-        arr = trial[name].weights if suffix == "w" else trial[name].bias
-        arr.reshape(-1)[:] = flat_value.reshape(-1)
-        logits, _ = forward(spec, trial, x)
-        return softmax_xent(logits, labels)[0]
-
-    logits, caches = forward(spec, params, x)
-    _, grad_logits = softmax_xent(logits, labels)
-    grads = backward(spec, params, caches, grad_logits)
-    for name, p in params.items():
-        for suffix, arr, analytic in (("w", p.weights, grads[name][0]), ("b", p.bias, grads[name][1])):
-            numeric = numerical_gradient(lambda v: loss_for(name, suffix, v), arr.copy())
-            err = max_rel_err(analytic, numeric)
-            assert err <= 1e-4, f"{name}.{suffix}: rel err {err:.2e}"
+def test_every_chain_rule_of_the_stock_nets_matches_finite_differences_through_out_arrays():
+    """Two convs (so col2im is in the chain), a hidden dense with ReLU and
+    dropout, with the gradients written into NaN-filled `out` arrays."""
+    spec = NetSpec(
+        "mini-deep",
+        (
+            LayerSpec.input(8, 8, 1),
+            LayerSpec.conv(3, 2),
+            LayerSpec.maxpool(2),
+            LayerSpec.conv(3, 3),
+            LayerSpec.maxpool(2),
+            LayerSpec.flatten(),
+            LayerSpec.dense(8),
+            LayerSpec.dropout(0.75),
+            LayerSpec.dense(10),
+        ),
+    )
+    params = scaled_init(spec, 31)
+    out = {name: (np.full_like(p.weights, np.nan), np.full_like(p.bias, np.nan)) for name, p in params.items()}
+    x = substream(32, "x").uniform(0.05, 1.0, size=(3, 8, 8, 1))
+    errors = network_gradient_errors(spec, x, np.array([3, 7, 0]), params, dropout_seed=33, out=out)
+    assert list(errors) == ["conv1.w", "conv1.b", "conv2.w", "conv2.b", "fc1.w", "fc1.b", "fc2.w", "fc2.b"]
+    for key, err in errors.items():
+        assert err <= 1e-4, f"{key}: rel err {err:.2e}"
+    assert all(np.isfinite(a).all() and a.any() for pair in out.values() for a in pair)  # written, and not vacuous
 
 
 def test_max_rel_err_floor_handles_zero_gradients():

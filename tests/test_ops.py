@@ -3,7 +3,9 @@ import pytest
 
 from slimnet import ops
 from slimnet.gradcheck import numerical_gradient, max_rel_err
-from slimnet.network import _CHUNK_GEMM_SIZE
+from slimnet.netspec import layer_names, load_spec, propagate_shapes
+from slimnet.network import _CHUNK_GEMM_SIZE, forward, init_params
+from tests.conftest import REPO_ROOT
 
 
 def test_conv_same_padding_preserves_spatial_size(rng):
@@ -373,6 +375,82 @@ def test_conv_bias_add_is_the_out_of_place_sum(rng, x_shape):
     product = ops.conv2d_forward(x, ops.Params(w, np.zeros(4)))  # + 0.0 leaves a nonzero b's sum unchanged
     assert ops.conv2d_forward(x, p).tobytes() == (product + b).tobytes()
     assert p.weights.tobytes() == w.tobytes() and p.bias.tobytes() == b.tobytes()
+
+
+# --- gradients written into `out` ----------------------------------------------------
+
+STOCK_SPECS = sorted((REPO_ROOT / "specs").glob("*.spec"))
+
+
+def stock_backward_cases(spec_path, batch=10):
+    """`(label, op, args, options, ref_w, ref_b)` per weighted layer of a stock net.
+
+    `op(*args, **options)` is that layer's backward op on the inputs a training
+    forward cached and a random output gradient, as `network.backward` calls it;
+    `ref_w` and `ref_b` are its weight and bias gradients by the expressions
+    `x.T @ g` (`cols.T @ g` for a conv) and `g.sum(axis=0)`.
+    """
+    spec = load_spec(spec_path)
+    params = init_params(spec, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    shapes = propagate_shapes(spec)
+    images = rng.integers(0, 256, size=(batch, *shapes[0]), dtype=np.uint8)
+    _, caches = forward(spec, params, images, training=True, dropout_rng=rng)
+    for layer, name, shape, cache in zip(spec.layers, layer_names(spec), shapes, caches):
+        if name not in params:
+            continue
+        p, g = params[name], rng.normal(size=(batch, *shape))
+        g_mat = g.reshape(-1, shape[-1])
+        label = f"{spec_path.stem}:{name}"
+        if layer.kind == "conv":
+            ref_w = (cache["cols"].T @ g_mat).reshape(p.weights.shape)
+            for input_grad in (True, False):
+                yield (f"{label}:input_grad={input_grad}", ops.conv2d_backward, (cache["x"], p, g),
+                       {"cols": cache["cols"], "input_grad": input_grad}, ref_w, g_mat.sum(axis=0))
+        else:
+            yield label, ops.dense_backward, (cache["x"], p, g), {}, cache["x"].T @ g, g.sum(axis=0)
+
+
+@pytest.mark.parametrize("spec_path", STOCK_SPECS, ids=lambda p: p.stem)
+def test_backward_into_out_is_bitwise_the_fresh_result_and_returns_its_arrays(spec_path):
+    for label, op, args, options, ref_w, ref_b in stock_backward_cases(spec_path):
+        fresh = op(*args, **options)
+        out = (np.full(ref_w.shape, np.nan), np.full(ref_b.shape, np.nan))  # every element must be written
+        written = op(*args, **options, out=out)
+        assert written[1] is out[0] and written[2] is out[1], label
+        for got in (fresh, written):
+            assert got[1].tobytes() == ref_w.tobytes() and got[2].tobytes() == ref_b.tobytes(), label
+        if fresh[0] is None:
+            assert written[0] is None and options["input_grad"] is False, label
+        else:
+            assert written[0].tobytes() == fresh[0].tobytes(), label
+
+
+BAD_OUT = {  # what makes a pair unfit, as a function of the right pair
+    "weights-of-the-wrong-shape": lambda w, b: (w[..., :-1].copy(), b),
+    "bias-of-the-wrong-shape": lambda w, b: (w, np.empty(b.size + 1)),
+    "float32-weights": lambda w, b: (w.astype(np.float32), b),
+    "integer-bias": lambda w, b: (w, np.zeros(b.shape, np.int64)),
+    "fortran-ordered-weights": lambda w, b: (np.asfortranarray(w), b),
+    "strided-bias": lambda w, b: (w, np.empty(2 * b.size)[::2]),
+    "read-only-weights": lambda w, b: (np.frombuffer(w.tobytes()).reshape(w.shape), b),
+    "a-list-for-the-bias": lambda w, b: (w, list(b)),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_OUT)
+@pytest.mark.parametrize("op", ["conv2d_backward", "dense_backward"])
+def test_backward_refuses_an_unfit_out_pair_naming_the_op(rng, op, bad):
+    if op == "conv2d_backward":
+        x, g, w_shape = rng.normal(size=(2, 4, 4, 3)), rng.normal(size=(2, 4, 4, 5)), (3, 3, 3, 5)
+    else:
+        x, g, w_shape = rng.normal(size=(2, 6)), rng.normal(size=(2, 5)), (6, 5)
+    p = ops.Params(rng.normal(size=w_shape), rng.normal(size=5))
+    w, b = np.full(w_shape, np.nan), np.full(5, np.nan)
+    out = BAD_OUT[bad](w, b)
+    with pytest.raises(ops.ShapeError, match=f"^{op}: out must be"):
+        getattr(ops, op)(x, p, g, out=out)
+    assert np.isnan(w).all() and np.isnan(b).all()  # nothing was written before the refusal
 
 
 # --- relu, dropout, softmax -----------------------------------------------------

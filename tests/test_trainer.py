@@ -408,8 +408,8 @@ def test_train_holds_no_step_state_through_evaluate(monkeypatch):
     refs, evaluations = [], []
     real_backward, real_evaluate = trainer.backward, trainer.evaluate
 
-    def recording_backward(spec, params, caches, grad_logits):
-        grads = real_backward(spec, params, caches, grad_logits)
+    def recording_backward(spec, params, caches, grad_logits, out=None):
+        grads = real_backward(spec, params, caches, grad_logits, out=out)
         refs.extend(weakref.ref(a) for pair in grads.values() for a in pair)
         refs.extend(weakref.ref(c[k]) for c in caches for k in ("relu", "cols", "argmax", "mask") if k in c)
         return grads
@@ -423,6 +423,27 @@ def test_train_holds_no_step_state_through_evaluate(monkeypatch):
     monkeypatch.setattr(trainer, "evaluate", checking_evaluate)
     train(tiny_dropout_spec(), tiny_data(), TrainConfig(iterations=4, batch_size=10, seed=3, eval_every=2))
     assert len(evaluations) == 3  # after steps 2 and 4, then the test split
+
+
+# What a step may allocate beyond step 1's peak less the gradient set: the
+# run's first step allocates the gradients, and no later step may again.
+GRADIENT_REUSE_SLACK = 2**20
+
+
+def test_a_run_keeps_one_set_of_gradients():
+    # fc1's 64x16384 float64 weights are 8 MiB; each step used to allocate a
+    # second such gradient while the previous step's was still alive
+    spec = NetSpec("wide", (LayerSpec.input(8, 8, 1), LayerSpec.flatten(), LayerSpec.dense(16384), LayerSpec.dense(10)))
+    run = Run(spec, tiny_data(), TrainConfig(iterations=3, batch_size=10, seed=2))
+    assert run.params["fc1"].weights.nbytes >= 8 * 2**20
+    step1 = peak_alloc_bytes(run.step)
+    after_step1 = dict(run._grads)
+    step2 = peak_alloc_bytes(run.step)
+    assert run._grads.keys() == after_step1.keys()
+    for name, (grad_w, grad_b) in run._grads.items():
+        assert grad_w is after_step1[name][0] and grad_b is after_step1[name][1], name
+    grad_bytes = sum(a.nbytes for pair in after_step1.values() for a in pair)
+    assert step2 <= step1 - grad_bytes + GRADIENT_REUSE_SLACK, (step1, step2, grad_bytes)
 
 
 def reference_batches(n, batch_size, rng):
