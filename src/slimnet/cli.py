@@ -11,8 +11,8 @@ range ("config error"), or a search that `search.Search` refuses ("plan
 error": a plan file that cannot be read, parsed or turned into a plan, a
 pick the base cannot take, no valid candidate, two candidates under one
 tag, an `--out` ledger of another schedule or of another net under a
-tag, a tag the table oracle holds no accuracy for), each reported before
-the manifest is written; 3 missing or malformed data; 4 training
+tag or holding one (tag, seed) twice, a tag the table oracle holds no
+accuracy for), each reported before the manifest is written; 3 missing or malformed data; 4 training
 divergence; 5 infeasible search threshold; 1 any other failure
 (including gradcheck mismatches).
 """

@@ -57,10 +57,10 @@ def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise ContainerError(f"truncated container: expected {n} bytes for {what}, got {len(buf)}")
-    return buf
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:  # checked before a read of `n` bytes, which a header field sets
+        raise ContainerError(f"truncated container: {what} needs {n} bytes, {left} remain")
+    return f.read(n)
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:
@@ -74,15 +74,15 @@ def read_tensors(path) -> dict[str, np.ndarray]:
         (count,) = struct.unpack(">Q", _read_exact(f, 8, "tensor count"))
         for _ in range(count):
             (name_len,) = struct.unpack(">I", _read_exact(f, 4, "name length"))
-            name = _read_exact(f, name_len, "name").decode("utf-8")
+            try:
+                name = _read_exact(f, name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ContainerError(f"tensor name is not UTF-8: {exc}") from None
             (rank,) = struct.unpack(">I", _read_exact(f, 4, "rank"))
             shape = tuple(
                 struct.unpack(">Q", _read_exact(f, 8, f"extent of {name}"))[0] for _ in range(rank)
             )
-            size, left = 8 * math.prod(shape), os.fstat(f.fileno()).st_size - f.tell()
-            if size > left:  # checked before a read the size of `shape`
-                raise ContainerError(f"truncated container: {name} {shape} needs {size} bytes, {left} remain")
-            payload = _read_exact(f, size, f"payload of {name}")
+            payload = _read_exact(f, 8 * math.prod(shape), f"{name} {shape}")
             try:
                 tensors[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
             except ValueError as exc:  # an empty tensor with an extent numpy cannot index

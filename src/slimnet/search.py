@@ -16,8 +16,11 @@ training, `table_oracle` replays the recorded accuracies bundled in
 milliseconds.
 
 A sweep's result is its ledger, one line per (candidate tag, seed), so a
-repeated tag or seed is an error.  `run_sweep` returns the parse of those
-lines, and `load_ledger` the same records, so it rebuilds every artifact.
+repeated tag, seed or record is an error.  A `Search` reads its ledger
+once, when it is built, and keeps the pairs the ledger lacks;
+`run_sweep(search)` runs exactly those and returns the parse of every
+pair's line, and `load_ledger` the same records, so it rebuilds every
+artifact.
 """
 
 from __future__ import annotations
@@ -389,93 +392,55 @@ def _parse_ledger_line(raw: bytes, where) -> CandidateResult:
         raise SearchError(f"malformed ledger line {where} ({exc}): {raw!r}") from None
 
 
-def _read_ledger(data: bytes, warn: bool = True) -> tuple[list[CandidateResult], bytes]:
-    """The records in a ledger's bytes, and the leading bytes that hold them.
+def _read_ledger(data: bytes) -> tuple[dict[int, CandidateResult], bytes]:
+    """The records in a ledger's bytes by line number, and the leading bytes that hold them.
 
     A crash in the middle of a write leaves an unterminated final line.
-    When that line does not parse it is dropped, with a warning if `warn`,
-    and the kept bytes stop before it; any other malformed line raises
+    When that line does not parse it is dropped with a warning, and the
+    kept bytes stop before it; any other malformed line raises
     `SearchError` naming its line number.
     """
     *lines, tail = data.split(b"\n")
-    records = [
-        _parse_ledger_line(line, lineno)
+    records = {
+        lineno: _parse_ledger_line(line, lineno)
         for lineno, line in enumerate(lines, start=1)
         if line.strip() and not line.lstrip().startswith(b"#")
-    ]
+    }
     if tail.strip():
         try:
-            records.append(_parse_ledger_line(tail, len(lines) + 1))
+            records[len(lines) + 1] = _parse_ledger_line(tail, len(lines) + 1)
         except SearchError as exc:
-            if warn:
-                logger.warning("dropping the unterminated last ledger line left by an interrupted write: %s", exc)
+            logger.warning("dropping the unterminated last ledger line left by an interrupted write: %s", exc)
             return records, data[: len(data) - len(tail)]
     return records, data
 
 
 def load_ledger(path) -> list[CandidateResult]:
-    return _read_ledger(Path(path).read_bytes())[0]
+    return list(_read_ledger(Path(path).read_bytes())[0].values())
 
 
-def _resume(candidates: list[Candidate], oracle: Oracle, seeds, ledger_path, warn: bool = True):
-    """Check a sweep against itself and its ledger, writing nothing.
+def run_sweep(search: Search) -> list[CandidateResult]:
+    """Run the search's pending (candidate, seed) pairs, appending one ledger line for each.
 
-    Returns the oracle's schedule id, the ledger's records by (tag, seed),
-    the bytes holding them, and the (candidate, seed) pairs left to run.
-    A tag is the ledger key, so `SearchError` is raised for two candidates
-    under one tag, a seed given twice, a record of another schedule or of
-    another net than its tag names here, and a pending tag that a table
-    oracle (one with `tags`) holds no accuracy for.  Records of other tags
-    are ignored.  `warn` as for `_read_ledger`.
+    The first call cuts a partial last line off the ledger (or ends a last
+    line that lost its newline).  Each new record is the parse of its
+    line, so a fresh sweep, its resume and `load_ledger` return the same
+    records, and a pair leaves `search.pending` only once its line is
+    flushed: a later call, after an oracle error too, runs just the pairs
+    still pending.  Returns the records of all pairs in candidate x seed
+    order.
     """
-    by_tag: dict[str, NetSpec] = {}
-    for c in candidates:
-        if c.tag in by_tag:
-            raise SearchError(f"two candidates share the tag '{c.tag}'; the ledger could not tell their runs apart")
-        by_tag[c.tag] = c.spec
-    if len(set(seeds)) < len(seeds):
-        raise SearchError(f"seeds {tuple(seeds)} repeat a seed; the ledger could not tell its runs apart")
-    schedule_id = getattr(oracle, "schedule_id", "unknown")
-    path = Path(ledger_path) if ledger_path is not None else None
-    records, kept = _read_ledger(path.read_bytes() if path is not None and path.exists() else b"", warn)
-    for rec in records:
-        if rec.schedule_id != schedule_id:
-            raise SearchError(
-                f"ledger {path} holds tag {rec.tag} seed {rec.seed} under schedule "
-                f"{rec.schedule_id}, but this sweep runs schedule {schedule_id}"
-            )
-        if rec.tag in by_tag and rec.ident != spec_id(by_tag[rec.tag]):
-            raise SearchError(f"ledger {path} holds tag {rec.tag} seed {rec.seed} as net {rec.ident}, "
-                              f"but this plan's candidate under that tag is {spec_id(by_tag[rec.tag])}")
-    done = {(rec.tag, rec.seed): rec for rec in records}
-    pending = [(c, seed) for c in candidates for seed in seeds if (c.tag, seed) not in done]
-    tags = getattr(oracle, "tags", None)
-    unrecorded = [c.tag for c, _ in pending if tags is not None and c.tag not in tags]
-    if unrecorded:
-        raise _unrecorded(unrecorded[0])
-    return schedule_id, done, kept, pending
-
-
-def run_sweep(candidates: list[Candidate], oracle: Oracle, seeds=(0,),
-              ledger_path=None) -> list[CandidateResult]:
-    """Run every (candidate, seed) pair not already in the ledger.
-
-    New records are appended to `ledger_path` (or to memory) as they
-    finish, so an interrupted sweep resumes where it stopped, and each is
-    the parse of its line, so a fresh sweep, its resume and `load_ledger`
-    return the same records.  See `_resume` for what is reused and what
-    raises `SearchError` before anything runs.  The returned list always
-    covers all pairs in candidate x seed order.
-    """
-    schedule_id, done, kept, pending = _resume(candidates, oracle, seeds, ledger_path)
-    accounts = {c.tag: analyze(c.spec) for c in candidates}
-
-    with open(ledger_path, "a", encoding="utf-8") if ledger_path is not None else io.StringIO() as ledger:
-        ledger.truncate(len(kept))  # drops a partial last line
-        if kept and not kept.endswith(b"\n"):
-            ledger.write("\n")  # ends a last line that parsed but lost its newline
-        for (tag, spec), seed in pending:
-            outcome = oracle(tag, spec, seed)
+    accounts = {tag: analyze(spec) for tag, spec in dict(c for c, _ in search.pending).items()}
+    path = search.ledger_path
+    with open(path, "a", encoding="utf-8") if path is not None else io.StringIO() as ledger:
+        if search.kept is not None:
+            ledger.truncate(len(search.kept))  # drops a partial last line
+            if search.kept and not search.kept.endswith(b"\n"):
+                ledger.write("\n")  # ends a last line that parsed but lost its newline
+            search.kept = None
+        while search.pending:
+            (tag, spec), seed = search.pending[0]
+            outcome = search.oracle(tag, spec, seed)
             report = accounts[tag]
             line = _ledger_line(CandidateResult(
                 tag=tag,
@@ -484,15 +449,16 @@ def run_sweep(candidates: list[Candidate], oracle: Oracle, seeds=(0,),
                 memory=report.total_memory,
                 accuracy=outcome.accuracy,
                 seed=seed,
-                schedule_id=schedule_id,
+                schedule_id=search.schedule_id,
                 wall_time=outcome.wall_time,
                 diverged=outcome.diverged,
             ))
-            done[(tag, seed)] = _parse_ledger_line(line.encode("utf-8"), f"for {tag} seed {seed}")
+            record = _parse_ledger_line(line.encode("utf-8"), f"for {tag} seed {seed}")
             ledger.write(line + "\n")
             ledger.flush()
-
-    return [done[(c.tag, seed)] for c in candidates for seed in seeds]
+            search.done[(tag, seed)] = record
+            del search.pending[0]
+    return [search.done[(c.tag, seed)] for c in search.candidates for seed in search.plan.seeds]
 
 
 # --- selection and frontier ----------------------------------------------------
@@ -635,13 +601,21 @@ def export_curves(results: list[CandidateResult]) -> str:
 
 
 class Search:
-    """One search: its plan, oracle and candidates, then its results and the files it wrote.
+    """One search: its plan, oracle and candidates, its ledger's state, then its results and files.
 
-    Building it makes every refusal of the sweep (a pick the base cannot
-    take, no valid candidate, and the checks of `_resume`) as a
-    `SearchError`, and writes nothing.  `run()` sweeps the pairs the
-    ledger lacks, selects, and writes the ledger, `frontier.csv`,
-    `curves.csv` and, when feasible, `selected.spec` into `out_dir`.
+    Building it is the one read of the ledger in `out_dir`.  It makes
+    every refusal of the sweep as a `SearchError` and writes nothing: a
+    pick the base cannot take, no valid candidate, two candidates under
+    one tag, a ledger that holds one (tag, seed) twice, a record of
+    another schedule or of another net than its tag names here, and a
+    pending tag that a table oracle (one with `tags`) holds no accuracy
+    for.  Records of other tags are ignored.  It keeps `done`, the
+    records by (tag, seed); `kept`, the ledger bytes holding them (`None`
+    once `run_sweep` has cut the file back to them); and `pending`, the
+    (candidate, seed) pairs the ledger lacks, in candidate x seed order.
+    `run()` sweeps those (`run_sweep`), selects, and writes the ledger,
+    `frontier.csv`, `curves.csv` and, when feasible, `selected.spec` into
+    `out_dir`.
     """
 
     def __init__(self, plan: SearchPlan, oracle: Oracle, out_dir=None, exhaustive: bool = False):
@@ -650,8 +624,34 @@ class Search:
             raise SearchError("plan produced no valid candidates")
         self.plan, self.oracle = plan, oracle
         self.out_dir = Path(out_dir) if out_dir is not None else None
-        self.ledger_path = self.out_dir / LEDGER_FILE if self.out_dir is not None else None
-        _resume(self.candidates, oracle, plan.seeds, self.ledger_path, warn=False)  # run_sweep warns of a cut line
+        self.ledger_path = path = self.out_dir / LEDGER_FILE if self.out_dir is not None else None
+        by_tag: dict[str, NetSpec] = {}
+        for c in self.candidates:
+            if c.tag in by_tag:
+                raise SearchError(f"two candidates share the tag '{c.tag}'; the ledger could not tell their runs apart")
+            by_tag[c.tag] = c.spec
+        self.schedule_id = getattr(oracle, "schedule_id", "unknown")
+        records, self.kept = _read_ledger(path.read_bytes() if path is not None and path.exists() else b"")
+        line_of: dict[tuple[str, int], int] = {}  # (tag, seed) -> its first ledger line
+        for lineno, rec in records.items():
+            if rec.schedule_id != self.schedule_id:
+                raise SearchError(
+                    f"ledger {path} holds tag {rec.tag} seed {rec.seed} under schedule "
+                    f"{rec.schedule_id}, but this sweep runs schedule {self.schedule_id}"
+                )
+            if rec.tag in by_tag and rec.ident != spec_id(by_tag[rec.tag]):
+                raise SearchError(f"ledger {path} holds tag {rec.tag} seed {rec.seed} as net {rec.ident}, "
+                                  f"but this plan's candidate under that tag is {spec_id(by_tag[rec.tag])}")
+            first = line_of.setdefault((rec.tag, rec.seed), lineno)
+            if first != lineno:
+                raise SearchError(f"ledger {path} holds tag {rec.tag} seed {rec.seed} twice, on lines "
+                                  f"{first} and {lineno}; a sweep runs each pair once")
+        self.done = {(rec.tag, rec.seed): rec for rec in records.values()}
+        self.pending = [(c, seed) for c in self.candidates for seed in plan.seeds if (c.tag, seed) not in self.done]
+        tags = getattr(oracle, "tags", None)
+        unrecorded = [c.tag for c, _ in self.pending if tags is not None and c.tag not in tags]
+        if unrecorded:
+            raise _unrecorded(unrecorded[0])
         self.results = self.selection = self.frontier = self.curves_csv = self.selected_spec_path = None
 
     def run(self) -> Search:
@@ -659,7 +659,7 @@ class Search:
         out = self.out_dir
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
-        self.results = run_sweep(self.candidates, self.oracle, seeds=self.plan.seeds, ledger_path=self.ledger_path)
+        self.results = run_sweep(self)
         self.selection = select_minimal(self.results, self.plan.threshold)
         self.frontier = build_frontier(self.results)
         self.curves_csv = export_curves(self.results)

@@ -31,8 +31,7 @@ from slimnet.search import (
     CandidateResult,
     build_frontier,
     default_plan,
-    enumerate_candidates,
-    run_sweep,
+    run_search,
     select_minimal,
     table_oracle,
 )
@@ -212,7 +211,7 @@ def test_criterion_6_frontier_property_and_selection():
         for lo, hi in zip(frontier, frontier[1:]):
             if not (lo.size < hi.size and lo.accuracy < hi.accuracy):
                 violations += 1
-    table_results = run_sweep(enumerate_candidates(default_plan()), table_oracle())
+    table_results = run_search(default_plan(), table_oracle()).results
     table_frontier = build_frontier(table_results)
     table_ordered = all(
         lo.size < hi.size and lo.accuracy < hi.accuracy

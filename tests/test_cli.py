@@ -308,13 +308,19 @@ def stage(knob, *values):
 
 
 def table_ledger(text):
-    # a default table sweep's ledger, its lines passed through `text`
-    from slimnet.search import default_plan, enumerate_candidates, run_sweep, table_oracle
+    # a default table search's output, its ledger's lines passed through `text`
+    from slimnet.search import default_plan, run_search, table_oracle
 
     def write(path):
-        run_sweep(enumerate_candidates(default_plan()), table_oracle(), ledger_path=path)
+        run_search(default_plan(), table_oracle(), out_dir=path.parent)
         path.write_text(text(path.read_text()))
     return write
+
+
+def with_a_second_record(text):
+    # the conv1=1x1x2 record again at 0.99: kept last, it would make that net the pick at 0.97
+    line = next(line for line in text.splitlines(keepends=True) if line.startswith("tag=conv1=1x1x2 "))
+    return text + line.replace("accuracy=0.942800", "accuracy=0.990000")
 
 
 @pytest.mark.parametrize(
@@ -332,11 +338,13 @@ def table_ledger(text):
          "plan error: ledger {ledger} holds tag fc1_width=1024 seed 0 as net "),
         (None, [], table_ledger(lambda text: text.replace("schedule=table", "schedule=it5-bs50-lr0.0001")),
          "plan error: ledger {ledger} holds tag drop_conv2=false seed 0 under schedule it5-"),
+        (None, ["--threshold", "0.97"], table_ledger(with_a_second_record),
+         "plan error: ledger {ledger} holds tag conv1=1x1x2 seed 0 twice, on lines 23 and 27"),
         ({"schedule": {"batch_size": 60000}}, ["--data-dir", "{synth}"], None,
          "config error: batch_size 60000 exceeds dataset size 55000"),
     ],
     ids=["repeated-tag", "pick-the-base-cannot-take", "no-valid-candidate", "exhaustive-table",
-         "another-net-under-a-tag", "another-schedule", "batch-beyond-the-training-split"],
+         "another-net-under-a-tag", "another-schedule", "a-pair-twice", "batch-beyond-the-training-split"],
 )
 def test_search_refusals_leave_no_manifest_and_no_new_ledger(tmp_path, capsys, request, plan, argv, ledger, message):
     out = tmp_path / "out"

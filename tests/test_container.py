@@ -128,6 +128,24 @@ def test_extents_past_the_file_or_numpy_are_refused(tmp_path, shape):
         read_tensors(path)
 
 
+def test_a_name_length_past_the_file_is_refused_before_it_is_read(tmp_path):
+    path = tmp_path / "long-name.bin"
+    path.write_bytes(b"NTBX" + struct.pack(">IQI", 1, 1, 0xFFFFFFF0) + b"abc")
+    assert path.stat().st_size == 23
+
+    def refused():
+        with pytest.raises(ContainerError, match="name"):
+            read_tensors(path)
+    assert peak_alloc_bytes(refused) < 2**20
+
+
+def test_a_name_that_is_not_utf8_is_a_container_error(tmp_path):
+    path = tmp_path / "bad-name.bin"
+    path.write_bytes(b"NTBX" + struct.pack(">IQI", 1, 1, 2) + b"\xff\xfe" + struct.pack(">I", 0) + bytes(8))
+    with pytest.raises(ContainerError, match="tensor name is not UTF-8"):
+        read_tensors(path)
+
+
 def test_checkpoint_round_trip(tmp_path):
     spec = optimized_spec()
     params = init_params(spec, TrainConfig(), substream(9, "init"))

@@ -243,11 +243,50 @@ def test_default_plan_candidate_tags_and_ids_pinned(name, enumerate_fn):
 # --- sweeping -------------------------------------------------------------------
 
 
+def table_results():
+    """The records of the default plan's sweep under the table oracle."""
+    return run_search(default_plan(), table_oracle()).results
+
+
+def default_prefix(k):
+    """The default plan without extras, cut after its first `k` candidates (the same tags and nets)."""
+    stages, left = [], k
+    for stage in default_plan().stages:
+        if left > 0:
+            stages.append(replace(stage, values=stage.values[:left]))
+            left -= len(stages[-1].values)
+    return replace(default_plan(), stages=tuple(stages), extras=())
+
+
+def write_ledger(plan, oracle, out_dir):
+    """Sweep `plan` into `out_dir`, writing its ledger and no other file; returns the ledger's path."""
+    out_dir.mkdir(exist_ok=True)
+    search = Search(plan, oracle, out_dir=out_dir)
+    run_sweep(search)
+    return search.ledger_path
+
+
+def counting_table_oracle(calls):
+    """The table oracle, appending each tag it is asked for to `calls`."""
+    inner = table_oracle()
+
+    def counting(tag, spec, seed):
+        calls.append(tag)
+        return inner(tag, spec, seed)
+
+    counting.schedule_id = inner.schedule_id
+    return counting
+
+
+def test_default_prefix_makes_the_default_plans_first_candidates():
+    candidates = enumerate_candidates(default_plan())
+    for k in (5, 10, 25):
+        assert enumerate_candidates(default_prefix(k)) == candidates[:k]
+
+
 def test_table_oracle_sweep_and_selection(tmp_path):
     plan = default_plan()
-    candidates = enumerate_candidates(plan)
-    results = run_sweep(candidates, table_oracle(), seeds=plan.seeds,
-                        ledger_path=tmp_path / "r.ledger")
+    results = run_search(plan, table_oracle(), out_dir=tmp_path).results
     assert len(results) == 26
     sel = select_minimal(results, 0.95)
     assert sel.feasible
@@ -257,7 +296,7 @@ def test_table_oracle_sweep_and_selection(tmp_path):
 
 
 def test_table_oracle_threshold_99_selects_baseline_family():
-    results = run_sweep(enumerate_candidates(default_plan()), table_oracle())
+    results = table_results()
     sel = select_minimal(results, 0.99)
     assert sel.feasible
     # all >=99% configurations keep the 5x5x32 first conv stage
@@ -268,7 +307,7 @@ def test_table_oracle_threshold_99_selects_baseline_family():
 
 
 def test_table_oracle_threshold_one_infeasible():
-    results = run_sweep(enumerate_candidates(default_plan()), table_oracle())
+    results = table_results()
     sel = select_minimal(results, 1.0)
     assert not sel.feasible
     assert sel.choice is None
@@ -277,7 +316,7 @@ def test_table_oracle_threshold_one_infeasible():
 
 
 def test_threshold_zero_returns_global_minimum():
-    results = run_sweep(enumerate_candidates(default_plan()), table_oracle())
+    results = table_results()
     sel = select_minimal(results, 0.0)
     assert sel.choice.params == 13842  # the 3x3 regression variant is globally smallest
     assert sel.choice.ident == spec_id(optimized_3x3_spec())
@@ -292,19 +331,15 @@ def test_table_oracle_unknown_tag_rejected():
 def test_sweep_resume_skips_done_pairs(tmp_path):
     plan = default_plan()
     candidates = enumerate_candidates(plan)
-    ledger = tmp_path / "resume.ledger"
+    ledger = tmp_path / "results.ledger"
 
     calls = []
-    inner = table_oracle()
+    counting = counting_table_oracle(calls)
 
-    def counting(tag, spec, seed):
-        calls.append(tag)
-        return inner(tag, spec, seed)
-
-    first = run_sweep(candidates[:10], counting, ledger_path=ledger)
+    run_search(default_prefix(10), counting, out_dir=tmp_path)
     assert len(calls) == 10
     # resume with the full candidate list: only the remaining 16 run
-    full = run_sweep(candidates, counting, ledger_path=ledger)
+    full = run_search(plan, counting, out_dir=tmp_path).results
     assert len(calls) == 26
     assert len(full) == 26
     # ledger holds each pair exactly once and parses back
@@ -312,7 +347,7 @@ def test_sweep_resume_skips_done_pairs(tmp_path):
     assert len(records) == 26
     assert {r.tag for r in records} == {c.tag for c in candidates}
     # resumed output identical to a fresh uninterrupted sweep
-    fresh = run_sweep(candidates, table_oracle(), ledger_path=tmp_path / "fresh.ledger")
+    fresh = run_search(plan, table_oracle(), out_dir=tmp_path / "fresh").results
     assert [(r.tag, r.seed, r.accuracy, r.params) for r in full] == [
         (r.tag, r.seed, r.accuracy, r.params) for r in fresh
     ]
@@ -325,21 +360,19 @@ def oracle_with_schedule(schedule_id):
 
 
 def test_sweep_resume_rejects_records_of_another_schedule(tmp_path):
-    candidates = enumerate_candidates(default_plan())
-    ledger = tmp_path / "r.ledger"
     short = oracle_with_schedule("it150-bs50-lr0.0001")
-    run_sweep(candidates[:5], short, ledger_path=ledger)
+    ledger = write_ledger(default_prefix(5), short, tmp_path)
     written = ledger.read_bytes()
     with pytest.raises(SearchError, match="drop_conv2=false seed 0 .*it150-bs50-lr0.0001.*it300-bs50-lr0.0001"):
-        run_sweep(candidates, oracle_with_schedule("it300-bs50-lr0.0001"), ledger_path=ledger)
+        Search(default_plan(), oracle_with_schedule("it300-bs50-lr0.0001"), out_dir=tmp_path)
     assert ledger.read_bytes() == written
-    resumed = run_sweep(candidates, short, ledger_path=ledger)
+    resumed = run_search(default_plan(), short, out_dir=tmp_path).results
     assert {r.schedule_id for r in resumed} == {"it150-bs50-lr0.0001"}
 
 
 def test_resume_refuses_a_record_whose_id_is_not_the_net_its_tag_names(tmp_path):
     # the default sweep files conv2-dropped nets under the fc1_width tags; this plan keeps conv2
-    run_sweep(enumerate_candidates(default_plan()), table_oracle(), ledger_path=tmp_path / "results.ledger")
+    write_ledger(default_plan(), table_oracle(), tmp_path)
     written = (tmp_path / "results.ledger").read_bytes()
     plan = SearchPlan(base=baseline_spec(), stages=(Stage("fc1_width", (1024, 128), 128),), extras=())
     dropped = spec_id(apply_knob(apply_knob(baseline_spec(), "drop_conv2", True), "fc1_width", 1024))
@@ -348,8 +381,6 @@ def test_resume_refuses_a_record_whose_id_is_not_the_net_its_tag_names(tmp_path)
                         f"but this plan's candidate under that tag is {kept}")
     with pytest.raises(SearchError, match=message):
         Search(plan, table_oracle(), out_dir=tmp_path)
-    with pytest.raises(SearchError, match=message):
-        run_sweep(enumerate_candidates(plan), table_oracle(), ledger_path=tmp_path / "results.ledger")
     assert (tmp_path / "results.ledger").read_bytes() == written
     assert sorted(path.name for path in tmp_path.iterdir()) == ["results.ledger"]
     # records of tags the plan does not make are not checked, and not used
@@ -369,39 +400,86 @@ def test_resume_refuses_a_record_whose_id_is_not_the_net_its_tag_names(tmp_path)
 def test_sweep_resume_after_a_crash_cut_the_last_ledger_line(tmp_path, caplog, cut, reruns):
     # cut 1 loses only the newline; 3 leaves "diverged="; 40 ends inside "accuracy="
     candidates = enumerate_candidates(default_plan())
-    uninterrupted = tmp_path / "whole.ledger"
-    run_sweep(candidates, table_oracle(), ledger_path=uninterrupted)
-    ledger = tmp_path / "cut.ledger"
-    run_sweep(candidates[:5], table_oracle(), ledger_path=ledger)
+    uninterrupted = write_ledger(default_plan(), table_oracle(), tmp_path / "whole")
+    ledger = write_ledger(default_prefix(5), table_oracle(), tmp_path / "cut")
     ledger.write_bytes(ledger.read_bytes()[:-cut])
     calls = []
-    inner = table_oracle()
-
-    def counting(tag, spec, seed):
-        calls.append(tag)
-        return inner(tag, spec, seed)
-
-    counting.schedule_id = inner.schedule_id
     with caplog.at_level(logging.WARNING, logger="slimnet.search"):
-        run_sweep(candidates, counting, ledger_path=ledger)
+        search = Search(default_plan(), counting_table_oracle(calls), out_dir=tmp_path / "cut").run()
     assert calls == [c.tag for c in candidates[5 - reruns :]]
     assert ("unterminated last ledger line" in caplog.text) == bool(reruns)
     assert ledger.read_bytes() == uninterrupted.read_bytes()
+    # a second run finds nothing pending: no oracle call, no byte cut or added
+    assert search.run().results == load_ledger(uninterrupted)
+    assert len(calls) == 21 + reruns
+    assert ledger.read_bytes() == uninterrupted.read_bytes()
+
+
+def test_a_ledger_that_holds_one_pair_twice_is_refused(tmp_path):
+    # the sweep would keep the later record and `load_ledger` both, so the artifacts would disagree
+    run_search(default_plan(), table_oracle(), out_dir=tmp_path)
+    ledger = tmp_path / "results.ledger"
+    lines = ledger.read_text().splitlines(keepends=True)
+    assert lines[22].startswith("tag=conv1=1x1x2 ")
+    ledger.write_text("".join(lines) + re.sub(r"accuracy=\S+", "accuracy=0.990000", lines[22]))
+    written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    with pytest.raises(SearchError, match="holds tag conv1=1x1x2 seed 0 twice, on lines 23 and 27"):
+        Search(replace(default_plan(), threshold=0.97), table_oracle(), out_dir=tmp_path)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == written
+
+
+def test_a_search_reads_its_ledger_once(tmp_path, monkeypatch):
+    import slimnet.search
+
+    run_search(default_prefix(10), table_oracle(), out_dir=tmp_path)
+    reads = []
+    real = slimnet.search._read_ledger
+
+    def counting(data, *args):
+        reads.append(len(data))
+        return real(data, *args)
+
+    monkeypatch.setattr(slimnet.search, "_read_ledger", counting)
+    run_search(default_plan(), table_oracle(), out_dir=tmp_path)
+    assert len(reads) == 1 and reads[0] > 0
+
+
+def test_a_search_resumes_in_place_after_its_oracle_raised(tmp_path):
+    uninterrupted = write_ledger(default_plan(), table_oracle(), tmp_path / "whole")
+    calls = []
+    inner = counting_table_oracle(calls)
+
+    def failing_once(tag, spec, seed):
+        if len(calls) == 7 and not failing_once.failed:
+            failing_once.failed = True
+            raise RuntimeError("the oracle failed")
+        return inner(tag, spec, seed)
+
+    failing_once.failed = False
+    failing_once.schedule_id = inner.schedule_id
+    search = Search(default_plan(), failing_once, out_dir=tmp_path / "out")
+    with pytest.raises(RuntimeError, match="the oracle failed"):
+        search.run()
+    assert len(search.pending) == 19
+    assert search.ledger_path.read_bytes() == b"".join(uninterrupted.read_bytes().splitlines(keepends=True)[:7])
+    search.run()
+    assert calls == [c.tag for c in enumerate_candidates(default_plan())]
+    assert search.ledger_path.read_bytes() == uninterrupted.read_bytes()
+    assert search.results == load_ledger(uninterrupted)
 
 
 @pytest.mark.parametrize(
     "damage", [("diverged=0", "diverged="), ("accuracy=", "accuracy=x"), (" schedule=table", "")]
 )
 def test_malformed_complete_ledger_line_names_its_line_number(tmp_path, damage):
-    ledger = tmp_path / "r.ledger"
-    run_sweep(enumerate_candidates(default_plan())[:5], table_oracle(), ledger_path=ledger)
+    ledger = write_ledger(default_prefix(5), table_oracle(), tmp_path)
     lines = ledger.read_text().splitlines(keepends=True)
     lines[2] = lines[2].replace(*damage)
     ledger.write_text("".join(lines))
     with pytest.raises(SearchError, match="line 3"):
         load_ledger(ledger)
     with pytest.raises(SearchError, match="line 3"):
-        run_sweep(enumerate_candidates(default_plan()), table_oracle(), ledger_path=ledger)
+        Search(default_plan(), table_oracle(), out_dir=tmp_path)
 
 
 def thousandths_oracle(tag, spec, seed):
@@ -438,9 +516,8 @@ def test_fresh_sweep_equals_its_resume_and_its_ledger(tmp_path):
 
 
 def test_sweep_deterministic_across_runs():
-    candidates = enumerate_candidates(default_plan())
-    a = run_sweep(candidates, table_oracle())
-    b = run_sweep(candidates, table_oracle())
+    a = table_results()
+    b = table_results()
     assert [(r.tag, r.accuracy) for r in a] == [(r.tag, r.accuracy) for r in b]
 
 
@@ -448,8 +525,7 @@ def test_sweep_multiseed_median(synth_data):
     # a 0-iteration schedule scores the untrained net: chance accuracy
     schedule = TrainConfig(iterations=0)
     plan = SearchPlan(base=optimized_spec(), stages=(), extras=(), schedule=schedule, seeds=(0, 1, 2))
-    candidates = enumerate_candidates(plan)
-    results = run_sweep(candidates, trained_oracle(synth_data, schedule), seeds=plan.seeds)
+    results = run_search(plan, trained_oracle(synth_data, schedule)).results
     assert len(results) == 3
     agg = aggregate_results(results)
     assert len(agg) == 1
@@ -463,10 +539,9 @@ def test_diverged_candidate_recorded_not_dropped(tmp_path):
 
         return RunOutcome(0.0, 0.1, True)
 
-    candidates = enumerate_candidates(SearchPlan(base=optimized_spec(), stages=(), extras=()))
-    results = run_sweep(candidates, exploding, ledger_path=tmp_path / "d.ledger")
+    results = run_search(SearchPlan(base=optimized_spec(), stages=(), extras=()), exploding, out_dir=tmp_path).results
     assert results[0].diverged and results[0].accuracy == 0.0
-    reloaded = load_ledger(tmp_path / "d.ledger")
+    reloaded = load_ledger(tmp_path / "results.ledger")
     assert reloaded[0].diverged
 
 
@@ -494,7 +569,7 @@ def test_frontier_collapses_duplicate_sizes():
 
 
 def test_frontier_strictly_increasing_on_table_oracle():
-    results = run_sweep(enumerate_candidates(default_plan()), table_oracle())
+    results = table_results()
     frontier = build_frontier(results)
     sizes = [p.size for p in frontier]
     accs = [p.accuracy for p in frontier]
@@ -506,7 +581,7 @@ def test_frontier_strictly_increasing_on_table_oracle():
 def test_frontier_depth32_slice():
     results = [
         r
-        for r in run_sweep(enumerate_candidates(default_plan()), table_oracle())
+        for r in table_results()
         if r.tag in ("conv1=5x5x32", "conv1=3x3x32", "conv1=1x1x32")
     ]
     frontier = build_frontier(results)
@@ -548,7 +623,7 @@ def test_selection_consistency_property(pairs, threshold):
 
 
 def test_export_curves_matches_recorded_series():
-    results = run_sweep(enumerate_candidates(default_plan()), table_oracle())
+    results = table_results()
     csv = export_curves(results)
     lines = csv.strip().splitlines()
     assert lines[0] == "depth,5x5,3x3,1x1"
@@ -599,7 +674,7 @@ def test_run_search_infeasible_writes_no_spec(tmp_path):
 
 
 def test_a_search_warns_once_of_a_ledger_line_cut_by_a_crash(tmp_path, caplog):
-    # the search reads its ledger when it is built and again when it sweeps
+    # the search reads its ledger once, when it is built, and the sweep cuts the line off
     run_search(default_plan(), table_oracle(), out_dir=tmp_path)
     ledger = tmp_path / "results.ledger"
     ledger.write_bytes(ledger.read_bytes()[:-40])
@@ -645,7 +720,7 @@ def test_the_sweep_calls_the_search_module_names_the_benchmark_counts(monkeypatc
 def test_candidate_results_consistent_with_accountant():
     candidates = enumerate_candidates(default_plan())
     spec_of = {c.tag: c.spec for c in candidates}
-    for r in run_sweep(candidates, table_oracle()):
+    for r in table_results():
         report = analyze(spec_of[r.tag])
         assert r.params == report.total_params
         assert r.memory == report.total_memory
@@ -727,20 +802,10 @@ def test_plan_rejects_a_negative_seed():
         SearchPlan(base=optimized_spec(), seeds=(0, -1))
 
 
-def test_repeated_seed_is_rejected_before_anything_runs(tmp_path):
+def test_repeated_seed_is_rejected_before_anything_runs():
+    # no sweep can be built without a plan, so a repeated seed never reaches one
     with pytest.raises(SearchError, match="plan seeds repeat seed 0"):
         default_plan(seeds=(0, 0))
-    calls = []
-
-    def counting(tag, spec, seed):
-        calls.append(tag)
-        return RunOutcome(0.9, 0.0, False)
-
-    candidates = enumerate_candidates(default_plan())
-    with pytest.raises(SearchError, match=re.escape("seeds (0, 1, 0) repeat a seed")):
-        run_sweep(candidates, counting, seeds=(0, 1, 0), ledger_path=tmp_path / "results.ledger")
-    assert calls == []
-    assert not (tmp_path / "results.ledger").exists()
 
 
 def test_plan_checks_its_schedule():
