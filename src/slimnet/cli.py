@@ -288,6 +288,8 @@ def _replay(argv: list[str]) -> int:
         stored = manifest.get("argv") if isinstance(manifest, dict) else None
         if not (isinstance(stored, list) and all(isinstance(a, str) for a in stored)):
             raise ValueError("a manifest is a JSON object whose 'argv' is a list of strings")
+        if stored[:1] == ["--replay"]:
+            raise ValueError("its argv starts with --replay, which no run records")
     except (OSError, ValueError) as exc:  # JSON and UTF-8 decode errors are ValueErrors
         print(f"cannot replay manifest {manifest_path}: {exc}", file=sys.stderr)
         return EXIT_FAIL

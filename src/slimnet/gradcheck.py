@@ -7,7 +7,9 @@ forward map in double precision.  Relative error uses a 1e-6 floor so
 exact-zero gradients compare cleanly.  Inputs are sampled away from ReLU
 kinks and pooling ties, where the true derivative does not exist.
 
-`fault` flips the sign of the named layer's analytical gradient; it
+Each layer's check returns `(analytic, map, point)` triples: a gradient,
+the scalar map it differentiates and the point.  `fault` flips the sign
+of the first triple's gradient (an affine op's weight gradient); it
 exists so tests (and the CLI) can demonstrate that the checker actually
 catches a broken backward pass.
 """
@@ -41,7 +43,7 @@ class CheckResult:
 
 
 def numerical_gradient(f, x: np.ndarray) -> np.ndarray:
-    """Central finite difference of scalar-valued `f` at `x`, entrywise."""
+    """Central finite difference of scalar-valued `f` at `x`, entrywise; `x` itself is left as it is."""
     x = x.astype(np.float64)
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
@@ -88,21 +90,17 @@ def _weighted_sum(y: np.ndarray, w: np.ndarray) -> float:
     return float((y * w).sum())
 
 
-def _check_affine(forward, backward, x, p: ops.Params, probe, fault: bool) -> float:
-    """Input, weight and bias gradients of one affine op against central differences."""
+def _affine(forward, backward, x, p: ops.Params, probe) -> list:
+    """Weight, input and bias gradients of one affine op, each with the map and the point it differentiates."""
     gx, gw, gb = backward(x, p, probe)
-    if fault:
-        gw = -gw
-    return float(np.max([  # NaN-propagating, where Python's `max` may skip a NaN
-        max_rel_err(gx, numerical_gradient(lambda v: _weighted_sum(forward(v, p), probe), x.copy())),
-        max_rel_err(gw, numerical_gradient(
-            lambda v: _weighted_sum(forward(x, ops.Params(v, p.bias)), probe), p.weights.copy())),
-        max_rel_err(gb, numerical_gradient(
-            lambda v: _weighted_sum(forward(x, ops.Params(p.weights, v)), probe), p.bias.copy())),
-    ]))
+    return [
+        (gw, lambda v: _weighted_sum(forward(x, ops.Params(v, p.bias)), probe), p.weights),
+        (gx, lambda v: _weighted_sum(forward(v, p), probe), x),
+        (gb, lambda v: _weighted_sum(forward(x, ops.Params(p.weights, v)), probe), p.bias),
+    ]
 
 
-def _check_conv(rng, fault: bool) -> float:
+def _check_conv(rng) -> list:
     h = int(rng.integers(2, 7))
     wdt = int(rng.integers(2, 7))
     cin = int(rng.integers(1, 5))
@@ -111,62 +109,49 @@ def _check_conv(rng, fault: bool) -> float:
     x = rng.uniform(-1, 1, size=(h, wdt, cin))[None]
     p = ops.Params(rng.uniform(-1, 1, size=(k, k, cin, cout)), rng.uniform(-1, 1, size=cout))
     probe = rng.uniform(-1, 1, size=(h, wdt, cout))[None]
-    return _check_affine(ops.conv2d_forward, ops.conv2d_backward, x, p, probe, fault)
+    return _affine(ops.conv2d_forward, ops.conv2d_backward, x, p, probe)
 
 
-def _check_dense(rng, fault: bool) -> float:
+def _check_dense(rng) -> list:
     fin = int(rng.integers(2, 8))
     fout = int(rng.integers(1, 6))
     x = rng.uniform(-1, 1, size=fin)[None]
     p = ops.Params(rng.uniform(-1, 1, size=(fin, fout)), rng.uniform(-1, 1, size=fout))
     probe = rng.uniform(-1, 1, size=fout)[None]
-    return _check_affine(ops.dense_forward, ops.dense_backward, x, p, probe, fault)
+    return _affine(ops.dense_forward, ops.dense_backward, x, p, probe)
 
 
-def _check_relu(rng, fault: bool) -> float:
+def _check_relu(rng) -> list:
     x = _away_from_zero(rng, (int(rng.integers(2, 6)), int(rng.integers(2, 6))))
     probe = rng.uniform(-1, 1, size=x.shape)
-    g = ops.relu_backward(x, probe)
-    if fault:
-        g = -g
-    return max_rel_err(g, numerical_gradient(lambda v: _weighted_sum(ops.relu(v), probe), x.copy()))
+    return [(ops.relu_backward(x, probe), lambda v: _weighted_sum(ops.relu(v), probe), x)]
 
 
-def _check_maxpool(rng, fault: bool) -> float:
+def _check_maxpool(rng) -> list:
     k = int(rng.choice([2, 4]))
     ho = int(rng.integers(1, 3))
     c = int(rng.integers(1, 4))
     x = _separated_windows(rng, (ho * k, ho * k, c), k)
     probe = rng.uniform(-1, 1, size=(ho, ho, c))[None]
     _, argmax = ops.maxpool_forward(x, k)
-    g = ops.maxpool_backward(probe, argmax, k)
-    if fault:
-        g = -g
-    return max_rel_err(g, numerical_gradient(
-        lambda v: _weighted_sum(ops.maxpool_forward(v, k)[0], probe), x.copy()))
+    return [(ops.maxpool_backward(probe, argmax, k),
+             lambda v: _weighted_sum(ops.maxpool_forward(v, k)[0], probe), x)]
 
 
-def _check_dropout(rng, fault: bool) -> float:
+def _check_dropout(rng) -> list:
     # mask held fixed: checks the backward scaling against the masked forward
     x = rng.uniform(-1, 1, size=(4, 4))
     keep = float(rng.uniform(0.3, 0.9))
     mask_rng_seed = int(rng.integers(0, 2**32))
     _, mask = ops.dropout(x, keep, np.random.default_rng(mask_rng_seed))
     probe = rng.uniform(-1, 1, size=x.shape)
-    g = ops.dropout_backward(probe, mask, keep)
-    if fault:
-        g = -g
-    return max_rel_err(g, numerical_gradient(lambda v: _weighted_sum(v * mask / keep, probe), x.copy()))
+    return [(ops.dropout_backward(probe, mask, keep), lambda v: _weighted_sum(v * mask / keep, probe), x)]
 
 
-def _check_softmax(rng, fault: bool) -> float:
+def _check_softmax(rng) -> list:
     logits = rng.uniform(-2, 2, size=10)[None]
     label = np.array([rng.integers(0, 10)])
-    _, grad = ops.softmax_xent(logits, label)
-    if fault:
-        grad = -grad
-    return max_rel_err(grad, numerical_gradient(
-        lambda v: ops.softmax_xent(v, label)[0], logits.copy()))
+    return [(ops.softmax_xent(logits, label)[1], lambda v: ops.softmax_xent(v, label)[0], logits)]
 
 
 LAYERS = {
@@ -186,7 +171,12 @@ def check_layer(layer: str, trials: int = 20, seed: int = 0, fault: bool = False
     if trials < 1:
         raise ValueError(f"a gradient check needs at least one trial, got {trials}")
     rng = substream(seed, f"gradcheck-{layer}")
-    worst = float(np.max([LAYERS[layer](rng, fault) for _ in range(trials)]))  # NaN-propagating
+    errors = []
+    for _ in range(trials):
+        (g, f, x), *rest = LAYERS[layer](rng)
+        for g, f, x in [(-g if fault else g, f, x), *rest]:
+            errors.append(max_rel_err(g, numerical_gradient(f, x)))
+    worst = float(np.max(errors))  # NaN-propagating, where Python's `max` may skip a NaN
     return CheckResult(layer=layer, trials=trials, max_rel_err=worst, ok=worst <= TOLERANCE)
 
 

@@ -386,6 +386,8 @@ def parse_spec(text: str) -> NetSpec:
             if key not in known:
                 raise SpecError(f"unknown field '{key}' for layer kind '{kind}'", line=lineno)
             attr, typ = known[key]
+            if attr in fields:
+                raise SpecError(f"{kind} repeats field '{key}'", line=lineno)
             try:
                 fields[attr] = typ(val)
             except ValueError:

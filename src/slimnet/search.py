@@ -16,16 +16,15 @@ training, `table_oracle` replays the recorded accuracies bundled in
 milliseconds.
 
 A sweep's result is its ledger, one line per (candidate tag, seed), so a
-repeated tag, seed or record is an error.  A `Search` reads its ledger
-once, when it is built, and keeps the pairs the ledger lacks;
-`run_sweep(search)` runs exactly those and returns the parse of every
-pair's line, and `load_ledger` the same records, so it rebuilds every
-artifact.
+repeated tag, seed or record is an error.  A `Search` owns a directory
+for its ledger and artifacts, accounts each candidate once (`accounts`)
+and reads its ledger once, when it is built.  `run_sweep(search)` runs
+the pairs the ledger lacks and returns the parse of every pair's line,
+and `load_ledger` the same records, so it rebuilds every artifact.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import time
@@ -202,6 +201,10 @@ class SearchPlan:
         self.schedule.validate()
 
 
+KERNELS = (5, 3, 1)  # the paper's conv1 grid: kernel sizes and depths
+DEPTHS = (32, 16, 8, 4, 2)
+
+
 def default_plan(schedule: TrainConfig | None = None, seeds: tuple[int, ...] = (0,),
                  threshold: float = 0.95) -> SearchPlan:
     """The historical reduction procedure over the baseline network."""
@@ -211,7 +214,7 @@ def default_plan(schedule: TrainConfig | None = None, seeds: tuple[int, ...] = (
         stages=(
             Stage("drop_conv2", (False, True), True),
             Stage("fc1_width", (1024, 512, 256, 128, 64, 32), 128),
-            Stage("conv1", tuple((k, d) for k in (5, 3, 1) for d in (32, 16, 8, 4, 2)), (5, 2)),
+            Stage("conv1", tuple((k, d) for k in KERNELS for d in DEPTHS), (5, 2)),
             Stage("pool_window", (2, 4), 4),
         ),
         extras=(optimized_3x3_spec(),),
@@ -422,6 +425,7 @@ def load_ledger(path) -> list[CandidateResult]:
 def run_sweep(search: Search) -> list[CandidateResult]:
     """Run the search's pending (candidate, seed) pairs, appending one ledger line for each.
 
+    A record's id and totals are the candidate's `search.accounts` entry.
     The first call cuts a partial last line off the ledger (or ends a last
     line that lost its newline).  Each new record is the parse of its
     line, so a fresh sweep, its resume and `load_ledger` return the same
@@ -430,9 +434,7 @@ def run_sweep(search: Search) -> list[CandidateResult]:
     still pending.  Returns the records of all pairs in candidate x seed
     order.
     """
-    accounts = {tag: analyze(spec) for tag, spec in dict(c for c, _ in search.pending).items()}
-    path = search.ledger_path
-    with open(path, "a", encoding="utf-8") if path is not None else io.StringIO() as ledger:
+    with open(search.ledger_path, "a", encoding="utf-8") as ledger:
         if search.kept is not None:
             ledger.truncate(len(search.kept))  # drops a partial last line
             if search.kept and not search.kept.endswith(b"\n"):
@@ -441,7 +443,7 @@ def run_sweep(search: Search) -> list[CandidateResult]:
         while search.pending:
             (tag, spec), seed = search.pending[0]
             outcome = search.oracle(tag, spec, seed)
-            report = accounts[tag]
+            report = search.accounts[tag]
             line = _ledger_line(CandidateResult(
                 tag=tag,
                 ident=report.spec_ident,
@@ -562,8 +564,6 @@ def frontier_csv(frontier: list[FrontierPoint]) -> str:
     return "\n".join(lines) + "\n"
 
 
-KERNELS = (5, 3, 1)
-DEPTHS = (32, 16, 8, 4, 2)
 _GRID_TAGS = {f"conv1={KNOBS['conv1'].text((k, d))}": (k, d) for k in KERNELS for d in DEPTHS}
 # spec id -> (kernel, depth) of the grid template: `optimized` with a 2x2 pool and a KxKxD conv1
 _GRID_IDENTS = {spec_id(apply_knob(apply_knob(optimized_spec(), "pool_window", 2), "conv1", (k, d))): (k, d)
@@ -601,37 +601,38 @@ def export_curves(results: list[CandidateResult]) -> str:
 
 
 class Search:
-    """One search: its plan, oracle and candidates, its ledger's state, then its results and files.
+    """One search in one directory: its plan, oracle, candidates and accounts, ledger state and results.
 
-    Building it is the one read of the ledger in `out_dir`.  It makes
-    every refusal of the sweep as a `SearchError` and writes nothing: a
-    pick the base cannot take, no valid candidate, two candidates under
-    one tag, a ledger that holds one (tag, seed) twice, a record of
-    another schedule or of another net than its tag names here, and a
-    pending tag that a table oracle (one with `tags`) holds no accuracy
-    for.  Records of other tags are ignored.  It keeps `done`, the
-    records by (tag, seed); `kept`, the ledger bytes holding them (`None`
-    once `run_sweep` has cut the file back to them); and `pending`, the
-    (candidate, seed) pairs the ledger lacks, in candidate x seed order.
-    `run()` sweeps those (`run_sweep`), selects, and writes the ledger,
-    `frontier.csv`, `curves.csv` and, when feasible, `selected.spec` into
-    `out_dir`.
+    `out_dir` holds the ledger and the artifacts.  Building the search
+    accounts each candidate once, in candidate order (`accounts`, tag ->
+    its `analyze` report), and reads the ledger once.  It makes every
+    refusal of the sweep as a `SearchError` and writes nothing: a pick
+    the base cannot take, no valid candidate, two candidates under one
+    tag, a ledger that holds one (tag, seed) twice, a record of another
+    schedule or of another net than its tag names here, and a pending tag
+    that a table oracle (one with `tags`) holds no accuracy for.  Records
+    of other tags are ignored.  It keeps `done`, the records by (tag,
+    seed); `kept`, the ledger bytes holding them (`None` once `run_sweep`
+    has cut the file back to them); and `pending`, the (candidate, seed)
+    pairs the ledger lacks, in candidate x seed order.  `run()` sweeps
+    those (`run_sweep`), selects, and writes the ledger, `frontier.csv`,
+    `curves.csv` and, when feasible, `selected.spec`.
     """
 
-    def __init__(self, plan: SearchPlan, oracle: Oracle, out_dir=None, exhaustive: bool = False):
+    def __init__(self, plan: SearchPlan, oracle: Oracle, out_dir, exhaustive: bool = False):
         self.candidates = exhaustive_candidates(plan) if exhaustive else enumerate_candidates(plan)
         if not self.candidates:
             raise SearchError("plan produced no valid candidates")
         self.plan, self.oracle = plan, oracle
-        self.out_dir = Path(out_dir) if out_dir is not None else None
-        self.ledger_path = path = self.out_dir / LEDGER_FILE if self.out_dir is not None else None
-        by_tag: dict[str, NetSpec] = {}
+        self.out_dir = Path(out_dir)
+        self.ledger_path = path = self.out_dir / LEDGER_FILE
+        self.accounts = {}
         for c in self.candidates:
-            if c.tag in by_tag:
+            if c.tag in self.accounts:
                 raise SearchError(f"two candidates share the tag '{c.tag}'; the ledger could not tell their runs apart")
-            by_tag[c.tag] = c.spec
+            self.accounts[c.tag] = analyze(c.spec)
         self.schedule_id = getattr(oracle, "schedule_id", "unknown")
-        records, self.kept = _read_ledger(path.read_bytes() if path is not None and path.exists() else b"")
+        records, self.kept = _read_ledger(path.read_bytes() if path.exists() else b"")
         line_of: dict[tuple[str, int], int] = {}  # (tag, seed) -> its first ledger line
         for lineno, rec in records.items():
             if rec.schedule_id != self.schedule_id:
@@ -639,9 +640,9 @@ class Search:
                     f"ledger {path} holds tag {rec.tag} seed {rec.seed} under schedule "
                     f"{rec.schedule_id}, but this sweep runs schedule {self.schedule_id}"
                 )
-            if rec.tag in by_tag and rec.ident != spec_id(by_tag[rec.tag]):
+            if rec.tag in self.accounts and rec.ident != self.accounts[rec.tag].spec_ident:
                 raise SearchError(f"ledger {path} holds tag {rec.tag} seed {rec.seed} as net {rec.ident}, "
-                                  f"but this plan's candidate under that tag is {spec_id(by_tag[rec.tag])}")
+                                  f"but this plan's candidate under that tag is {self.accounts[rec.tag].spec_ident}")
             first = line_of.setdefault((rec.tag, rec.seed), lineno)
             if first != lineno:
                 raise SearchError(f"ledger {path} holds tag {rec.tag} seed {rec.seed} twice, on lines "
@@ -657,25 +658,23 @@ class Search:
     def run(self) -> Search:
         """Sweep, select, and write the ledger/frontier/curves/selected-spec artifacts; returns the search."""
         out = self.out_dir
-        if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
         self.results = run_sweep(self)
         self.selection = select_minimal(self.results, self.plan.threshold)
         self.frontier = build_frontier(self.results)
         self.curves_csv = export_curves(self.results)
-        if out is not None:
-            (out / "frontier.csv").write_text(frontier_csv(self.frontier), encoding="utf-8")
-            (out / "curves.csv").write_text(self.curves_csv, encoding="utf-8")
-            selected = out / "selected.spec"
-            selected.unlink(missing_ok=True)  # an infeasible rerun leaves no earlier pick behind
-            if self.selection.feasible:
-                ident = self.selection.choice.ident
-                save_spec(next(c.spec for c in self.candidates if spec_id(c.spec) == ident), selected)
-                self.selected_spec_path = selected
+        (out / "frontier.csv").write_text(frontier_csv(self.frontier), encoding="utf-8")
+        (out / "curves.csv").write_text(self.curves_csv, encoding="utf-8")
+        selected = out / "selected.spec"
+        selected.unlink(missing_ok=True)  # an infeasible rerun leaves no earlier pick behind
+        if self.selection.feasible:
+            ident = self.selection.choice.ident
+            save_spec(next(c.spec for c in self.candidates if self.accounts[c.tag].spec_ident == ident), selected)
+            self.selected_spec_path = selected
         return self
 
 
-def run_search(plan: SearchPlan, oracle: Oracle, out_dir=None, exhaustive: bool = False) -> Search:
+def run_search(plan: SearchPlan, oracle: Oracle, out_dir, exhaustive: bool = False) -> Search:
     """Sweep, select, and write the artifacts: `Search(...).run()`."""
     return Search(plan, oracle, out_dir, exhaustive).run()
 

@@ -193,7 +193,7 @@ def test_criterion_5_full_schedule_baseline(mnist_splits):
            f"baseline net, full schedule: {result.final_test_accuracy:.4f} vs 0.9929 +/- 0.005")
 
 
-def test_criterion_6_frontier_property_and_selection():
+def test_criterion_6_frontier_property_and_selection(tmp_path):
     started = time.perf_counter()
     rng = np.random.default_rng(2024)
     violations = 0
@@ -211,7 +211,7 @@ def test_criterion_6_frontier_property_and_selection():
         for lo, hi in zip(frontier, frontier[1:]):
             if not (lo.size < hi.size and lo.accuracy < hi.accuracy):
                 violations += 1
-    table_results = run_search(default_plan(), table_oracle()).results
+    table_results = run_search(default_plan(), table_oracle(), out_dir=tmp_path).results
     table_frontier = build_frontier(table_results)
     table_ordered = all(
         lo.size < hi.size and lo.accuracy < hi.accuracy

@@ -88,6 +88,15 @@ def test_analyze_shape_error_nonzero(tmp_path, capsys):
     assert code == EXIT_SPEC
 
 
+def test_analyze_refuses_a_repeated_field(tmp_path, capsys):
+    spec = tmp_path / "net.spec"
+    spec.write_text((SPECS / "optimized.spec").read_text().replace("conv k=5", "conv k=5 k=3"))
+    code, out, err = run_cli(capsys, "analyze", str(spec))
+    assert code == EXIT_SPEC
+    assert err.startswith("spec error: ") and "repeats field 'k'" in err
+    assert out == ""
+
+
 def test_analyze_directory_is_spec_error(capsys):
     code, out, err = run_cli(capsys, "analyze", str(SPECS))
     assert code == EXIT_SPEC
@@ -276,6 +285,16 @@ def test_replay_refuses_a_malformed_manifest(tmp_path, capsys, content):
     assert code == EXIT_FAIL
     assert err.startswith(f"cannot replay manifest {manifest}: ")
     assert "Traceback" not in err and "replaying" not in out
+
+
+def test_replay_refuses_a_manifest_that_replays_a_manifest(tmp_path, capsys):
+    # no run records such an argv; replaying one would replay itself without end
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"argv": ["--replay", str(manifest)]}))
+    code, out, err = run_cli(capsys, "--replay", str(manifest))
+    assert code == EXIT_FAIL
+    assert err.startswith(f"cannot replay manifest {manifest}: ")
+    assert "replaying" not in out
 
 
 # --- search -----------------------------------------------------------------------

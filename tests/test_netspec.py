@@ -135,6 +135,7 @@ def test_parse_pool3_accepted_then_rejected_by_shapes():
         ("conv k=5", "missing"),
         ("conv k=x out=3", "integer"),
         ("input h=28 w=28 c=1\nconv kk=5 out=3", "unknown field"),
+        ("input h=28 w=28 c=1\nconv k=5 k=3 out=32", "line 2.*conv repeats field 'k'"),  # not the last k
         ("", "no layers"),
     ],
 )

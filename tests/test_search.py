@@ -2,6 +2,7 @@ import collections
 import hashlib
 import logging
 import re
+import tempfile
 from dataclasses import replace
 
 import pytest
@@ -244,8 +245,9 @@ def test_default_plan_candidate_tags_and_ids_pinned(name, enumerate_fn):
 
 
 def table_results():
-    """The records of the default plan's sweep under the table oracle."""
-    return run_search(default_plan(), table_oracle()).results
+    """The records of the default plan's sweep under the table oracle, run in a temporary directory."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        return run_search(default_plan(), table_oracle(), out_dir=out_dir).results
 
 
 def default_prefix(k):
@@ -521,11 +523,11 @@ def test_sweep_deterministic_across_runs():
     assert [(r.tag, r.accuracy) for r in a] == [(r.tag, r.accuracy) for r in b]
 
 
-def test_sweep_multiseed_median(synth_data):
+def test_sweep_multiseed_median(synth_data, tmp_path):
     # a 0-iteration schedule scores the untrained net: chance accuracy
     schedule = TrainConfig(iterations=0)
     plan = SearchPlan(base=optimized_spec(), stages=(), extras=(), schedule=schedule, seeds=(0, 1, 2))
-    results = run_search(plan, trained_oracle(synth_data, schedule)).results
+    results = run_search(plan, trained_oracle(synth_data, schedule), out_dir=tmp_path).results
     assert len(results) == 3
     agg = aggregate_results(results)
     assert len(agg) == 1
@@ -691,7 +693,7 @@ def test_an_infeasible_rerun_leaves_no_earlier_pick(tmp_path):
     assert not (tmp_path / "selected.spec").exists()
 
 
-def test_the_sweep_calls_the_search_module_names_the_benchmark_counts(monkeypatch, synth_data):
+def test_the_sweep_calls_the_search_module_names_the_benchmark_counts(monkeypatch, synth_data, tmp_path):
     # bench/spans.py counts a sweep's spans by patching these names in `slimnet.search`
     import slimnet.search
 
@@ -707,14 +709,33 @@ def test_the_sweep_calls_the_search_module_names_the_benchmark_counts(monkeypatc
 
     for name in ("run_sweep", "analyze", "train"):
         count(name)
-    run_search(default_plan(), table_oracle())
+    run_search(default_plan(), table_oracle(), out_dir=tmp_path / "table")
     assert calls == {"run_sweep": 1, "analyze": 26}
     calls.clear()
     schedule = TrainConfig(iterations=2)
     plan = SearchPlan(base=optimized_spec(), stages=(Stage("pool_window", (2, 4), 4),), extras=(),
                       schedule=schedule, seeds=(0, 1))
-    run_search(plan, trained_oracle(synth_data, schedule))
+    run_search(plan, trained_oracle(synth_data, schedule), out_dir=tmp_path / "trained")
     assert calls == {"run_sweep": 1, "analyze": 2, "train": 4}
+
+
+def test_a_search_accounts_each_candidate_once_when_it_is_built(monkeypatch, tmp_path):
+    import slimnet.search
+
+    run_search(default_plan(), table_oracle(), out_dir=tmp_path)  # leaves a complete ledger
+    calls = []
+    search = Search(default_plan(), counting_table_oracle(calls), out_dir=tmp_path)
+    assert list(search.accounts) == [c.tag for c in search.candidates]
+    assert all(search.accounts[c.tag] == analyze(c.spec) for c in search.candidates)
+    assert search.pending == []
+
+    def no_analyze(spec):
+        raise AssertionError(f"analyze called after the search was built, for {spec.name}")
+
+    monkeypatch.setattr(slimnet.search, "analyze", no_analyze)
+    search.run()
+    assert calls == []
+    assert search.selection.choice.ident == spec_id(optimized_spec())
 
 
 def test_candidate_results_consistent_with_accountant():
