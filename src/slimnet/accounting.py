@@ -142,39 +142,28 @@ def analyze(spec: NetSpec, convention: str = "paper_compat") -> ComplexityReport
 
 @dataclass(frozen=True)
 class ArchComparison:
-    """Totals of two ledgers side by side, with ratios a/b."""
+    """Two ledgers' totals side by side, with ratios a/b (`None` when b's total is 0)."""
 
-    param_ratio: float | None
-    memory_ratio: float | None
-    param_delta: int
-    memory_delta: int
-    a_params: int
-    b_params: int
-    a_memory: int
-    b_memory: int
+    a: ComplexityReport
+    b: ComplexityReport
+
+    @property
+    def param_ratio(self) -> float | None:
+        return self.a.total_params / self.b.total_params if self.b.total_params else None
+
+    @property
+    def memory_ratio(self) -> float | None:
+        return self.a.total_memory / self.b.total_memory if self.b.total_memory else None
 
     def render(self) -> str:
         pr = "inf" if self.param_ratio is None else f"{self.param_ratio:.1f}x"
         mr = "inf" if self.memory_ratio is None else f"{self.memory_ratio:.1f}x"
         return (
-            f"#Params  {self.a_params:>12,}  vs {self.b_params:>10,}   ratio {pr}\n"
-            f"Memory   {self.a_memory:>12,}  vs {self.b_memory:>10,}   ratio {mr}"
+            f"#Params  {self.a.total_params:>12,}  vs {self.b.total_params:>10,}   ratio {pr}\n"
+            f"Memory   {self.a.total_memory:>12,}  vs {self.b.total_memory:>10,}   ratio {mr}"
         )
 
 
 def diff_reports(a: ComplexityReport, b: ComplexityReport) -> ArchComparison:
-    """Compare totals of `a` against `b` (ratios are a/b, None when b is 0)."""
-
-    def ratio(x, y):
-        return None if y == 0 else x / y
-
-    return ArchComparison(
-        param_ratio=ratio(a.total_params, b.total_params),
-        memory_ratio=ratio(a.total_memory, b.total_memory),
-        param_delta=a.total_params - b.total_params,
-        memory_delta=a.total_memory - b.total_memory,
-        a_params=a.total_params,
-        b_params=b.total_params,
-        a_memory=a.total_memory,
-        b_memory=b.total_memory,
-    )
+    """Compare the totals of `a` against `b`."""
+    return ArchComparison(a, b)

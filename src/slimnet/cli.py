@@ -12,7 +12,9 @@ error": a plan file that cannot be read, parsed or turned into a plan, a
 pick the base cannot take, no valid candidate, two candidates under one
 tag, an `--out` ledger of another schedule or of another net under a
 tag or holding one (tag, seed) twice, a tag the table oracle holds no
-accuracy for), each reported before the manifest is written; 3 missing or malformed data; 4 training
+accuracy for), each reported before the manifest is written, or an
+`--out` that is a file or lies under one ("output error", reported before
+anything is read or made); 3 missing or malformed data; 4 training
 divergence; 5 infeasible search threshold; 1 any other failure
 (including gradcheck mismatches).
 """
@@ -48,6 +50,10 @@ EXIT_INFEASIBLE = 5
 DATA_DIR_ENV = "SLIMNET_DATA_DIR"
 
 
+class OutputError(Exception):
+    """An `--out` that is a file or lies under one, so it can hold no run."""
+
+
 def _resolve_spec(token: str) -> NetSpec:
     if token in PRESETS:
         return PRESETS[token]()
@@ -71,18 +77,26 @@ def manifest_argv(args: argparse.Namespace) -> list[str]:
     return argv
 
 
-def _write_manifest(args: argparse.Namespace) -> None:
+def _write_manifest(args: argparse.Namespace, out_dir: Path) -> None:
     manifest = {
         "artifact_version": __version__,
         "command": args.command,
         "argv": manifest_argv(args),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2)
         f.write("\n")
+
+
+def _out_dir_or_fail(value: str) -> Path:
+    """`--out` as a path; `OutputError` if it or a directory above it is a file."""
+    out = Path(value)
+    blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+    if blocker is not None:
+        raise OutputError(f"--out {value} cannot be a directory: {blocker} is a file")
+    return out
 
 
 def _data_dir_or_fail(value: str | None) -> Path:
@@ -133,6 +147,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_train(args) -> int:
+    out_dir = _out_dir_or_fail(args.out)
     spec = _resolve_spec(args.spec)
     config = TrainConfig(
         learning_rate=args.lr,
@@ -144,8 +159,7 @@ def cmd_train(args) -> int:
     config.validate()
     args.data_dir = _data_dir_or_fail(args.data_dir)
     run = Run(spec, load_data_dir(args.data_dir), config)  # refuses what `train` refuses, before the manifest
-    out_dir = Path(args.out)
-    _write_manifest(args)
+    _write_manifest(args, out_dir)
     run.train()
     save_checkpoint(out_dir / "checkpoint.bin", run.params, run.adam_state, run.iterations_run)
     metrics = {
@@ -164,6 +178,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_search(args) -> int:
+    out_dir = _out_dir_or_fail(args.out)
     overrides = {}
     if args.threshold is not None:
         overrides["threshold"] = args.threshold
@@ -186,9 +201,9 @@ def cmd_search(args) -> int:
     else:
         args.data_dir = _data_dir_or_fail(args.data_dir)
         oracle = trained_oracle(load_data_dir(args.data_dir), plan.schedule)
-    search = Search(plan, oracle, out_dir=args.out, exhaustive=args.exhaustive)  # refuses before the manifest
+    search = Search(plan, oracle, out_dir=out_dir, exhaustive=args.exhaustive)  # refuses before the manifest
     args.threshold, args.seeds = plan.threshold, ",".join(map(str, plan.seeds))
-    _write_manifest(args)
+    _write_manifest(args, out_dir)
     search.run()
     print(f"swept {len(search.results)} runs; ledger at {search.ledger_path}")
     print(f"frontier points: {len(search.frontier)} (frontier.csv, curves.csv written)")
@@ -320,6 +335,9 @@ def main(argv=None) -> int:
         return EXIT_SPEC
     except SearchError as exc:
         print(f"plan error: {exc}", file=sys.stderr)
+        return EXIT_SPEC
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except (SpecError, ShapeError, ValueError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ per line::
     dropout keep=0.5
     dense out=10
 
-Lines starting with `#` are comments; the `name:` line is optional.
+Lines starting with `#` are comments; the `name:` line is optional, and at most one.
 
 `KINDS` is the one place a layer kind is defined.  Its record holds the
 kind's text fields and `spec_id` token, its shape rule, its ledger row
@@ -154,7 +154,7 @@ def _dense_shape(layer, shape, i):
 
 def _dropout_shape(layer, shape, i):
     kp = layer.keep_prob
-    if not isinstance(kp, (int, float)) or not 0.0 < kp <= 1.0:
+    if not isinstance(kp, (int, float)) or isinstance(kp, bool) or not 0.0 < kp <= 1.0:
         raise SpecError(f"dropout keep_prob must be in (0, 1], got {kp!r}", layer=i)
     return shape
 
@@ -192,7 +192,7 @@ def _dropout_forward(layer, h, p, cache, rng):
     if rng is None:  # evaluation
         return h
     h, mask = ops.dropout(h, layer.keep_prob, rng)
-    if cache is not None and layer.keep_prob < 1.0:  # at 1 the op is the identity
+    if layer.keep_prob < 1.0:  # at 1 the op is the identity
         cache["mask"] = mask
     return h
 
@@ -223,13 +223,13 @@ class LayerKind(NamedTuple):
     `make_params(w, b)` turns a draw at that shape into the `ops.Params`
     the kind's ops read; dense reshapes it to `[fan_in, fan_out]`.
     `forward(layer, h, params, cache, rng)` puts into `cache` the arrays
-    backward needs and nothing else; `cache` is `None` when nothing is
-    kept, and `rng` is the dropout generator in training, `None` in
-    evaluation.  `backward(layer, cache, g, params, input_grad, out)`
-    reads the layer's own fields from `layer` and returns
-    `(grad_input, (grad_w, grad_b) or None)`; a kind with weights writes
-    its pair into `out`, the pair its previous backward returned, when
-    that is not `None` (the `out` of `ops.dense_backward`).
+    backward needs and nothing else.  In training `cache` is a dict and
+    `rng` the dropout generator; in evaluation both are `None`.
+    `backward(layer, cache, g, params, input_grad, out)` reads the
+    layer's own fields from `layer` and returns `(grad_input, (grad_w,
+    grad_b) or None)`; a kind with weights writes its pair into `out`,
+    the pair its previous backward returned, when that is not `None`
+    (the `out` of `ops.dense_backward`).
     """
 
     fields: tuple[tuple[str, str, type], ...]  # text fields as (key, attribute, type)
@@ -366,13 +366,15 @@ def spec_id(spec: NetSpec) -> str:
 def parse_spec(text: str) -> NetSpec:
     """Parse the one-layer-per-line format.  Errors carry line numbers."""
     layers: list[LayerSpec] = []
-    spec_name = ""
+    spec_name, name_line = "", None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("name:"):
-            spec_name = line[len("name:") :].strip()
+            if name_line is not None:
+                raise SpecError(f"a second 'name:' line; line {name_line} already names the spec", line=lineno)
+            spec_name, name_line = line[len("name:") :].strip(), lineno
             continue
         kind, *tokens = line.split()
         if kind not in KINDS:

@@ -55,7 +55,7 @@ def param_arrays(params: Params):
 
 
 def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = False,
-            dropout_rng: np.random.Generator | None = None, keep_caches: bool = True):
+            dropout_rng: np.random.Generator | None = None):
     """Run the chain on a `[N,28,28,C]` batch; returns (logits, caches).
 
     `x` is either uint8 pixels, as `mnist.load_idx_images` returns them,
@@ -63,44 +63,42 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = Fa
     activations, used as float64.  Any other integer dtype raises
     `TypeError` rather than reach the net unscaled.
 
-    `caches` holds, per layer, the arrays `backward` needs and nothing
-    else; `backward` reads names and fields from `spec`.  ReLU overwrites
-    the conv and dense outputs this call allocated, and the cache keeps
-    that one array (`"relu"`) for `ops.relu_backward`: relu(z) > 0 exactly
-    where z > 0.  A conv layer also keeps its im2col matrix (`"cols"`) for
-    `ops.conv2d_backward`.  With `keep_caches=False` `caches` is `None`
-    and nothing is kept for backward: no per-layer state, no im2col
-    matrix and no pooling argmax (`ops.maxpool_values`).  That path also
-    runs the layers whose output is still an image (the input scaling,
-    each conv with its ReLU, each maxpool) a chunk of whole images at a
-    time (see `_image_chunks`), so no im2col matrix is batch-sized, and
-    runs the rest on the whole batch.  The logits are bit-identical
-    either way.
-    Dropout runs only when `training` is true, drawing its masks from
-    `dropout_rng`, which training needs (`ValueError` without one, before
-    any layer runs); otherwise it is skipped.
+    A training forward runs the whole batch, draws the dropout masks from
+    `dropout_rng` (`ValueError` without one, before any layer runs) and
+    returns as `caches`, per layer, the arrays `backward` needs and
+    nothing else.  ReLU overwrites the conv and dense outputs this call
+    allocated, and the cache keeps that one array (`"relu"`) for
+    `ops.relu_backward`: relu(z) > 0 exactly where z > 0.  A conv keeps
+    its im2col matrix (`"cols"`) too, a pool its argmax.
+
+    An evaluation forward skips dropout, keeps nothing for backward (no
+    im2col matrix, no pooling argmax: `ops.maxpool_values`) and returns
+    `(logits, None)`.  It runs the layers whose output is still an image
+    (the input scaling, each conv with its ReLU, each maxpool) a chunk of
+    whole images at a time (see `_image_chunks`), so no im2col matrix is
+    batch-sized, and the rest on the whole batch; its logits are those of
+    the whole-batch chain bit for bit.
     """
     x = np.asarray(x)
     if np.issubdtype(x.dtype, np.integer) and x.dtype != np.uint8:
         raise TypeError(f"forward: input must be uint8 pixels or floating point, got {x.dtype}")
-    if training and dropout_rng is None:
-        raise ValueError("a training forward needs a dropout_rng")
     names = layer_names(spec)
-    rng = dropout_rng if training else None
-    if keep_caches:
+    if training:
+        if dropout_rng is None:
+            raise ValueError("a training forward needs a dropout_rng")
         caches: list[dict] = []
-        return _chain(spec, params, names, rng, _decode(x), 0, len(spec.layers), caches), caches
+        return _chain(spec, params, names, dropout_rng, _decode(x), 0, len(spec.layers), caches), caches
     flat, bounds = _image_chunks(spec, len(x))
     h = None
     for start, stop in zip(bounds, bounds[1:]):
-        out = _chain(spec, params, names, rng, _decode(x[start:stop]), 0, flat, None)
+        out = _chain(spec, params, names, None, _decode(x[start:stop]), 0, flat, None)
         if len(bounds) == 2:  # one chunk: its output is the batch's
             h = out
         else:
             if h is None:
                 h = np.empty((len(x), *out.shape[1:]))
             h[start:stop] = out
-    return _chain(spec, params, names, rng, h, flat, len(spec.layers), None), None
+    return _chain(spec, params, names, None, h, flat, len(spec.layers), None), None
 
 
 def _decode(x: np.ndarray) -> np.ndarray:
@@ -110,7 +108,7 @@ def _decode(x: np.ndarray) -> np.ndarray:
 
 
 def _chain(spec, params, names, rng, h, first, stop, caches):
-    """Layers `first` to `stop - 1` on `h`; appends a cache per layer to `caches` unless it is `None`."""
+    """Layers `first` to `stop - 1` on `h`; a cache per layer goes to `caches`, `None` in evaluation."""
     last = len(spec.layers) - 1
     for i in range(first, stop):
         layer = spec.layers[i]

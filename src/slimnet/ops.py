@@ -13,12 +13,12 @@ Conventions
   extent is preserved.
 * Pooling windows are square with stride equal to the window, and the
   input extent must divide evenly.  `maxpool_forward` also returns the
-  argmax its backward needs; `maxpool_values` returns the maxima alone.
-  The argmax holds each window's row-major position in the smallest
-  unsigned integer type that holds window*window - 1 (uint8 up to a
-  16x16 window).  It is the first maximum, as `numpy.argmax` picks it:
-  among tied elements, +0.0 and -0.0 included, the earliest wins, and
-  a window that holds a NaN takes its first NaN.
+  argmax its backward needs; `maxpool_values` returns the same maxima
+  alone.  The argmax holds each window's row-major position in the
+  smallest unsigned integer type that holds window*window - 1 (uint8 up
+  to a 16x16 window).  It is the first maximum, as `numpy.argmax` picks
+  it: among tied elements, +0.0 and -0.0 included, the earliest wins; a
+  window holding a NaN, whose loss would stop training, gets argmax 0.
 * `conv2d_forward(..., keep_cols=True)` also returns its im2col matrix,
   and `conv2d_backward(..., cols=...)` reuses it instead of building it
   again.  `conv2d_backward(..., input_grad=False)` skips the col2im
@@ -194,14 +194,12 @@ def maxpool_forward(x, window: int):
 
     `argmax` holds each window's row-major winner index, the first
     maximum (see the module notes), which makes the backward pass
-    deterministic.  The maxima come from `maxpool_values`; the index
+    deterministic.  The output is `maxpool_values`' output; the index
     counts the leading window positions whose strided slice lies below
     the maximum, so no window is copied.
     """
     x = _pool_input(x, window)
     y = maxpool_values(x, window)
-    nan = np.isnan(y)
-    has_nan = nan.any()
     idx = np.zeros(y.shape, dtype=np.min_scalar_type(window * window - 1))
     missed = np.ones(y.shape, dtype=bool)  # no winner among positions 0..k yet
     loses = np.empty(y.shape, dtype=bool)
@@ -209,12 +207,6 @@ def maxpool_forward(x, window: int):
         dy, dx = divmod(k, window)
         s = x[:, dy::window, dx::window, :]
         np.less(s, y, out=loses)
-        if has_nan:
-            # A NaN window's winner is its first NaN, and the output takes
-            # that NaN's bits; `maxpool_values` keeps the last NaN's.
-            s_nan = np.isnan(s)
-            np.copyto(y, s, where=missed & s_nan)
-            loses |= nan & ~s_nan
         missed &= loses
         idx += missed
     return y, idx
@@ -225,10 +217,7 @@ def maxpool_values(x, window: int) -> np.ndarray:
 
     Takes the elementwise maximum over the window*window strided slices
     in row-major window order.  A tie keeps the earlier element (numpy's
-    `maximum` returns its second operand on a tie), and a NaN propagates,
-    so the result is bit-identical to `maxpool_forward`'s output, except
-    that a window holding NaNs of different bits keeps its last NaN's
-    bits where `maxpool_forward` keeps its first's.
+    `maximum` returns its second operand on a tie), and a NaN propagates.
     """
     x = _pool_input(x, window)
     y = x[:, ::window, ::window, :].copy()

@@ -606,20 +606,24 @@ class Search:
     `out_dir` holds the ledger and the artifacts.  Building the search
     accounts each candidate once, in candidate order (`accounts`, tag ->
     its `analyze` report), and reads the ledger once.  It makes every
-    refusal of the sweep as a `SearchError` and writes nothing: a pick
-    the base cannot take, no valid candidate, two candidates under one
-    tag, a ledger that holds one (tag, seed) twice, a record of another
-    schedule or of another net than its tag names here, and a pending tag
-    that a table oracle (one with `tags`) holds no accuracy for.  Records
-    of other tags are ignored.  It keeps `done`, the records by (tag,
-    seed); `kept`, the ledger bytes holding them (`None` once `run_sweep`
-    has cut the file back to them); and `pending`, the (candidate, seed)
-    pairs the ledger lacks, in candidate x seed order.  `run()` sweeps
-    those (`run_sweep`), selects, and writes the ledger, `frontier.csv`,
-    `curves.csv` and, when feasible, `selected.spec`.
+    refusal of the sweep as a `SearchError` and writes nothing: an oracle
+    without `schedule_id`, a pick the base cannot take, no valid
+    candidate, two candidates under one tag, a ledger that holds one (tag,
+    seed) twice, a record of another schedule or of another net than its
+    tag names here, and a pending tag that a table oracle (one with
+    `tags`) holds no accuracy for.  Records of other tags are ignored.
+    It keeps `done`, the records by (tag, seed); `kept`, the ledger bytes
+    holding them (`None` once `run_sweep` has cut the file back to them);
+    and `pending`, the (candidate, seed) pairs the ledger lacks, in
+    candidate x seed order.  `run()` sweeps those (`run_sweep`), selects,
+    and writes the ledger, `frontier.csv`, `curves.csv` and, when
+    feasible, `selected.spec`.
     """
 
     def __init__(self, plan: SearchPlan, oracle: Oracle, out_dir, exhaustive: bool = False):
+        self.schedule_id = getattr(oracle, "schedule_id", None)
+        if self.schedule_id is None:
+            raise SearchError("the oracle has no schedule_id to file its ledger records under")
         self.candidates = exhaustive_candidates(plan) if exhaustive else enumerate_candidates(plan)
         if not self.candidates:
             raise SearchError("plan produced no valid candidates")
@@ -631,7 +635,6 @@ class Search:
             if c.tag in self.accounts:
                 raise SearchError(f"two candidates share the tag '{c.tag}'; the ledger could not tell their runs apart")
             self.accounts[c.tag] = analyze(c.spec)
-        self.schedule_id = getattr(oracle, "schedule_id", "unknown")
         records, self.kept = _read_ledger(path.read_bytes() if path.exists() else b"")
         line_of: dict[tuple[str, int], int] = {}  # (tag, seed) -> its first ledger line
         for lineno, rec in records.items():

@@ -192,7 +192,7 @@ def evaluate(spec: NetSpec, params: Params, images: np.ndarray, labels: np.ndarr
     hits = 0
     for start in range(0, len(images), _EVAL_BATCH):
         xb = images[start : start + _EVAL_BATCH]
-        logits, _ = forward(spec, params, xb, training=False, keep_caches=False)
+        logits, _ = forward(spec, params, xb)
         hits += int((logits.argmax(axis=1) == labels[start : start + len(xb)]).sum())
     return hits / len(images)
 

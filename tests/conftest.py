@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from slimnet.mnist import CANONICAL_FILES, load_data_dir
 from slimnet.netspec import LayerSpec, NetSpec
+from slimnet.network import forward
 from slimnet.synth import synthetic_splits
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -59,6 +61,17 @@ def peak_alloc_bytes(fn) -> int:
 def pixel_spec():
     """No layer but the flatten: `network.forward` returns the decoded input."""
     return NetSpec("pixels", (LayerSpec.input(28, 28, 1), LayerSpec.flatten()))
+
+
+def whole_batch_forward(spec, params, x):
+    """`(logits, caches)` of the whole batch in one chain: a training forward
+    with every dropout layer at keep=1, which is the identity and draws nothing.
+
+    Its logits are the reference an evaluation forward, which runs the image
+    layers a chunk at a time and skips dropout, must give bit for bit.
+    """
+    layers = tuple(replace(layer, keep_prob=1.0) if layer.kind == "dropout" else layer for layer in spec.layers)
+    return forward(NetSpec(spec.name, layers), params, x, training=True, dropout_rng=np.random.default_rng(0))
 
 
 @pytest.fixture(scope="session")

@@ -126,7 +126,6 @@ def test_diff_identity():
     a = analyze(baseline_spec())
     diff = diff_reports(a, a)
     assert diff.param_ratio == 1.0 and diff.memory_ratio == 1.0
-    assert diff.param_delta == 0 and diff.memory_delta == 0
 
 
 def test_diff_guards_zero_denominator():

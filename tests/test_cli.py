@@ -97,6 +97,15 @@ def test_analyze_refuses_a_repeated_field(tmp_path, capsys):
     assert out == ""
 
 
+def test_analyze_refuses_a_repeated_name_line(tmp_path, capsys):
+    spec = tmp_path / "net.spec"
+    spec.write_text("name: a\n" + (SPECS / "optimized.spec").read_text())
+    code, out, err = run_cli(capsys, "analyze", str(spec))
+    assert code == EXIT_SPEC
+    assert err.startswith("spec error: line 2: a second 'name:' line")
+    assert out == ""
+
+
 def test_analyze_directory_is_spec_error(capsys):
     code, out, err = run_cli(capsys, "analyze", str(SPECS))
     assert code == EXIT_SPEC
@@ -156,6 +165,25 @@ def test_train_spec_refused_by_train_leaves_no_manifest(synth_data_dir, tmp_path
     assert code == EXIT_SPEC
     assert err.startswith("spec error: ")
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", [
+    # the data directory does not exist: the output directory is checked before any data is read
+    ["train", "optimized", "--data-dir", "nowhere", "--iterations", "1"],
+    ["search", "--oracle", "table"],
+], ids=["train", "search"])
+def test_an_out_that_is_a_file_or_lies_under_one_is_refused_before_anything_is_read_or_made(
+        tmp_path, capsys, command, under):
+    blocker = tmp_path / "F"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if under else blocker
+    argv = [str(tmp_path / arg) if arg == "nowhere" else arg for arg in command]
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == EXIT_SPEC
+    assert err == f"output error: --out {out} cannot be a directory: {blocker} is a file\n"
+    assert stdout == ""
+    assert sorted(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "not a directory\n"
 
 
 def test_search_negative_iterations_is_config_error(tmp_path, capsys):

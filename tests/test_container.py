@@ -11,11 +11,10 @@ from slimnet.container import (
     write_tensors,
 )
 from slimnet.netspec import dropped_conv2_spec, optimized_spec
-from slimnet.network import forward
 from slimnet.ops import ShapeError
 from slimnet.rng import substream
 from slimnet.trainer import TrainConfig, init_adam_state, init_params
-from tests.conftest import peak_alloc_bytes
+from tests.conftest import peak_alloc_bytes, whole_batch_forward
 
 
 def test_round_trip_exact_bits(tmp_path):
@@ -176,4 +175,4 @@ def test_checkpoint_with_a_short_bias_loads_and_fails_at_its_first_use(tmp_path)
     ckpt = load_checkpoint(path)
     assert ckpt.params["fc1"].bias.shape == (params["fc1"].bias.size - 1,)
     with pytest.raises(ShapeError, match="^dense_forward: bias shape"):
-        forward(spec, ckpt.params, np.zeros((2, 28, 28, 1), np.uint8))
+        whole_batch_forward(spec, ckpt.params, np.zeros((2, 28, 28, 1), np.uint8))

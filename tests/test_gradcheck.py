@@ -8,6 +8,7 @@ from slimnet.network import backward, forward
 from slimnet.ops import softmax_xent
 from slimnet.rng import substream
 from slimnet.trainer import TrainConfig, init_params
+from tests.conftest import whole_batch_forward
 
 
 def test_numerical_gradient_on_quadratic():
@@ -61,11 +62,13 @@ def network_gradient_errors(spec, x, labels, params, dropout_seed=None, out=None
 
     With `dropout_seed` every forward, the analytic one and each difference's,
     trains with a generator in the same state, so all draw the same dropout
-    masks.  `out` is handed to `backward` as the arrays to write into.
+    masks; without it each is the whole-batch chain with dropout at keep=1.
+    `out` is handed to `backward` as the arrays to write into.
     """
     def run(trial):
-        rng = None if dropout_seed is None else substream(dropout_seed, "dropout")
-        return forward(spec, trial, x, training=rng is not None, dropout_rng=rng)
+        if dropout_seed is None:
+            return whole_batch_forward(spec, trial, x)
+        return forward(spec, trial, x, training=True, dropout_rng=substream(dropout_seed, "dropout"))
 
     def loss_for(name, suffix, flat_value):
         trial = {k: type(v)(v.weights.copy(), v.bias.copy()) for k, v in params.items()}

@@ -95,14 +95,14 @@ def test_network_runs_the_record_with_exact_gradients(spec):
     assert caches[2] == {}  # the record keeps no array, and its backward reads the layer
     pooled = caches[1]["relu"].reshape(2, 4, 2, 4, 2, 2).mean(axis=(2, 4))
     assert np.array_equal(caches[4]["x"], pooled.reshape(2, -1))
-    assert forward(spec, params, x, keep_caches=False)[0].tobytes() == logits.tobytes()
+    assert forward(spec, params, x)[0].tobytes() == logits.tobytes()
     _, grad_logits = ops.softmax_xent(logits, labels)
     grads = backward(spec, params, caches, grad_logits)
 
     def loss_at(arr, value):
         saved = arr.copy()
         arr[...] = value
-        out, _ = forward(spec, params, x, keep_caches=False)
+        out, _ = forward(spec, params, x)
         arr[...] = saved
         return ops.softmax_xent(out, labels)[0]
 

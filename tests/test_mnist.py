@@ -16,7 +16,7 @@ from slimnet.mnist import (
     write_idx_labels,
 )
 from slimnet.network import forward
-from tests.conftest import peak_alloc_bytes, pixel_spec, require_mnist
+from tests.conftest import peak_alloc_bytes, pixel_spec, require_mnist, whole_batch_forward
 
 
 # Independent byte-writer: builds fixtures without going through the
@@ -34,7 +34,7 @@ def build_label_bytes(labels, magic=2049):
 
 def _decode(images):
     """The pixels as they enter the network: `network.forward` on a net with no layer but the flatten."""
-    return forward(pixel_spec(), {}, images)[0].reshape(images.shape)
+    return whole_batch_forward(pixel_spec(), {}, images)[0].reshape(images.shape)
 
 
 def test_single_pixel_255_loads_as_one(tmp_path):
@@ -257,7 +257,7 @@ def test_load_data_dir_round_trips_synthetic(synth_data_dir):
     assert splits.train.labels.dtype == splits.test.labels.dtype == np.uint8
     assert splits.train.images.dtype == np.uint8
     # the pixels enter the network scaled into [0, 1]
-    decoded, _ = forward(pixel_spec(), {}, splits.train.images[:1000], keep_caches=False)
+    decoded, _ = forward(pixel_spec(), {}, splits.train.images[:1000])
     assert decoded.dtype == np.float64
     assert 0.0 <= decoded.min() and decoded.max() <= 1.0
 

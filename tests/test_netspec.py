@@ -76,6 +76,15 @@ def test_errors_name_layer_index():
         propagate_shapes(conv_after_flatten)
 
 
+@pytest.mark.parametrize("layer, words", [
+    (LayerSpec.conv(True, 2), r"conv kernel must be a positive integer, got True"),
+    (LayerSpec.dropout(True), r"dropout keep_prob must be in \(0, 1\], got True"),  # whose text would not parse back
+])
+def test_shape_rules_refuse_a_bool_field(layer, words):
+    with pytest.raises(SpecError, match=f"^layer 1: {words}"):
+        propagate_shapes(NetSpec("x", (LayerSpec.input(4, 4, 1), layer)))
+
+
 def test_first_layer_must_be_input():
     with pytest.raises(SpecError, match="input"):
         propagate_shapes(NetSpec("x", (LayerSpec.conv(3, 2),)))
@@ -136,6 +145,8 @@ def test_parse_pool3_accepted_then_rejected_by_shapes():
         ("conv k=x out=3", "integer"),
         ("input h=28 w=28 c=1\nconv kk=5 out=3", "unknown field"),
         ("input h=28 w=28 c=1\nconv k=5 k=3 out=32", "line 2.*conv repeats field 'k'"),  # not the last k
+        ("name: a\nname: b\ninput h=28 w=28 c=1\nflatten\ndense out=10\n",
+         "^line 2: a second 'name:' line; line 1 already names the spec"),  # not the last name
         ("", "no layers"),
     ],
 )

@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slimnet import ops
+from slimnet import network, ops
 from slimnet.netspec import LayerSpec, NetSpec, layer_names, load_spec
 from slimnet.network import backward, forward, init_params
 from slimnet.rng import substream
 from slimnet.synth import synthetic_corpus, synthetic_splits
-from tests.conftest import pixel_spec
+from tests.conftest import pixel_spec, whole_batch_forward
 
 SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
 
@@ -71,8 +71,8 @@ def test_cache_free_forward_gives_identical_logits(path):
     for n in (13, CHUNKED_BATCH[path.stem]):
         x = tie_heavy_batch(n, seed=3)
         before = x.copy()
-        logits, caches = forward(spec, params, x)
-        free, none = forward(spec, params, x, keep_caches=False)
+        logits, caches = whole_batch_forward(spec, params, x)
+        free, none = forward(spec, params, x)
         assert none is None
         assert free.tobytes() == logits.tobytes(), n
         assert x.tobytes() == before.tobytes()
@@ -85,7 +85,7 @@ def test_evaluation_runs_the_convs_a_chunk_of_images_at_a_time(n, seen, monkeypa
     assert spec.name == "optimized"
     params = init_params(spec, substream(15, "init"))
     x = np.random.default_rng(15).integers(0, 256, size=(n, 28, 28, 1), dtype=np.uint8)
-    expected, _ = forward(spec, params, x)
+    expected, _ = whole_batch_forward(spec, params, x)
     batches = []
     real = ops.conv2d_forward
 
@@ -94,7 +94,7 @@ def test_evaluation_runs_the_convs_a_chunk_of_images_at_a_time(n, seen, monkeypa
         return real(h, p, **kwargs)
 
     monkeypatch.setattr(ops, "conv2d_forward", spy)
-    logits, _ = forward(spec, params, x, keep_caches=False)
+    logits, _ = forward(spec, params, x)
     assert batches == seen  # below two chunks of 103, one call sees the whole batch
     assert logits.tobytes() == expected.tobytes()
 
@@ -146,7 +146,7 @@ def test_evaluation_forward_skips_dropout(monkeypatch):
     assert any(layer.kind == "dropout" for layer in spec.layers)
     params = init_params(spec, substream(9, "init"))
     x = tie_heavy_batch(5, seed=9)
-    expected, _ = forward(spec, params, x, keep_caches=False)
+    expected, _ = whole_batch_forward(spec, params, x)
 
     def no_dropout(*args, **kwargs):
         raise AssertionError("ops.dropout called in evaluation mode")
@@ -154,8 +154,7 @@ def test_evaluation_forward_skips_dropout(monkeypatch):
     monkeypatch.setattr(ops, "dropout", no_dropout)
     logits, caches = forward(spec, params, x)
     assert logits.tobytes() == expected.tobytes()
-    assert [c for layer, c in zip(spec.layers, caches) if layer.kind == "dropout"] == [{}]  # no mask drawn
-    assert forward(spec, params, x, keep_caches=False)[0].tobytes() == expected.tobytes()
+    assert caches is None
 
 
 @pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
@@ -170,17 +169,21 @@ def test_a_training_cache_holds_only_the_arrays_forward_made(path):
         assert not cache.keys() & {"kind", "name", "window", "keep", "training", "shape"}, layer.kind
 
 
-@pytest.mark.parametrize("keep_caches", [True, False])
-def test_a_training_forward_without_a_dropout_rng_raises_before_any_layer_runs(keep_caches, monkeypatch):
+@pytest.mark.parametrize("uint8_pixels", [True, False])
+def test_a_training_forward_without_a_dropout_rng_raises_before_any_layer_runs(uint8_pixels, monkeypatch):
     spec = dense_only_spec()
     params = init_params(spec, substream(17, "init"))
+    x = tie_heavy_batch(2, seed=17)
+    if uint8_pixels:
+        x = np.round(x * 255).astype(np.uint8)
 
     def no_layer(*args, **kwargs):
         raise AssertionError("a layer ran")
 
+    monkeypatch.setattr(network, "_decode", no_layer)
     monkeypatch.setattr(ops, "dense_forward", no_layer)
     with pytest.raises(ValueError, match="dropout_rng"):
-        forward(spec, params, tie_heavy_batch(2, seed=17), training=True, keep_caches=keep_caches)
+        forward(spec, params, x, training=True)
 
 
 @pytest.mark.parametrize("input_grad", [True, False])
@@ -266,10 +269,9 @@ def test_uint8_pixels_give_the_logits_of_their_float_twin(path):
     pixels[0, :2, :2, 0] = (0, 255), (1, 254)
     twin = np.divide(pixels, 255.0, dtype=np.float64)
     before = pixels.copy()
-    for kw in ({"keep_caches": False}, {"keep_caches": True}):
-        a, _ = forward(spec, params, pixels, **kw)
-        b, _ = forward(spec, params, twin, **kw)
-        assert a.tobytes() == b.tobytes()
+    a, _ = forward(spec, params, pixels)
+    b, _ = forward(spec, params, twin)
+    assert a.tobytes() == b.tobytes()
     a, caches_a = forward(spec, params, pixels, training=True, dropout_rng=substream(2, "dropout"))
     b, caches_b = forward(spec, params, twin, training=True, dropout_rng=substream(2, "dropout"))
     assert a.tobytes() == b.tobytes()
@@ -280,12 +282,12 @@ def test_uint8_pixels_give_the_logits_of_their_float_twin(path):
     np.testing.assert_array_equal(pixels, before)
 
 
-@pytest.mark.parametrize("keep_caches", [True, False])
+@pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
-def test_empty_batch_gives_empty_logits(path, keep_caches):
+def test_empty_batch_gives_empty_logits(path, training):
     spec = load_spec(path)
     logits, _ = forward(spec, init_params(spec, substream(0, "init")), np.zeros((0, 28, 28, 1), np.uint8),
-                        keep_caches=keep_caches)
+                        training=training, dropout_rng=substream(0, "dropout"))
     assert logits.shape == (0, 10)
 
 

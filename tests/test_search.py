@@ -499,6 +499,19 @@ def thousandths_oracle(tag, spec, seed):
     return RunOutcome(k / 3000, 0.0, False)
 
 
+thousandths_oracle.schedule_id = "thousandths"
+
+
+def test_an_oracle_without_a_schedule_id_is_refused_before_anything_is_written(tmp_path):
+    # filed under one default id, two such oracles would resume each other's ledgers
+    def bare(tag, spec, seed):
+        return RunOutcome(0.5, 0.0, False)
+
+    with pytest.raises(SearchError, match="^the oracle has no schedule_id"):
+        Search(default_plan(), bare, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_fresh_sweep_equals_its_resume_and_its_ledger(tmp_path):
     plan = default_plan(seeds=(0, 1), threshold=2920 / 3000 - 1e-9)
     fresh = run_search(plan, thousandths_oracle, out_dir=tmp_path / "fresh")
@@ -541,6 +554,7 @@ def test_diverged_candidate_recorded_not_dropped(tmp_path):
 
         return RunOutcome(0.0, 0.1, True)
 
+    exploding.schedule_id = "exploding"
     results = run_search(SearchPlan(base=optimized_spec(), stages=(), extras=()), exploding, out_dir=tmp_path).results
     assert results[0].diverged and results[0].accuracy == 0.0
     reloaded = load_ledger(tmp_path / "results.ledger")
@@ -812,6 +826,7 @@ def test_repeated_tag_is_rejected_before_anything_runs(tmp_path):
         calls.append(tag)
         return RunOutcome(0.9, 0.0, False)
 
+    counting.schedule_id = "counting"
     with pytest.raises(SearchError, match="'fc1_width=128'"):
         run_search(plan, counting, out_dir=tmp_path)
     assert calls == []

@@ -29,7 +29,7 @@ from slimnet.trainer import (
     init_params,
     train,
 )
-from tests.conftest import peak_alloc_bytes
+from tests.conftest import peak_alloc_bytes, whole_batch_forward
 
 SPEC_PATHS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
 
@@ -698,7 +698,7 @@ def test_evaluate_short_last_batch_matches_caching_forward(synth_data, monkeypat
     spec = optimized_spec()
     params = init_params(spec, TrainConfig(), substream(11, "init"))
     images = synth_data.test.images[:20]
-    preds = np.concatenate([forward(spec, params, images[s : s + 7])[0].argmax(axis=1) for s in range(0, 20, 7)])
+    preds = whole_batch_forward(spec, params, images)[0].argmax(axis=1)
     labels = preds.copy()
     labels[[0, 9, 19]] = (labels[[0, 9, 19]] + 1) % 10  # one miss per batch of 7, 7, 6
     monkeypatch.setattr(trainer, "_EVAL_BATCH", 7)
@@ -730,7 +730,7 @@ def test_evaluate_single_sample():
     spec = tiny_spec()
     params = init_params(spec, TrainConfig(), substream(17, "init"))
     x = np.random.default_rng(5).uniform(size=(1, 8, 8, 1))
-    logits, _ = forward(spec, params, x)
+    logits, _ = whole_batch_forward(spec, params, x)
     label = np.array([int(logits.argmax())])
     assert evaluate(spec, params, x, label) == 1.0
 
