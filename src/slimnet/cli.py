@@ -4,7 +4,8 @@ Subcommands: `analyze` (complexity ledger), `train`, `search`,
 `gradcheck`, plus `--replay <manifest> [args]` to re-execute a recorded
 run, the trailing arguments overriding the recorded ones.
 Every run writes a manifest with the resolved arguments so results can
-be reproduced byte for byte.
+be reproduced byte for byte, and the BLAS it ran on (name, version and
+thread count); a replay on another BLAS warns on stderr and runs as usual.
 
 Exit codes: 0 success; 2 a spec/parse problem, a training setting out of
 range ("config error"), or a search that `search.Search` refuses ("plan
@@ -22,12 +23,15 @@ divergence; 5 infeasible search threshold; 1 any other failure
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .accounting import analyze, diff_reports
@@ -77,11 +81,42 @@ def manifest_argv(args: argparse.Namespace) -> list[str]:
     return argv
 
 
+def blas_record() -> dict:
+    """The BLAS numpy runs on: `{"name", "version", "threads"}`.
+
+    The name and version are those `numpy.show_config` reports; the
+    thread count is what the loaded OpenBLAS's
+    `scipy_openblas_get_num_threads64_` returns.  A value that cannot be
+    read is "unknown".
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        blas = {}
+    threads = "unknown"
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        libs = []
+    for lib in libs:
+        try:
+            get = getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None)
+        except OSError:
+            continue
+        if get is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            threads = int(get())
+            break
+    return {"name": blas.get("name", "unknown"), "version": blas.get("version", "unknown"), "threads": threads}
+
+
 def _write_manifest(args: argparse.Namespace, out_dir: Path) -> None:
     manifest = {
         "artifact_version": __version__,
         "command": args.command,
         "argv": manifest_argv(args),
+        "blas": blas_record(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -309,6 +344,10 @@ def _replay(argv: list[str]) -> int:
         print(f"cannot replay manifest {manifest_path}: {exc}", file=sys.stderr)
         return EXIT_FAIL
     stored += rest  # argparse keeps an option's last value
+    here = blas_record()
+    if "blas" in manifest and manifest["blas"] != here:
+        print(f"warning: {manifest_path} was recorded on BLAS {json.dumps(manifest['blas'])}, this process runs "
+              f"{json.dumps(here)}; float results may differ", file=sys.stderr)
     print(f"replaying: slimnet {' '.join(stored)}")
     return main(stored)
 

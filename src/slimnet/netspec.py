@@ -29,6 +29,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import ops
 
 __all__ = [
@@ -159,24 +161,24 @@ def _dropout_shape(layer, shape, i):
     return shape
 
 
-def _keep_input(h, cache):
-    if cache is not None:
-        cache["x"] = h
-    return h
-
-
 def _conv_forward(layer, h, p, cache, rng):
-    if cache is None:
-        return ops.conv2d_forward(h, p)
-    h, cache["cols"] = ops.conv2d_forward(_keep_input(h, cache), p, keep_cols=True)
-    return h
+    n, height, width, c = h.shape
+    k = layer.kernel
+    cache["x"] = h
+    return ops.conv2d_forward(h, p, out=(
+        cache.buffer("pad", (n, height + k - 1, width + k - 1, c)),
+        cache.buffer("cols", (n * height * width, k * k * c), per_image=height * width),
+        cache.buffer("y", (n, height, width, layer.out_channels)),
+    ))
 
 
 def _maxpool_forward(layer, h, p, cache, rng):
-    if cache is None:
-        return ops.maxpool_values(h, layer.window)
-    h, cache["argmax"] = ops.maxpool_forward(h, layer.window)
-    return h
+    n, height, width, c = h.shape
+    k = layer.window
+    y = cache.buffer("y", (n, height // k, width // k, c))
+    if rng is None:  # evaluation
+        return ops.maxpool_values(h, k, out=y)
+    return ops.maxpool_forward(h, k, out=(y, cache.buffer("argmax", y.shape, np.min_scalar_type(k * k - 1))))[0]
 
 
 def _maxpool_backward(layer, cache, g, p, input_grad, out):
@@ -184,17 +186,19 @@ def _maxpool_backward(layer, cache, g, p, input_grad, out):
 
 
 def _flatten_forward(layer, h, p, cache, rng):
-    h = _keep_input(h, cache)
+    cache["x"] = h
     return h.reshape(h.shape[0], math.prod(h.shape[1:]))
 
 
+def _dense_forward(layer, h, p, cache, rng):
+    cache["x"] = h
+    return ops.dense_forward(h, p, out=cache.buffer("y", (len(h), layer.out_features)))
+
+
 def _dropout_forward(layer, h, p, cache, rng):
-    if rng is None:  # evaluation
+    if rng is None or layer.keep_prob == 1.0:  # evaluation, or the identity
         return h
-    h, mask = ops.dropout(h, layer.keep_prob, rng)
-    if layer.keep_prob < 1.0:  # at 1 the op is the identity
-        cache["mask"] = mask
-    return h
+    return ops.dropout(h, layer.keep_prob, rng, out=(cache.buffer("y", h.shape), cache.buffer("mask", h.shape)))[0]
 
 
 def _conv_backward(layer, cache, g, p, input_grad, out):
@@ -222,9 +226,14 @@ class LayerKind(NamedTuple):
     initial draw and "has parameters" all follow from it.
     `make_params(w, b)` turns a draw at that shape into the `ops.Params`
     the kind's ops read; dense reshapes it to `[fan_in, fan_out]`.
-    `forward(layer, h, params, cache, rng)` puts into `cache` the arrays
-    backward needs and nothing else.  In training `cache` is a dict and
-    `rng` the dropout generator; in evaluation both are `None`.
+    `forward(layer, h, params, cache, rng)` puts into `cache`, the
+    layer's `network.Cache`, the arrays it made and nothing else: its
+    output and what backward reads.  It takes each from
+    `cache.buffer(key, shape)`, which hands back the array an earlier
+    forward through the same cache made, so a run's steps and its
+    evaluation write into one set.  `rng` is the dropout generator in
+    training and `None` in evaluation, where a kind makes nothing that
+    only backward reads (a pool's argmax).
     `backward(layer, cache, g, params, input_grad, out)` reads the
     layer's own fields from `layer` and returns `(grad_input, (grad_w,
     grad_b) or None)`; a kind with weights writes its pair into `out`,
@@ -270,7 +279,7 @@ KINDS: dict[str, LayerKind] = {
     ),
     "dense": LayerKind(
         (("out", "out_features", int),), "fc{out_features}", "Fully Connected", "fc", True, _dense_shape,
-        lambda layer, h, p, cache, rng: ops.dense_forward(_keep_input(h, cache), p), _dense_backward,
+        _dense_forward, _dense_backward,
         weights=lambda layer, in_shape: (*in_shape, layer.out_features),
         make_params=lambda w, b: ops.Params(w.reshape(-1, w.shape[-1]), b),
     ),

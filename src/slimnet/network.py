@@ -18,7 +18,7 @@ import numpy as np
 from . import ops
 from .netspec import KINDS, NetSpec, layer_names, propagate_shapes, validate_classifier, weight_shapes
 
-__all__ = ["Params", "init_params", "forward", "backward", "param_arrays"]
+__all__ = ["Params", "Cache", "init_params", "forward", "backward", "param_arrays"]
 
 # name -> the layer's weights and bias, in layer order
 Params = dict[str, ops.Params]
@@ -26,9 +26,36 @@ Params = dict[str, ops.Params]
 # M*N*K of each conv GEMM in an evaluation chunk.  OpenBLAS takes its
 # small-matrix kernel when M*N*K <= 1e6, and only there does a row of the
 # product depend on how many rows the call has; above it `A[:c] @ B` is
-# bitwise `(A @ B)[:c]`, so a chunk this far above the bound gives the rows
-# the whole batch gives.
-_CHUNK_GEMM_SIZE = 4_000_000
+# bitwise `(A @ B)[:c]`, so a chunk at twice the bound gives the rows the
+# whole batch gives, wherever in the batch it starts.
+_CHUNK_GEMM_SIZE = 2_000_000
+
+
+class Cache(dict):
+    """One layer's arrays from a forward pass, by name ("x", "cols", "y", ...).
+
+    `buffer(key, shape)` returns `self[key]` as an array of `shape`: the
+    array held there when it has that shape, else the leading rows of the
+    allocation behind it, made zeroed the first time with room for
+    `images` images (`per_image` rows each).  So a forward through the
+    caches of an earlier one writes into the arrays that one made, and a
+    batch of at most `images` images allocates nothing.
+    """
+
+    def __init__(self, images: int):
+        super().__init__()
+        self.images = images
+
+    def buffer(self, key: str, shape: tuple[int, ...], dtype=np.float64, per_image: int = 1) -> np.ndarray:
+        held = self.get(key)
+        if held is None:
+            whole = np.zeros((max(shape[0], self.images * per_image), *shape[1:]), dtype)
+        elif held.shape == shape:
+            return held
+        else:
+            whole = held.base  # held is always a leading slice of its allocation
+        self[key] = whole[: shape[0]]
+        return self[key]
 
 
 def init_params(spec: NetSpec, rng: np.random.Generator) -> Params:
@@ -55,7 +82,7 @@ def param_arrays(params: Params):
 
 
 def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = False,
-            dropout_rng: np.random.Generator | None = None):
+            dropout_rng: np.random.Generator | None = None, out: list[Cache] | None = None):
     """Run the chain on a `[N,28,28,C]` batch; returns (logits, caches).
 
     `x` is either uint8 pixels, as `mnist.load_idx_images` returns them,
@@ -63,82 +90,98 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = Fa
     activations, used as float64.  Any other integer dtype raises
     `TypeError` rather than reach the net unscaled.
 
+    Each layer writes what it makes into its `Cache` (see
+    `LayerKind.forward`); the input layer's holds the decoded batch.
+    `out` is a run's working set: the caches an earlier forward through
+    it filled, whose arrays this call overwrites, or an empty list,
+    which a training forward fills with one cache per layer with room for
+    max(N, evaluation chunk) images, so the run's evaluation fits in it
+    too.  Without `out` a call allocates one set of its own.
+
     A training forward runs the whole batch, draws the dropout masks from
     `dropout_rng` (`ValueError` without one, before any layer runs) and
-    returns as `caches`, per layer, the arrays `backward` needs and
-    nothing else.  ReLU overwrites the conv and dense outputs this call
-    allocated, and the cache keeps that one array (`"relu"`) for
+    returns the caches: per layer the arrays `backward` needs and the
+    ones the next forward reuses.  ReLU overwrites the conv and dense
+    outputs in place, and the cache keeps that one array (`"y"`) for
     `ops.relu_backward`: relu(z) > 0 exactly where z > 0.  A conv keeps
     its im2col matrix (`"cols"`) too, a pool its argmax.
 
-    An evaluation forward skips dropout, keeps nothing for backward (no
-    im2col matrix, no pooling argmax: `ops.maxpool_values`) and returns
-    `(logits, None)`.  It runs the layers whose output is still an image
-    (the input scaling, each conv with its ReLU, each maxpool) a chunk of
-    whole images at a time (see `_image_chunks`), so no im2col matrix is
-    batch-sized, and the rest on the whole batch; its logits are those of
-    the whole-batch chain bit for bit.
+    An evaluation forward skips dropout, makes nothing for backward (no
+    pooling argmax: `ops.maxpool_values`) and returns `(logits, None)`.
+    It runs the layers whose output is still an image (the input scaling,
+    each conv with its ReLU, each maxpool) a chunk of whole images at a
+    time (see `_image_chunks`; the last chunk ends at the batch's end)
+    through the image layers' caches of `out`, or through one set of its
+    own, and the rest on the whole batch with arrays of its own.  Its
+    logits are those of the whole-batch chain bit for bit.
     """
     x = np.asarray(x)
     if np.issubdtype(x.dtype, np.integer) and x.dtype != np.uint8:
         raise TypeError(f"forward: input must be uint8 pixels or floating point, got {x.dtype}")
     names = layer_names(spec)
+    n = len(x)
     if training:
         if dropout_rng is None:
             raise ValueError("a training forward needs a dropout_rng")
-        caches: list[dict] = []
-        return _chain(spec, params, names, dropout_rng, _decode(x), 0, len(spec.layers), caches), caches
-    flat, bounds = _image_chunks(spec, len(x))
+        caches = [] if out is None else out
+        if not caches:
+            images = n if out is None else max(n, _image_chunks(spec)[1])
+            caches += [Cache(images) for _ in spec.layers]
+        return _chain(spec, params, names, dropout_rng, _decode(x, caches[0]), 0, len(spec.layers), caches), caches
+    flat, chunk = _image_chunks(spec)
+    caches = out or [Cache(min(n, chunk or n)) for _ in spec.layers]
+    m = min(n, chunk or caches[0].images)
+    starts = [*range(0, n - m, m), n - m] if n else [0]
     h = None
-    for start, stop in zip(bounds, bounds[1:]):
-        out = _chain(spec, params, names, None, _decode(x[start:stop]), 0, flat, None)
-        if len(bounds) == 2:  # one chunk: its output is the batch's
-            h = out
+    for start in starts:  # a short tail reruns the last m images: their rows do not depend on the chunk
+        part = _chain(spec, params, names, None, _decode(x[start : start + m], caches[0]), 0, flat, caches)
+        if len(starts) == 1:  # one chunk: its output is the batch's
+            h = part
         else:
             if h is None:
-                h = np.empty((len(x), *out.shape[1:]))
-            h[start:stop] = out
-    return _chain(spec, params, names, None, h, flat, len(spec.layers), None), None
+                h = np.empty((n, *part.shape[1:]))
+            h[start : start + m] = part
+    del caches  # a call's own image-layer arrays are freed before the whole-batch layers run
+    return _chain(spec, params, names, None, h, flat, len(spec.layers), [Cache(n) for _ in spec.layers]), None
 
 
-def _decode(x: np.ndarray) -> np.ndarray:
+def _decode(x: np.ndarray, cache: Cache) -> np.ndarray:
+    h = cache.buffer("y", x.shape)
     if x.dtype == np.uint8:
-        return np.divide(x, 255.0, dtype=np.float64)
-    return np.asarray(x, dtype=np.float64)
-
-
-def _chain(spec, params, names, rng, h, first, stop, caches):
-    """Layers `first` to `stop - 1` on `h`; a cache per layer goes to `caches`, `None` in evaluation."""
-    last = len(spec.layers) - 1
-    for i in range(first, stop):
-        layer = spec.layers[i]
-        kind = KINDS[layer.kind]
-        cache: dict | None = {} if caches is not None else None
-        h = kind.forward(layer, h, params.get(names[i]), cache, rng)
-        if kind.weights and i != last:
-            h = ops.relu(h, out=h)
-            if cache is not None:
-                cache["relu"] = h
-        if caches is not None:
-            caches.append(cache)
+        return np.divide(x, 255.0, out=h, dtype=np.float64)
+    np.copyto(h, x)
     return h
 
 
-def _image_chunks(spec: NetSpec, n: int) -> tuple[int, list[int]]:
-    """The image layers' end and the chunk bounds of an `n`-image batch.
+def _chain(spec, params, names, rng, h, first, stop, caches):
+    """Layers `first` to `stop - 1` on `h`, each writing into its cache; `rng` is `None` in evaluation."""
+    last = len(spec.layers) - 1
+    for i in range(first, stop):
+        layer, cache = spec.layers[i], caches[i]
+        kind = KINDS[layer.kind]
+        h = kind.forward(layer, h, params.get(names[i]), cache, rng)
+        if kind.weights and i != last:
+            cache["y"] = h = ops.relu(h, out=h)
+    return h
+
+
+def _image_chunks(spec: NetSpec) -> tuple[int, int]:
+    """The image layers' end and the images in an evaluation chunk.
 
     The image layers are those before the first rank-1 shape.  A chunk
     holds the fewest images for which each of their conv GEMMs, of
-    images*H*W rows by kh*kw*C_in by C_out, reaches `_CHUNK_GEMM_SIZE`;
-    a tail shorter than a chunk joins the chunk before it, so a batch
-    smaller than two chunks runs as one.
+    images*H*W rows by kh*kw*C_in by C_out, reaches `_CHUNK_GEMM_SIZE`
+    (larger ones were slower once their im2col left the cache: `baseline`
+    evaluated 2000 images in 2.0-2.2 s CPU in chunks of 50, in 1.4-1.5 s
+    in chunks of 4 to 12, on one BLAS thread of a 2-core Xeon VM);
+    0 when they hold no conv, whose rows no chunk changes, and a chunk is
+    then as many images as the caches hold.
     """
     shapes = propagate_shapes(spec)
     flat = next((i for i, shape in enumerate(shapes) if len(shape) == 1), len(shapes))
     per_image = [math.prod(shape[:-1]) * math.prod(w)
                  for shape, w in zip(shapes[:flat], weight_shapes(spec, shapes)) if w is not None]
-    size = max((-(-_CHUNK_GEMM_SIZE // m) for m in per_image), default=max(n, 1))
-    return flat, [i * size for i in range(max(n // size, 1))] + [n]
+    return flat, max((-(-_CHUNK_GEMM_SIZE // m) for m in per_image), default=0)
 
 
 def backward(spec: NetSpec, params: Params, caches: list[dict], grad_logits: np.ndarray, *, out=None):
@@ -154,13 +197,14 @@ def backward(spec: NetSpec, params: Params, caches: list[dict], grad_logits: np.
     """
     first = next((i for i, layer in enumerate(spec.layers) if KINDS[layer.kind].weights), len(spec.layers))
     names = layer_names(spec)
+    last = len(spec.layers) - 1
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     g, owned = grad_logits, False
     for i in reversed(range(first, len(spec.layers))):
         layer, cache = spec.layers[i], caches[i]
         kind = KINDS[layer.kind]
-        if "relu" in cache:
-            g = ops.relu_backward(cache["relu"], g, out=g if owned else None)
+        if kind.weights and i != last:  # the ReLU forward ran
+            g = ops.relu_backward(cache["y"], g, out=g if owned else None)
             owned = True
         g, layer_grads = kind.backward(layer, cache, g, params.get(names[i]), i != first,
                                        None if out is None else out.get(names[i]))

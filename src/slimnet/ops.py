@@ -19,20 +19,23 @@ Conventions
   to a 16x16 window).  It is the first maximum, as `numpy.argmax` picks
   it: among tied elements, +0.0 and -0.0 included, the earliest wins; a
   window holding a NaN, whose loss would stop training, gets argmax 0.
-* `conv2d_forward(..., keep_cols=True)` also returns its im2col matrix,
-  and `conv2d_backward(..., cols=...)` reuses it instead of building it
-  again.  `conv2d_backward(..., input_grad=False)` skips the col2im
-  input gradient and returns `None` in its place, for a layer whose
-  input needs no gradient.
-* `conv2d_backward` and `dense_backward` take `out=(grad_w, grad_b)`,
-  writable C-contiguous float64 arrays of the weights' and the bias's
-  shapes, which they overwrite and return, so a training run allocates
-  its weight and bias gradients once.  Without `out` both are fresh.
-  Either way they are written by `np.matmul(..., out=)` and
-  `np.sum(..., out=)`, so the bits are the same.
-* Every function is pure (`relu`, `relu_backward` and the two affine
-  backwards write into `out` only when given one): randomness (dropout)
-  comes from an explicitly passed `numpy.random.Generator`.
+* The forwards take `out=`, the arrays they write: `conv2d_forward` its
+  zero-bordered padded input, im2col matrix and output; `dense_forward`
+  and `maxpool_values` their output; `maxpool_forward` its output and
+  argmax; `dropout` its output and mask.  The backwards take
+  `out=(grad_w, grad_b)`.  Each array must be writable, C-contiguous
+  and of the op's shape and dtype (`ShapeError` names the op
+  otherwise); it is overwritten and returned, so a training run
+  allocates its activations and gradients once.  Without `out` each is
+  fresh.  Either way it is written by the same `np.matmul(..., out=)`,
+  copy or ufunc, so the bits are the same.
+* `conv2d_backward(..., cols=...)` reuses the im2col matrix of its
+  forward instead of building it again.  `conv2d_backward(...,
+  input_grad=False)` skips the col2im input gradient and returns `None`
+  in its place, for a layer whose input needs no gradient.
+* Every function is pure but for the arrays it is handed as `out` (the
+  padded input's border is only read, so it stays zero): randomness
+  (dropout) comes from an explicitly passed `numpy.random.Generator`.
 """
 
 from __future__ import annotations
@@ -95,17 +98,18 @@ def _affine(op: str, x, params: Params, rank: int):
     return x, w, b
 
 
-def _grads_out(op: str, out, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The `(grad_w, grad_b)` arrays a backward writes: `out` once checked, or two fresh ones."""
+def _outs(op: str, out, *shapes, dtype=np.float64) -> list[np.ndarray]:
+    """The arrays an op writes, one per shape: `out` once checked, or fresh zeros when it is `None`."""
     if out is None:
-        return np.empty(w.shape), np.empty(w.shape[-1:])
-    grad_w, grad_b = out
-    for arr, shape in ((grad_w, w.shape), (grad_b, w.shape[-1:])):
-        if not (isinstance(arr, np.ndarray) and arr.shape == shape and arr.dtype == np.float64
+        return [np.zeros(shape, dtype) for shape in shapes]
+    if len(out) != len(shapes):
+        raise ShapeError(f"{op}: out must hold {len(shapes)} arrays, got {len(out)}")
+    for arr, shape in zip(out, shapes):
+        if not (isinstance(arr, np.ndarray) and arr.shape == shape and arr.dtype == dtype
                 and arr.flags.c_contiguous and arr.flags.writeable):
-            raise ShapeError(f"{op}: out must be writable C-contiguous float64 arrays of shapes "
-                             f"{w.shape} and {w.shape[-1:]}, got {getattr(arr, 'dtype', type(arr).__name__)} {np.shape(arr)}")
-    return grad_w, grad_b
+            raise ShapeError(f"{op}: out must be writable C-contiguous {np.dtype(dtype)} arrays of shapes "
+                             f"{', '.join(map(str, shapes))}, got {getattr(arr, 'dtype', type(arr).__name__)} {np.shape(arr)}")
+    return list(out)
 
 
 def _same_pad(extent: int) -> tuple[int, int]:
@@ -114,32 +118,40 @@ def _same_pad(extent: int) -> tuple[int, int]:
     return before, extent - 1 - before
 
 
-def _im2col(x4: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """SAME-padded sliding windows as a `[N*H*W, kh*kw*C]` matrix."""
+def _im2col(x4: np.ndarray, kh: int, kw: int, padded=None, out=None) -> np.ndarray:
+    """SAME-padded sliding windows as a `[N*H*W, kh*kw*C]` matrix, written into `out`.
+
+    `x4` is copied into the interior of `padded`, a `[N, H+kh-1, W+kw-1, C]`
+    array whose border is zero; both are fresh when not given.
+    """
     n, h, w, c = x4.shape
-    (pt, pb), (pl, pr) = _same_pad(kh), _same_pad(kw)
-    xp = np.pad(x4, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    # [N, H, W, C, kh, kw] -> [N*H*W, kh*kw*C], matching the kernel layout
-    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(n * h * w, kh * kw * c)
+    (pt, _), (pl, _) = _same_pad(kh), _same_pad(kw)
+    if padded is None:
+        padded, out = _outs("im2col", None, (n, h + kh - 1, w + kw - 1, c), (n * h * w, kh * kw * c))
+    padded[:, pt : pt + h, pl : pl + w] = x4
+    win = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
+    # [N, H, W, C, kh, kw] -> [N, H, W, kh, kw, C], matching the kernel layout
+    np.copyto(out.reshape(n, h, w, kh, kw, c), win.transpose(0, 1, 2, 4, 5, 3))
+    return out
 
 
-def conv2d_forward(x, params: Params, *, keep_cols: bool = False):
+def conv2d_forward(x, params: Params, *, out=None) -> np.ndarray:
     """Stride-1 SAME convolution; output spatial size equals input's.
 
-    The bias is added in place to the fresh im2col product, so no second
-    output-sized array is allocated; the sum is the same.  Returns the
-    output, or `(output, cols)` with `keep_cols`: `cols` is the im2col
-    matrix of `x`, for `conv2d_backward` to reuse.
+    `out` is `(padded, cols, y)` (see the module notes): the input with
+    its SAME border, the im2col matrix of `x`, which `conv2d_backward`
+    reuses, and the output.  The product is written into `y` and the bias
+    added in place, so the sum is that of `cols @ W + b`.  Returns `y`.
     """
     x, w, b = _affine("conv2d_forward", x, params, 4)
-    kh, kw, _, cout = w.shape
+    kh, kw, cin, cout = w.shape
     n, h, wd, _ = x.shape
-    cols = _im2col(x, kh, kw)
-    y = cols @ w.reshape(-1, cout)
+    padded, cols, y = _outs("conv2d_forward", out, (n, h + kh - 1, wd + kw - 1, cin),
+                            (n * h * wd, kh * kw * cin), (n, h, wd, cout))
+    _im2col(x, kh, kw, padded, cols)
+    np.matmul(cols, w.reshape(-1, cout), out=y.reshape(n * h * wd, cout))
     y += b
-    y = y.reshape(n, h, wd, cout)
-    return (y, cols) if keep_cols else y
+    return y
 
 
 def conv2d_backward(x, params: Params, grad_out, *, input_grad: bool = True, cols=None, out=None):
@@ -148,8 +160,8 @@ def conv2d_backward(x, params: Params, grad_out, *, input_grad: bool = True, col
     Returns `(grad_x, grad_w, grad_b)`.  With `input_grad=False` the
     col2im pass is skipped and `grad_x` is `None`; `grad_w` and `grad_b`
     are the same arrays either way.  `cols` is the im2col matrix of `x`
-    from `conv2d_forward(..., keep_cols=True)`; without it the matrix is
-    built again from `x`, and the gradients are the same.  `grad_w` and
+    that `conv2d_forward` wrote; without it the matrix is built again
+    from `x`, and the gradients are the same.  `grad_w` and
     `grad_b` are written into `out` when given (see the module notes);
     the weight GEMM writes through `grad_w.reshape(-1, C_out)`, a view.
     """
@@ -159,7 +171,7 @@ def conv2d_backward(x, params: Params, grad_out, *, input_grad: bool = True, col
     n, h, wd, _ = x.shape
     if grad_out.shape != (n, h, wd, cout):
         raise ShapeError(f"conv2d_backward: grad_out shape {grad_out.shape} does not match output {(n, h, wd, cout)}")
-    grad_w, grad_b = _grads_out("conv2d_backward", out, w)
+    grad_w, grad_b = _outs("conv2d_backward", out, w.shape, w.shape[-1:])
     if cols is None:
         cols = _im2col(x, kh, kw)
     elif cols.shape != (n * h * wd, kh * kw * cin):
@@ -189,8 +201,8 @@ def _pool_input(x, window: int) -> np.ndarray:
     return x
 
 
-def maxpool_forward(x, window: int):
-    """Max pool with stride = window.  Returns (output, argmax).
+def maxpool_forward(x, window: int, *, out=None):
+    """Max pool with stride = window.  Returns `(output, argmax)`, written into `out` when given.
 
     `argmax` holds each window's row-major winner index, the first
     maximum (see the module notes), which makes the backward pass
@@ -199,10 +211,15 @@ def maxpool_forward(x, window: int):
     the maximum, so no window is copied.
     """
     x = _pool_input(x, window)
-    y = maxpool_values(x, window)
-    idx = np.zeros(y.shape, dtype=np.min_scalar_type(window * window - 1))
-    missed = np.ones(y.shape, dtype=bool)  # no winner among positions 0..k yet
-    loses = np.empty(y.shape, dtype=bool)
+    n, h, w, c = x.shape
+    shape = (n, h // window, w // window, c)
+    y, = _outs("maxpool_forward", None if out is None else out[:1], shape)
+    idx, = _outs("maxpool_forward", None if out is None else out[1:], shape,
+                 dtype=np.min_scalar_type(window * window - 1))
+    maxpool_values(x, window, out=y)
+    idx.fill(0)
+    missed = np.ones(shape, dtype=bool)  # no winner among positions 0..k yet
+    loses = np.empty(shape, dtype=bool)
     for k in range(window * window - 1):
         dy, dx = divmod(k, window)
         s = x[:, dy::window, dx::window, :]
@@ -212,15 +229,18 @@ def maxpool_forward(x, window: int):
     return y, idx
 
 
-def maxpool_values(x, window: int) -> np.ndarray:
+def maxpool_values(x, window: int, *, out=None) -> np.ndarray:
     """The output of `maxpool_forward` without its argmax, for inference.
 
     Takes the elementwise maximum over the window*window strided slices
-    in row-major window order.  A tie keeps the earlier element (numpy's
-    `maximum` returns its second operand on a tie), and a NaN propagates.
+    in row-major window order, into `out` when given.  A tie keeps the
+    earlier element (numpy's `maximum` returns its second operand on a
+    tie), and a NaN propagates.
     """
     x = _pool_input(x, window)
-    y = x[:, ::window, ::window, :].copy()
+    first = x[:, ::window, ::window, :]
+    y, = _outs("maxpool_values", None if out is None else (out,), first.shape)
+    np.copyto(y, first)
     for k in range(1, window * window):
         dy, dx = divmod(k, window)
         np.maximum(x[:, dy::window, dx::window, :], y, out=y)
@@ -250,14 +270,15 @@ def maxpool_backward(grad_out, argmax, window: int) -> np.ndarray:
     return gx
 
 
-def dense_forward(x, params: Params) -> np.ndarray:
-    """Affine map `x @ W + b` for an `[N, F]` batch.
+def dense_forward(x, params: Params, *, out=None) -> np.ndarray:
+    """Affine map `x @ W + b` for an `[N, F]` batch, written into `out` when given.
 
-    The bias is added in place to the fresh product, so no second
-    output-sized array is allocated; the sum is the same.
+    The bias is added in place to the product, so no second output-sized
+    array is allocated; the sum is the same.
     """
     x, w, b = _affine("dense_forward", x, params, 2)
-    y = x @ w
+    y, = _outs("dense_forward", None if out is None else (out,), (x.shape[0], w.shape[1]))
+    np.matmul(x, w, out=y)
     y += b
     return y
 
@@ -274,7 +295,7 @@ def dense_backward(x, params: Params, grad_out, *, out=None):
         raise ShapeError(
             f"dense_backward: grad_out shape {grad_out.shape} does not match output {(x.shape[0], w.shape[1])}"
         )
-    grad_w, grad_b = _grads_out("dense_backward", out, w)
+    grad_w, grad_b = _outs("dense_backward", out, w.shape, w.shape[-1:])
     grad_x = grad_out @ w.T
     np.matmul(x.T, grad_out, out=grad_w)
     np.sum(grad_out, axis=0, out=grad_b)
@@ -300,19 +321,25 @@ def relu_backward(x, grad_out, out: np.ndarray | None = None) -> np.ndarray:
     return np.multiply(grad_out, x > 0.0, out=out)
 
 
-def dropout(x, keep_prob: float, rng: np.random.Generator):
+def dropout(x, keep_prob: float, rng: np.random.Generator, *, out=None):
     """Inverted dropout: kept activations are scaled by 1/keep_prob.
 
-    Returns `(output, mask)`; with `keep_prob` 1 the op is the identity
-    and the mask is all ones.  `keep_prob` must lie in (0, 1].
+    Returns `(output, mask)`, written into `out` when given; with
+    `keep_prob` 1 the op is the identity and the mask is all ones.
+    `keep_prob` must lie in (0, 1].  The uniform draw is made into the
+    mask and compared there, so a draw costs no array of its own.
     """
     x = _as_f64(x)
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"dropout: keep_prob must be in (0, 1], got {keep_prob}")
+    y, mask = _outs("dropout", out, x.shape, x.shape)
     if keep_prob == 1.0:
-        return x, np.ones_like(x)
-    mask = (rng.random(x.shape) < keep_prob).astype(np.float64)
-    y = x * mask
+        np.copyto(y, x)
+        mask.fill(1.0)
+        return y, mask
+    rng.random(out=mask)
+    np.less(mask, keep_prob, out=mask)
+    np.multiply(x, mask, out=y)
     y /= keep_prob
     return y, mask
 

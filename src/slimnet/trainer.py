@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netspec import NetSpec, number_text, validate_classifier
-from .network import Params, backward, forward, init_params as _init_net_params, param_arrays
+from .network import Cache, Params, backward, forward, init_params as _init_net_params, param_arrays
 from .ops import softmax_xent
 from .rng import substream
 
@@ -178,12 +178,17 @@ def adam_step(params: Params, grads: dict, state: AdamState, config: TrainConfig
                 np.subtract(a, s, out=a)
 
 
-def evaluate(spec: NetSpec, params: Params, images: np.ndarray, labels: np.ndarray) -> float:
+def evaluate(spec: NetSpec, params: Params, images: np.ndarray, labels: np.ndarray, *,
+             buffers: list[Cache] | None = None) -> float:
     """Argmax classification accuracy with dropout disabled.
 
     `labels` holds `[N]` class indices; any other shape raises
     `ValueError`, as do zero images, which have no accuracy.  Consumes no
     RNG, never mutates `params` or `images`, and keeps no backward state.
+    `buffers` is a run's working set (`network.forward`'s `out`): each
+    forward pass runs its image layers through those arrays and
+    allocates none of its own; without it each forward pass allocates
+    one set.
     """
     if not len(images):
         raise ValueError("evaluate: no images to score")
@@ -192,7 +197,7 @@ def evaluate(spec: NetSpec, params: Params, images: np.ndarray, labels: np.ndarr
     hits = 0
     for start in range(0, len(images), _EVAL_BATCH):
         xb = images[start : start + _EVAL_BATCH]
-        logits, _ = forward(spec, params, xb)
+        logits, _ = forward(spec, params, xb, out=buffers)
         hits += int((logits.argmax(axis=1) == labels[start : start + len(xb)]).sum())
     return hits / len(images)
 
@@ -208,6 +213,12 @@ class Run:
     raise `ValueError` here, before the first step.  `step()` trains one
     minibatch; `train()` runs the remaining iterations with their traces
     and scores the test split.
+
+    A run keeps one working set of activations (`network.forward`'s
+    `out`): the first step allocates it, with room for a minibatch and
+    for an evaluation chunk, and every later step and every evaluation
+    writes into the same arrays, so no step holds two sets and none after
+    the first allocates one.  `train()` releases it when it ends.
     """
 
     def __init__(self, spec: NetSpec, data, config: TrainConfig):
@@ -235,7 +246,8 @@ class Run:
         self.eval_trace: list[tuple[int, float]] = []
         self.final_test_accuracy: float | None = None
         self.wall_time_seconds = 0.0
-        self._caches = self._grads = None
+        self._caches: list[Cache] = []
+        self._grads = None
 
     def step(self) -> float:
         """Train one minibatch and return its loss.
@@ -251,8 +263,8 @@ class Run:
         idx = self.perm[self.pos : self.pos + batch]
         self.pos += batch
         it = self.iterations_run + 1
-        logits, self._caches = forward(self.spec, self.params, train_split.images[idx], training=True,
-                                       dropout_rng=self.dropout_rng)
+        logits, _ = forward(self.spec, self.params, train_split.images[idx], training=True,
+                            dropout_rng=self.dropout_rng, out=self._caches)
         loss, grad_logits = softmax_xent(logits, train_split.labels[idx])
         if not np.isfinite(loss):
             raise TrainingDiverged("minibatch loss is non-finite", iteration=it)
@@ -265,7 +277,7 @@ class Run:
         return loss
 
     def train(self) -> Run:
-        """Run the steps left until `config.iterations`, then score the test split; returns the run."""
+        """Run the steps left until `config.iterations`, score the test split and drop the working set; returns the run."""
         config, started = self.config, time.perf_counter()
         while self.iterations_run < config.iterations:
             loss = self.step()
@@ -275,18 +287,19 @@ class Run:
             if config.eval_every and it % config.eval_every == 0:
                 self.eval_trace.append((it, self._evaluate(self.data.validation)))
         self.final_test_accuracy = self._evaluate(self.data.test)
+        self._caches = []
         self.wall_time_seconds = time.perf_counter() - started
         return self
 
     def _evaluate(self, split) -> float:
-        # Evaluation does not hold the last step's activations and gradients.  They
-        # are released only here: freed after every step, their pages went back
-        # to the OS and were faulted in again by the next step (on the optimized
-        # net, 5-8x the minor page faults and 16-19% more CPU time).  Between
-        # evaluations each step's backward overwrites the gradients the step
-        # before returned; the first step after one allocates them again.
-        self._caches = self._grads = None
-        return evaluate(self.spec, self.params, split.images, split.labels)
+        # Evaluation releases the gradients, which it does not read; the first
+        # step after it allocates them again.  It runs its image layers through
+        # the working set, which the next step overwrites: arrays freed and
+        # allocated afresh cost re-faulted pages (on the optimized net, 5-8x the
+        # minor page faults and 16-19% more CPU time when freed after every
+        # step), and fresh evaluation chunks raised the peak RSS by about a set.
+        self._grads = None
+        return evaluate(self.spec, self.params, split.images, split.labels, buffers=self._caches)
 
 
 def train(spec: NetSpec, data, config: TrainConfig) -> Run:

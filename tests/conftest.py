@@ -1,4 +1,11 @@
 import os
+
+# One BLAS thread, as the benchmark's workers run: a second thread saves
+# little here, and beside another BLAS-heavy process it made the suite
+# many times slower.  Set before numpy is first imported, which reads it.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path

@@ -13,6 +13,7 @@ from slimnet.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_SPEC,
+    blas_record,
     build_parser,
     main,
     manifest_argv,
@@ -286,6 +287,45 @@ def test_replay_reproduces_checkpoint(synth_data_dir, tmp_path, capsys):
     assert (tmp_path / "orig" / "checkpoint.bin").read_bytes() == (
         tmp_path / "redo" / "checkpoint.bin"
     ).read_bytes()
+
+
+def test_the_suite_runs_one_blas_thread():
+    # tests/conftest.py sets OPENBLAS_NUM_THREADS before numpy is imported
+    threads = blas_record()["threads"]
+    if threads == "unknown":
+        pytest.skip("the loaded BLAS has no scipy_openblas_get_num_threads64_")
+    assert threads == 1
+
+
+def test_train_and_search_manifests_record_the_blas(synth_data_dir, tmp_path, capsys):
+    for argv in (["train", "optimized", "--data-dir", str(synth_data_dir), "--iterations", "0"],
+                 ["search", "--oracle", "table"]):
+        out_dir = tmp_path / argv[0]
+        assert run_cli(capsys, *argv, "--out", str(out_dir))[0] == EXIT_OK
+        blas = json.loads((out_dir / "manifest.json").read_text())["blas"]
+        assert blas == blas_record() and list(blas) == ["name", "version", "threads"], argv[0]
+
+
+def test_a_replay_on_another_blas_warns_once_and_writes_the_same_checkpoint(synth_data_dir, tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "train", "optimized", "--data-dir", str(synth_data_dir),
+        "--iterations", "3", "--seed", "2", "--out", str(tmp_path / "orig"),
+    )
+    assert code == EXIT_OK and "warning" not in err
+    manifest_path = tmp_path / "orig" / "manifest.json"
+    code, _, err = run_cli(capsys, "--replay", str(manifest_path), "--out", str(tmp_path / "same"))
+    assert code == EXIT_OK and "warning" not in err
+    manifest = json.loads(manifest_path.read_text())
+    manifest["blas"]["threads"] = 7 if manifest["blas"]["threads"] != 7 else 8
+    manifest_path.write_text(json.dumps(manifest))
+    code, out, err = run_cli(capsys, "--replay", str(manifest_path), "--out", str(tmp_path / "redo"))
+    assert code == EXIT_OK
+    assert [line for line in err.splitlines() if line.startswith("warning:")] == [err.strip()]
+    assert '"threads": 7' in err or '"threads": 8' in err
+    assert out.startswith("replaying: slimnet train optimized")
+    checkpoint = (tmp_path / "orig" / "checkpoint.bin").read_bytes()
+    for name in ("same", "redo"):
+        assert (tmp_path / name / "checkpoint.bin").read_bytes() == checkpoint, name
 
 
 def test_replay_keeps_every_trailing_argument(tmp_path, capsys):

@@ -93,7 +93,7 @@ def test_network_runs_the_record_with_exact_gradients(spec):
     labels = np.array([3, 7])
     logits, caches = forward(spec, params, x, training=True, dropout_rng=substream(3, "dropout"))
     assert caches[2] == {}  # the record keeps no array, and its backward reads the layer
-    pooled = caches[1]["relu"].reshape(2, 4, 2, 4, 2, 2).mean(axis=(2, 4))
+    pooled = caches[1]["y"].reshape(2, 4, 2, 4, 2, 2).mean(axis=(2, 4))
     assert np.array_equal(caches[4]["x"], pooled.reshape(2, -1))
     assert forward(spec, params, x)[0].tobytes() == logits.tobytes()
     _, grad_logits = ops.softmax_xent(logits, labels)

@@ -43,10 +43,11 @@ def negative_bias_params(spec, seed):
 def full_backward(spec, params, caches, g):
     """Reference: every layer and every input gradient, down to the image."""
     grads = {}
-    for layer, name, cache in reversed(list(zip(spec.layers, layer_names(spec), caches))):
+    names = layer_names(spec)
+    for layer, name, cache in reversed(list(zip(spec.layers, names, caches))):
         if layer.kind in ("conv", "dense"):
-            if "relu" in cache:
-                g = ops.relu_backward(cache["relu"], g)
+            if name != names[-1]:  # ReLU follows every layer with weights but the last
+                g = ops.relu_backward(cache["y"], g)
             op = ops.conv2d_backward if layer.kind == "conv" else ops.dense_backward
             g, gw, gb = op(cache["x"], params[name], g)
             grads[name] = (gw, gb)
@@ -60,7 +61,7 @@ def full_backward(spec, params, caches, g):
 
 
 # A batch of at least three evaluation chunks and an odd tail, per stock spec
-# (chunks of 103, 7, 284 and 7 images).
+# (chunks of 52, 4, 142 and 4 images).
 CHUNKED_BATCH = {"optimized": 1000, "dropped-conv2": 1000, "optimized-3x3": 1000, "baseline": 61}
 
 
@@ -76,26 +77,28 @@ def test_cache_free_forward_gives_identical_logits(path):
         assert none is None
         assert free.tobytes() == logits.tobytes(), n
         assert x.tobytes() == before.tobytes()
-        assert (caches[1]["relu"] <= 0).mean() > 0.5  # the input is tie-heavy after conv1's ReLU
+        assert (caches[1]["y"] <= 0).mean() > 0.5  # the input is tie-heavy after conv1's ReLU
 
 
-@pytest.mark.parametrize("n, seen", [(1000, [103] * 8 + [176]), (205, [205]), (3, [3])])
+@pytest.mark.parametrize("n, seen", [(1000, [52] * 20), (205, [52] * 4), (3, [3])])
 def test_evaluation_runs_the_convs_a_chunk_of_images_at_a_time(n, seen, monkeypatch):
     spec = load_spec(SPECS[-1])
     assert spec.name == "optimized"
     params = init_params(spec, substream(15, "init"))
     x = np.random.default_rng(15).integers(0, 256, size=(n, 28, 28, 1), dtype=np.uint8)
     expected, _ = whole_batch_forward(spec, params, x)
-    batches = []
+    batches, outs = [], []
     real = ops.conv2d_forward
 
     def spy(h, p, **kwargs):
         batches.append(len(h))
+        outs.append(kwargs["out"])
         return real(h, p, **kwargs)
 
     monkeypatch.setattr(ops, "conv2d_forward", spy)
     logits, _ = forward(spec, params, x)
-    assert batches == seen  # below two chunks of 103, one call sees the whole batch
+    assert batches == seen  # the last chunk ends at the batch's end; a batch under one chunk is one call
+    assert all(a is b for out in outs for a, b in zip(out, outs[0]))  # one set of arrays per call
     assert logits.tobytes() == expected.tobytes()
 
 
@@ -132,13 +135,13 @@ def test_training_forward_keeps_one_array_per_activated_layer():
     params = init_params(spec, substream(8, "init"))
     x = np.random.default_rng(8).normal(size=(4, 8, 8, 1))
     _, caches = forward(spec, params, x, training=True, dropout_rng=substream(8, "dropout"))
-    activated = [(name, c) for name, c in zip(layer_names(spec), caches) if "relu" in c]
-    assert [name for name, _ in activated] == ["conv1", "conv2", "fc1", "fc2"]
-    assert [c.keys() for _, c in activated] == [{"x", "cols", "relu"}] * 2 + [{"x", "relu"}] * 2
-    assert caches[2]["x"] is caches[1]["relu"]  # conv1 -> conv2
-    assert caches[5]["x"] is caches[4]["relu"]  # fc1 -> fc2
-    assert np.shares_memory(caches[4]["x"], caches[2]["relu"])  # conv2 -> flatten -> fc1
-    assert "relu" not in caches[6]  # the logits
+    conv, dense = {"x", "pad", "cols", "y"}, {"x", "y"}
+    assert [c.keys() for c in caches] == [{"y"}, conv, conv, {"x"}, dense, dense, dense]
+    assert caches[2]["x"] is caches[1]["y"]  # conv1 -> conv2
+    assert caches[5]["x"] is caches[4]["y"]  # fc1 -> fc2
+    assert np.shares_memory(caches[4]["x"], caches[2]["y"])  # conv2 -> flatten -> fc1
+    assert all((caches[i]["y"] >= 0).all() for i in (1, 2, 4, 5))  # ReLU ran in place on each output
+    assert (caches[6]["y"] < 0).any()  # but the logits
 
 
 def test_evaluation_forward_skips_dropout(monkeypatch):
@@ -196,7 +199,7 @@ def test_cached_cols_give_the_recomputed_conv_gradients(path, input_grad):
     assert convs
     rng = np.random.default_rng(6)
     for name, cache in convs:
-        p, g = params[name], rng.normal(size=cache["relu"].shape)
+        p, g = params[name], rng.normal(size=cache["y"].shape)
         cached = ops.conv2d_backward(cache["x"], p, g, input_grad=input_grad, cols=cache["cols"])
         rebuilt = ops.conv2d_backward(cache["x"], p, g, input_grad=input_grad)
         assert [a if a is None else a.tobytes() for a in cached] == [
@@ -237,7 +240,7 @@ def test_backward_never_writes_grad_logits_through_a_trailing_view_layer():
     g_before = g.copy()
     (gw, gb), = backward(spec, params, caches, g).values()
     assert g.tobytes() == g_before.tobytes()
-    _, ref_w, ref_b = ops.dense_backward(caches[2]["x"], params["fc1"], ops.relu_backward(caches[2]["relu"], g_before))
+    _, ref_w, ref_b = ops.dense_backward(caches[2]["x"], params["fc1"], ops.relu_backward(caches[2]["y"], g_before))
     assert gw.tobytes() == ref_w.tobytes() and gb.tobytes() == ref_b.tobytes()
 
 

@@ -59,12 +59,13 @@ def test_conv_batched_matches_per_sample(rng):
 def test_conv_gemm_rows_above_the_small_matrix_bound_do_not_depend_on_the_row_count(rng, pixels, k, c_out):
     # The evaluation forward runs each conv GEMM a chunk of images at a time
     # and relies on this: above OpenBLAS's small-matrix bound (M*N*K <= 1e6)
-    # a row of `A @ B` comes out the same however many rows `A` has.  A BLAS
-    # whose rows change with the row count fails here, naming the cause.
+    # a row of `A @ B` comes out the same however many rows `A` has and
+    # wherever they start.  A BLAS whose rows change with the row count fails
+    # here, naming the cause.
     rows = -(-_CHUNK_GEMM_SIZE // (pixels * k * c_out)) * pixels  # one chunk of whole images
     a, b = rng.uniform(-1, 1, size=(3 * rows + 5 * pixels, k)), rng.uniform(-1, 1, size=(k, c_out))
     whole = a @ b
-    for start, stop in ((0, rows), (rows, 2 * rows), (2 * rows, len(a))):
+    for start, stop in ((0, rows), (rows, 2 * rows), (2 * rows, len(a)), (len(a) - rows, len(a))):
         assert (a[start:stop] @ b).tobytes() == whole[start:stop].tobytes(), (start, stop)
 
 
@@ -120,16 +121,25 @@ def test_conv_backward_shape_mismatch_rejected(rng):
     p = ops.Params(rng.uniform(size=(3, 3, 2, 2)), rng.uniform(size=2))
     with pytest.raises(ops.ShapeError):
         ops.conv2d_backward(x, p, np.zeros((1, 4, 4, 3)))
-    _, cols = ops.conv2d_forward(x[:, :3], p, keep_cols=True)
+    _, cols = conv_with_cols(x[:, :3], p)
     with pytest.raises(ops.ShapeError, match="cols"):
         ops.conv2d_backward(x, p, np.zeros((1, 4, 4, 2)), cols=cols)
+
+
+def conv_with_cols(x, p):
+    """`conv2d_forward` of `x` and the im2col matrix it wrote into its `out`."""
+    (kh, kw, cin, cout), (n, h, w, _) = p.weights.shape, x.shape
+    padded = np.zeros((n, h + kh - 1, w + kw - 1, cin))
+    cols, y = np.full((n * h * w, kh * kw * cin), np.nan), np.full((n, h, w, cout), np.nan)
+    assert ops.conv2d_forward(x, p, out=(padded, cols, y)) is y
+    return y, cols
 
 
 @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
 def test_conv_forward_keeps_the_cols_backward_would_build(rng, kernel):
     x = rng.uniform(-1, 1, size=(3, 6, 6, 2))
     p = ops.Params(rng.uniform(-1, 1, size=(kernel, kernel, 2, 4)), rng.uniform(-1, 1, size=4))
-    y, cols = ops.conv2d_forward(x, p, keep_cols=True)
+    y, cols = conv_with_cols(x, p)
     assert y.tobytes() == ops.conv2d_forward(x, p).tobytes()
     assert cols.shape == (3 * 6 * 6, kernel * kernel * 2)
     g = rng.uniform(-1, 1, size=y.shape)
@@ -379,6 +389,38 @@ def test_conv_bias_add_is_the_out_of_place_sum(rng, x_shape):
     product = ops.conv2d_forward(x, ops.Params(w, np.zeros(4)))  # + 0.0 leaves a nonzero b's sum unchanged
     assert ops.conv2d_forward(x, p).tobytes() == (product + b).tobytes()
     assert p.weights.tobytes() == w.tobytes() and p.bias.tobytes() == b.tobytes()
+
+
+# --- activations written into `out` --------------------------------------------------
+
+
+def test_forwards_into_out_are_bitwise_the_fresh_result_and_return_its_arrays(rng):
+    x4, x2 = rng.normal(size=(3, 8, 8, 2)), rng.normal(size=(3, 10))
+    conv = ops.Params(rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4))
+    dense = ops.Params(rng.normal(size=(10, 5)), rng.normal(size=5))
+
+    def nan(*shape):  # every element must be written
+        return np.full(shape, np.nan)
+
+    conv_out, pool_out, dropout_out = (np.zeros((3, 10, 10, 2)), nan(192, 18), nan(3, 8, 8, 4)), (
+        nan(3, 4, 4, 2), np.full((3, 4, 4, 2), 7, np.uint8)), (nan(3, 10), nan(3, 10))
+    cases = {  # op -> (call, out, the arrays of out it returns)
+        "conv2d_forward": (lambda out: ops.conv2d_forward(x4, conv, out=out), conv_out, conv_out[2:]),
+        "dense_forward": (lambda out: ops.dense_forward(x2, dense, out=out), nan(3, 5), None),
+        "maxpool_forward": (lambda out: ops.maxpool_forward(x4, 2, out=out), pool_out, pool_out),
+        "maxpool_values": (lambda out: ops.maxpool_values(x4, 2, out=out), nan(3, 4, 4, 2), None),
+        "dropout": (lambda out: ops.dropout(x2, 0.5, np.random.default_rng(1), out=out), dropout_out, dropout_out),
+    }
+    for op, (call, out, returned) in cases.items():
+        fresh, written = call(None), call(out)
+        if not isinstance(written, tuple):
+            fresh, written = (fresh,), (written,)
+        assert all(a is b for a, b in zip(written, returned or (out,), strict=True)), op
+        assert [a.tobytes() for a in written] == [a.tobytes() for a in fresh], op
+    with pytest.raises(ops.ShapeError, match="^dense_forward: out must be"):
+        ops.dense_forward(x2, dense, out=np.empty((3, 5), np.float32))
+    with pytest.raises(ops.ShapeError, match="^conv2d_forward: out must be"):
+        ops.conv2d_forward(x4, conv, out=(np.zeros((3, 10, 10, 2)), nan(192, 17), nan(3, 8, 8, 4)))
 
 
 # --- gradients written into `out` ----------------------------------------------------

@@ -865,9 +865,9 @@ def test_trained_oracle_scores_only_the_test_split(synth_data, monkeypatch):
     scored = []
     real = slimnet.trainer.evaluate
 
-    def counting(spec, params, images, labels):
+    def counting(spec, params, images, labels, **kwargs):
         scored.append(len(images))
-        return real(spec, params, images, labels)
+        return real(spec, params, images, labels, **kwargs)
 
     monkeypatch.setattr(slimnet.trainer, "evaluate", counting)
     traced = trained_oracle(synth_data, TrainConfig(iterations=6, eval_every=1, seed=5))("t", optimized_spec(), 0)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import weakref
 from pathlib import Path
@@ -6,13 +7,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slimnet import trainer
+from slimnet import network, trainer
 from slimnet.container import load_checkpoint, save_checkpoint
 from slimnet.mnist import Dataset, DataSplits
-from slimnet.netspec import LayerSpec, NetSpec, baseline_spec, dropped_conv2_spec, load_spec, optimized_spec
+from slimnet.netspec import (
+    LayerSpec,
+    NetSpec,
+    baseline_spec,
+    dropped_conv2_spec,
+    load_spec,
+    optimized_spec,
+    propagate_shapes,
+)
 from slimnet.network import backward, forward, param_arrays
 from slimnet.ops import Params, softmax_xent
 from slimnet.rng import substream
+from slimnet.synth import synthetic_splits
 from slimnet.trainer import (
     _ADAM_BETA1,
     _ADAM_BETA2,
@@ -404,25 +414,29 @@ def test_adam_step_allocates_no_parameter_sized_scratch():
     assert peak_alloc_bytes(lambda: adam_step(params, grads, state, TrainConfig())) < 2**20
 
 
-def test_train_holds_no_step_state_through_evaluate(monkeypatch):
-    refs, evaluations = [], []
+def test_evaluation_in_train_releases_the_gradients_and_runs_through_the_step_buffers(monkeypatch):
+    refs, step_caches, evaluations = [], [], []
     real_backward, real_evaluate = trainer.backward, trainer.evaluate
 
     def recording_backward(spec, params, caches, grad_logits, out=None):
         grads = real_backward(spec, params, caches, grad_logits, out=out)
         refs.extend(weakref.ref(a) for pair in grads.values() for a in pair)
-        refs.extend(weakref.ref(c[k]) for c in caches for k in ("relu", "cols", "argmax", "mask") if k in c)
+        step_caches.append(caches)
         return grads
 
-    def checking_evaluate(*args, **kwargs):
+    def checking_evaluate(*args, buffers):
         assert refs and all(ref() is None for ref in refs)
-        evaluations.append(args)
-        return real_evaluate(*args, **kwargs)
+        evaluations.append(buffers)
+        return real_evaluate(*args, buffers=buffers)
 
     monkeypatch.setattr(trainer, "backward", recording_backward)
     monkeypatch.setattr(trainer, "evaluate", checking_evaluate)
-    train(tiny_dropout_spec(), tiny_data(), TrainConfig(iterations=4, batch_size=10, seed=3, eval_every=2))
+    run = Run(tiny_dropout_spec(), tiny_data(), TrainConfig(iterations=4, batch_size=10, seed=3, eval_every=2))
+    run.train()
     assert len(evaluations) == 3  # after steps 2 and 4, then the test split
+    assert all(caches is step_caches[0] for caches in step_caches + evaluations)
+    assert len(step_caches[0]) == len(run.spec.layers)
+    assert run._caches == [] and run._grads is None  # a finished run holds neither
 
 
 # What a step may allocate beyond step 1's peak less the gradient set: the
@@ -444,6 +458,86 @@ def test_a_run_keeps_one_set_of_gradients():
         assert grad_w is after_step1[name][0] and grad_b is after_step1[name][1], name
     grad_bytes = sum(a.nbytes for pair in after_step1.values() for a in pair)
     assert step2 <= step1 - grad_bytes + GRADIENT_REUSE_SLACK, (step1, step2, grad_bytes)
+
+
+def working_set_arrays(run):
+    """The distinct allocations behind a run's caches (each cache array is a leading-rows view of one)."""
+    owners = {}
+    for cache in run._caches:
+        for array in cache.values():
+            owner = array if array.base is None else array.base
+            owners[id(owner)] = owner
+    return list(owners.values())
+
+
+def test_a_run_keeps_one_working_set_from_its_first_step_on(synth_data):
+    run = Run(optimized_spec(), synth_data, TrainConfig(iterations=5, batch_size=50, seed=4))
+    run.step()
+    first = [dict(cache) for cache in run._caches]
+    assert first[1]["cols"].base.shape == (52 * 784, 25)  # room for an evaluation chunk of 52 images
+    for _ in range(4):
+        run.step()
+        assert [cache.keys() for cache in run._caches] == [cache.keys() for cache in first]
+        for i, (cache, before) in enumerate(zip(run._caches, first)):
+            for key, array in cache.items():
+                if key == "x":  # the layer's input: a view of the layer below's array, made again
+                    assert np.shares_memory(array, before[key]) and array.shape == before[key].shape, (i, key)
+                else:
+                    assert array is before[key], (i, key)
+
+
+# What a step or an evaluation may allocate beyond the bound its test names:
+# index and mask temporaries, the loss, and Python objects.
+WORKING_SET_SLACK = 2**18
+
+
+def test_no_step_after_the_first_allocates_a_cache_or_a_gradient(synth_data):
+    run = Run(optimized_spec(), synth_data, TrainConfig(iterations=5, batch_size=50, seed=6))
+    step1 = peak_alloc_bytes(run.step)
+    held = sum(a.nbytes for a in working_set_arrays(run)) + sum(a.nbytes for pair in run._grads.values() for a in pair)
+    assert held > 8 * 2**20  # conv1's im2col alone is 52 * 784 * 25 float64s, 7.8 MiB
+    for _ in range(4):
+        step = peak_alloc_bytes(run.step)
+        assert step <= step1 - held + WORKING_SET_SLACK, (step1, step, held)
+
+
+def test_a_runs_evaluation_allocates_no_image_layer_activations(synth_data):
+    spec = optimized_spec()
+    run = Run(spec, synth_data, TrainConfig(iterations=2, batch_size=50, seed=7))
+    run.step()
+    test = synth_data.test
+    assert len(test.images) == 1000
+    # the image layers' output of the whole batch, flattened, and each dense output
+    batch_outputs = sum(len(test.images) * math.prod(shape) * 8
+                        for layer, shape in zip(spec.layers, propagate_shapes(spec)) if layer.kind in ("flatten", "dense"))
+    assert peak_alloc_bytes(lambda: run._evaluate(test)) <= batch_outputs + WORKING_SET_SLACK
+
+
+@pytest.mark.parametrize("batch", [50, 7])
+@pytest.mark.parametrize("path", SPEC_PATHS, ids=lambda p: p.stem)
+def test_a_runs_evaluation_gives_the_logits_of_a_standalone_and_a_whole_batch_forward(path, batch, monkeypatch):
+    spec = load_spec(path)
+    data = synthetic_splits(n_train=150, n_validation=20, n_test=303, seed=8)
+    evaluated = []
+    real = trainer.forward
+
+    def recording(*args, **kwargs):
+        logits, caches = real(*args, **kwargs)
+        if not kwargs.get("training"):
+            evaluated.append(logits.copy())
+        return logits, caches
+
+    monkeypatch.setattr(trainer, "forward", recording)
+    run = Run(spec, data, TrainConfig(iterations=3, batch_size=batch, seed=4, eval_every=2)).train()
+    monkeypatch.undo()
+    images, labels = data.test
+    images_per_chunk = network._image_chunks(spec)[1]
+    assert len(images) % images_per_chunk and len(images) > images_per_chunk  # a tail chunk reruns images
+    logits = evaluated[-1]  # the test split, one forward pass
+    assert logits.tobytes() == forward(spec, run.params, images)[0].tobytes()
+    assert logits.tobytes() == whole_batch_forward(spec, run.params, images)[0].tobytes()
+    assert run.final_test_accuracy == evaluate(spec, run.params, images, labels)
+    assert len(evaluated) == 2  # the validation split after step 2, between steps that reuse the arrays
 
 
 def reference_batches(n, batch_size, rng):
@@ -706,12 +800,14 @@ def test_evaluate_short_last_batch_matches_caching_forward(synth_data, monkeypat
 
 
 def test_evaluate_holds_no_batch_sized_im2col(synth_data):
-    # the whole batch's conv1 im2col alone is 1000 * 784 * 25 float64s, 150 MiB
+    # the whole batch's conv1 im2col alone is 1000 * 784 * 25 float64s, 150 MiB;
+    # one 52-image chunk's is 7.8 MiB, and the chunk's other arrays and the
+    # batch's flattened and dense outputs are 3.2 MiB more
     spec = optimized_spec()
     params = init_params(spec, TrainConfig(), substream(11, "init"))
     images, labels = synth_data.test.images, synth_data.test.labels
     assert len(images) == 1000
-    assert peak_alloc_bytes(lambda: evaluate(spec, params, images, labels)) < 64 * 2**20
+    assert peak_alloc_bytes(lambda: evaluate(spec, params, images, labels)) < 12 * 2**20
 
 
 def test_evaluate_deterministic_and_chance_level():
