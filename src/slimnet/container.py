@@ -41,19 +41,28 @@ class ContainerError(ValueError):
 
 
 def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack(">I", VERSION))
-        f.write(struct.pack(">Q", len(tensors)))
-        for name in sorted(tensors):
-            arr = np.asarray(tensors[name], dtype=np.float64)
-            raw = name.encode("utf-8")
-            f.write(struct.pack(">I", len(raw)))
-            f.write(raw)
-            f.write(struct.pack(">I", arr.ndim))
-            for extent in arr.shape:
-                f.write(struct.pack(">Q", extent))
-            f.write(np.ascontiguousarray(arr, dtype="<f8").data)
+    """Write into a temporary file beside `path`, then rename it over `path`: a write
+    that fails or dies midway leaves what was at `path` whole.  Nothing is synced to
+    disk, so this guards against a crash, not a power loss."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack(">I", VERSION))
+            f.write(struct.pack(">Q", len(tensors)))
+            for name in sorted(tensors):
+                arr = np.asarray(tensors[name], dtype=np.float64)
+                raw = name.encode("utf-8")
+                f.write(struct.pack(">I", len(raw)))
+                f.write(raw)
+                f.write(struct.pack(">I", arr.ndim))
+                for extent in arr.shape:
+                    f.write(struct.pack(">Q", extent))
+                f.write(np.ascontiguousarray(arr, dtype="<f8").data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed
+            os.remove(tmp)
 
 
 def _read_exact(f, n: int, what: str) -> bytes:

@@ -167,7 +167,7 @@ def _conv_forward(layer, h, p, cache, rng):
     cache["x"] = h
     return ops.conv2d_forward(h, p, out=(
         cache.buffer("pad", (n, height + k - 1, width + k - 1, c)),
-        cache.buffer("cols", (n * height * width, k * k * c), per_image=height * width),
+        cache.buffer("cols", (n * height * width, k * k * c)),
         cache.buffer("y", (n, height, width, layer.out_channels)),
     ))
 
@@ -181,7 +181,7 @@ def _maxpool_forward(layer, h, p, cache, rng):
     return ops.maxpool_forward(h, k, out=(y, cache.buffer("argmax", y.shape, np.min_scalar_type(k * k - 1))))[0]
 
 
-def _maxpool_backward(layer, cache, g, p, input_grad, out):
+def _maxpool_backward(layer, cache, g, p, input_grad):
     return ops.maxpool_backward(g, cache["argmax"], layer.window), None
 
 
@@ -201,17 +201,23 @@ def _dropout_forward(layer, h, p, cache, rng):
     return ops.dropout(h, layer.keep_prob, rng, out=(cache.buffer("y", h.shape), cache.buffer("mask", h.shape)))[0]
 
 
-def _conv_backward(layer, cache, g, p, input_grad, out):
-    g, gw, gb = ops.conv2d_backward(cache["x"], p, g, input_grad=input_grad, cols=cache["cols"], out=out)
+def _grads_out(cache, p):
+    """The layer's weight and bias gradients, held in its cache as `"gw"` and `"gb"`."""
+    return cache.buffer("gw", p.weights.shape), cache.buffer("gb", p.bias.shape)
+
+
+def _conv_backward(layer, cache, g, p, input_grad):
+    g, gw, gb = ops.conv2d_backward(cache["x"], p, g, input_grad=input_grad, cols=cache["cols"],
+                                    out=_grads_out(cache, p))
     return g, (gw, gb)
 
 
-def _dense_backward(layer, cache, g, p, input_grad, out):
-    g, gw, gb = ops.dense_backward(cache["x"], p, g, out=out)
+def _dense_backward(layer, cache, g, p, input_grad):
+    g, gw, gb = ops.dense_backward(cache["x"], p, g, out=_grads_out(cache, p))
     return g, (gw, gb)
 
 
-def _dropout_backward(layer, cache, g, p, input_grad, out):
+def _dropout_backward(layer, cache, g, p, input_grad):
     if "mask" in cache:
         g = ops.dropout_backward(g, cache["mask"], layer.keep_prob)
     return g, None
@@ -230,15 +236,15 @@ class LayerKind(NamedTuple):
     layer's `network.Cache`, the arrays it made and nothing else: its
     output and what backward reads.  It takes each from
     `cache.buffer(key, shape)`, which hands back the array an earlier
-    forward through the same cache made, so a run's steps and its
-    evaluation write into one set.  `rng` is the dropout generator in
-    training and `None` in evaluation, where a kind makes nothing that
-    only backward reads (a pool's argmax).
-    `backward(layer, cache, g, params, input_grad, out)` reads the
-    layer's own fields from `layer` and returns `(grad_input, (grad_w,
-    grad_b) or None)`; a kind with weights writes its pair into `out`,
-    the pair its previous backward returned, when that is not `None`
-    (the `out` of `ops.dense_backward`).
+    pass through the same cache made, so a run's steps write into one
+    set.  `rng` is the dropout generator in training and `None` in
+    evaluation, where a kind makes nothing that only backward reads (a
+    pool's argmax).
+    `backward(layer, cache, g, params, input_grad)` reads the layer's
+    own fields from `layer` and returns `(grad_input, (grad_w, grad_b)
+    or None)`; a kind with weights takes its pair from
+    `cache.buffer("gw", ...)` and `cache.buffer("gb", ...)`, so the
+    gradients are part of the working set too.
     """
 
     fields: tuple[tuple[str, str, type], ...]  # text fields as (key, attribute, type)
@@ -275,7 +281,7 @@ KINDS: dict[str, LayerKind] = {
     ),
     "flatten": LayerKind(
         (), "fl", "Flatten", "flatten", False, lambda layer, shape, i: (math.prod(shape),),
-        _flatten_forward, lambda layer, cache, g, p, input_grad, out: (g.reshape(cache["x"].shape), None), view=True,
+        _flatten_forward, lambda layer, cache, g, p, input_grad: (g.reshape(cache["x"].shape), None), view=True,
     ),
     "dense": LayerKind(
         (("out", "out_features", int),), "fc{out_features}", "Fully Connected", "fc", True, _dense_shape,

@@ -32,29 +32,18 @@ _CHUNK_GEMM_SIZE = 2_000_000
 
 
 class Cache(dict):
-    """One layer's arrays from a forward pass, by name ("x", "cols", "y", ...).
+    """One layer's arrays from a forward and backward pass, by name ("x", "cols", "y", "gw", ...).
 
-    `buffer(key, shape)` returns `self[key]` as an array of `shape`: the
-    array held there when it has that shape, else the leading rows of the
-    allocation behind it, made zeroed the first time with room for
-    `images` images (`per_image` rows each).  So a forward through the
-    caches of an earlier one writes into the arrays that one made, and a
-    batch of at most `images` images allocates nothing.
+    `buffer(key, shape)` returns `self[key]` when it already has `shape`,
+    else a zeroed array of exactly `shape`, which it keeps there.  So a
+    pass through the caches of an earlier one of the same batch size
+    writes into the arrays that one made and allocates nothing.
     """
 
-    def __init__(self, images: int):
-        super().__init__()
-        self.images = images
-
-    def buffer(self, key: str, shape: tuple[int, ...], dtype=np.float64, per_image: int = 1) -> np.ndarray:
-        held = self.get(key)
-        if held is None:
-            whole = np.zeros((max(shape[0], self.images * per_image), *shape[1:]), dtype)
-        elif held.shape == shape:
-            return held
-        else:
-            whole = held.base  # held is always a leading slice of its allocation
-        self[key] = whole[: shape[0]]
+    def buffer(self, key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        if getattr(self.get(key), "shape", None) != shape:
+            self.pop(key, None)  # freed before its replacement is allocated
+            self[key] = np.zeros(shape, dtype)
         return self[key]
 
 
@@ -92,11 +81,10 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = Fa
 
     Each layer writes what it makes into its `Cache` (see
     `LayerKind.forward`); the input layer's holds the decoded batch.
-    `out` is a run's working set: the caches an earlier forward through
-    it filled, whose arrays this call overwrites, or an empty list,
-    which a training forward fills with one cache per layer with room for
-    max(N, evaluation chunk) images, so the run's evaluation fits in it
-    too.  Without `out` a call allocates one set of its own.
+    `out` is a list of caches: one an earlier forward filled, whose
+    arrays this call overwrites where their shapes fit, or an empty list,
+    which the call fills with one cache per layer.  Without `out` a call
+    allocates one set of its own.
 
     A training forward runs the whole batch, draws the dropout masks from
     `dropout_rng` (`ValueError` without one, before any layer runs) and
@@ -111,26 +99,24 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = Fa
     It runs the layers whose output is still an image (the input scaling,
     each conv with its ReLU, each maxpool) a chunk of whole images at a
     time (see `_image_chunks`; the last chunk ends at the batch's end)
-    through the image layers' caches of `out`, or through one set of its
-    own, and the rest on the whole batch with arrays of its own.  Its
-    logits are those of the whole-batch chain bit for bit.
+    through the image layers' caches, and the rest on the whole batch
+    with arrays of its own.  Its logits are those of the whole-batch
+    chain bit for bit.
     """
     x = np.asarray(x)
     if np.issubdtype(x.dtype, np.integer) and x.dtype != np.uint8:
         raise TypeError(f"forward: input must be uint8 pixels or floating point, got {x.dtype}")
+    if training and dropout_rng is None:
+        raise ValueError("a training forward needs a dropout_rng")
     names = layer_names(spec)
     n = len(x)
+    caches = [] if out is None else out
+    if not caches:
+        caches += [Cache() for _ in spec.layers]
     if training:
-        if dropout_rng is None:
-            raise ValueError("a training forward needs a dropout_rng")
-        caches = [] if out is None else out
-        if not caches:
-            images = n if out is None else max(n, _image_chunks(spec)[1])
-            caches += [Cache(images) for _ in spec.layers]
         return _chain(spec, params, names, dropout_rng, _decode(x, caches[0]), 0, len(spec.layers), caches), caches
     flat, chunk = _image_chunks(spec)
-    caches = out or [Cache(min(n, chunk or n)) for _ in spec.layers]
-    m = min(n, chunk or caches[0].images)
+    m = min(n, chunk or n)
     starts = [*range(0, n - m, m), n - m] if n else [0]
     h = None
     for start in starts:  # a short tail reruns the last m images: their rows do not depend on the chunk
@@ -142,7 +128,7 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray, *, training: bool = Fa
                 h = np.empty((n, *part.shape[1:]))
             h[start : start + m] = part
     del caches  # a call's own image-layer arrays are freed before the whole-batch layers run
-    return _chain(spec, params, names, None, h, flat, len(spec.layers), [Cache(n) for _ in spec.layers]), None
+    return _chain(spec, params, names, None, h, flat, len(spec.layers), [Cache() for _ in spec.layers]), None
 
 
 def _decode(x: np.ndarray, cache: Cache) -> np.ndarray:
@@ -175,7 +161,7 @@ def _image_chunks(spec: NetSpec) -> tuple[int, int]:
     evaluated 2000 images in 2.0-2.2 s CPU in chunks of 50, in 1.4-1.5 s
     in chunks of 4 to 12, on one BLAS thread of a 2-core Xeon VM);
     0 when they hold no conv, whose rows no chunk changes, and a chunk is
-    then as many images as the caches hold.
+    then the whole batch.
     """
     shapes = propagate_shapes(spec)
     flat = next((i for i, shape in enumerate(shapes) if len(shape) == 1), len(shapes))
@@ -184,16 +170,17 @@ def _image_chunks(spec: NetSpec) -> tuple[int, int]:
     return flat, max((-(-_CHUNK_GEMM_SIZE // m) for m in per_image), default=0)
 
 
-def backward(spec: NetSpec, params: Params, caches: list[dict], grad_logits: np.ndarray, *, out=None):
+def backward(spec: NetSpec, params: Params, caches: list[Cache], grad_logits: np.ndarray):
     """Reverse the chain; returns {name: (grad_w, grad_b)}.
 
     Nothing below the first layer with weights is processed, and that
     layer's input gradient is not computed for a conv.  Weight and bias
     gradients are bit-identical to a full pass.  The ReLU gradient is
     taken in place in the gradient the chain owns; `grad_logits` is
-    never written.  `out` is a dict an earlier `backward` of the same
-    spec returned: each pair is overwritten and returned again, so a
-    training run holds one set of gradients; without it they are fresh.
+    never written.  Each layer's gradient pair is held in its cache
+    (`"gw"`, `"gb"`): a backward through the caches of an earlier one
+    overwrites that pair and returns it again, so a training run holds
+    one set of gradients in its working set.
     """
     first = next((i for i, layer in enumerate(spec.layers) if KINDS[layer.kind].weights), len(spec.layers))
     names = layer_names(spec)
@@ -206,8 +193,7 @@ def backward(spec: NetSpec, params: Params, caches: list[dict], grad_logits: np.
         if kind.weights and i != last:  # the ReLU forward ran
             g = ops.relu_backward(cache["y"], g, out=g if owned else None)
             owned = True
-        g, layer_grads = kind.backward(layer, cache, g, params.get(names[i]), i != first,
-                                       None if out is None else out.get(names[i]))
+        g, layer_grads = kind.backward(layer, cache, g, params.get(names[i]), i != first)
         owned = owned or not kind.view  # a view kind may hand back its input gradient
         if layer_grads is not None:
             grads[names[i]] = layer_grads

@@ -178,26 +178,24 @@ def adam_step(params: Params, grads: dict, state: AdamState, config: TrainConfig
                 np.subtract(a, s, out=a)
 
 
-def evaluate(spec: NetSpec, params: Params, images: np.ndarray, labels: np.ndarray, *,
-             buffers: list[Cache] | None = None) -> float:
+def evaluate(spec: NetSpec, params: Params, images: np.ndarray, labels: np.ndarray) -> float:
     """Argmax classification accuracy with dropout disabled.
 
     `labels` holds `[N]` class indices; any other shape raises
     `ValueError`, as do zero images, which have no accuracy.  Consumes no
     RNG, never mutates `params` or `images`, and keeps no backward state.
-    `buffers` is a run's working set (`network.forward`'s `out`): each
-    forward pass runs its image layers through those arrays and
-    allocates none of its own; without it each forward pass allocates
-    one set.
+    Every forward pass of a call runs its image layers through one set of
+    caches (`network.forward`'s `out`), which the first pass allocates
+    and the call frees when it returns.
     """
     if not len(images):
         raise ValueError("evaluate: no images to score")
     if labels.shape != (len(images),):
         raise ValueError(f"evaluate: labels must be one class index per image, got {labels.shape}")
-    hits = 0
+    hits, caches = 0, []
     for start in range(0, len(images), _EVAL_BATCH):
         xb = images[start : start + _EVAL_BATCH]
-        logits, _ = forward(spec, params, xb, out=buffers)
+        logits, _ = forward(spec, params, xb, out=caches)
         hits += int((logits.argmax(axis=1) == labels[start : start + len(xb)]).sum())
     return hits / len(images)
 
@@ -214,11 +212,11 @@ class Run:
     minibatch; `train()` runs the remaining iterations with their traces
     and scores the test split.
 
-    A run keeps one working set of activations (`network.forward`'s
-    `out`): the first step allocates it, with room for a minibatch and
-    for an evaluation chunk, and every later step and every evaluation
-    writes into the same arrays, so no step holds two sets and none after
-    the first allocates one.  `train()` releases it when it ends.
+    A run keeps one working set (`network.forward`'s `out`): per layer,
+    the activations and gradients of one minibatch.  The first step
+    allocates it and every later step writes into the same arrays, so no
+    step holds two sets and none after the first allocates one.  An
+    evaluation frees it first, so a finished run holds none.
     """
 
     def __init__(self, spec: NetSpec, data, config: TrainConfig):
@@ -247,7 +245,6 @@ class Run:
         self.final_test_accuracy: float | None = None
         self.wall_time_seconds = 0.0
         self._caches: list[Cache] = []
-        self._grads = None
 
     def step(self) -> float:
         """Train one minibatch and return its loss.
@@ -268,16 +265,16 @@ class Run:
         loss, grad_logits = softmax_xent(logits, train_split.labels[idx])
         if not np.isfinite(loss):
             raise TrainingDiverged("minibatch loss is non-finite", iteration=it)
-        self._grads = backward(self.spec, self.params, self._caches, grad_logits, out=self._grads)
+        grads = backward(self.spec, self.params, self._caches, grad_logits)
         try:
-            adam_step(self.params, self._grads, self.adam_state, self.config)
+            adam_step(self.params, grads, self.adam_state, self.config)
         except TrainingDiverged as exc:
             raise TrainingDiverged(str(exc), iteration=it) from None
         self.iterations_run = it
         return loss
 
     def train(self) -> Run:
-        """Run the steps left until `config.iterations`, score the test split and drop the working set; returns the run."""
+        """Run the steps left until `config.iterations` and score the test split; returns the run."""
         config, started = self.config, time.perf_counter()
         while self.iterations_run < config.iterations:
             loss = self.step()
@@ -287,19 +284,15 @@ class Run:
             if config.eval_every and it % config.eval_every == 0:
                 self.eval_trace.append((it, self._evaluate(self.data.validation)))
         self.final_test_accuracy = self._evaluate(self.data.test)
-        self._caches = []
         self.wall_time_seconds = time.perf_counter() - started
         return self
 
     def _evaluate(self, split) -> float:
-        # Evaluation releases the gradients, which it does not read; the first
-        # step after it allocates them again.  It runs its image layers through
-        # the working set, which the next step overwrites: arrays freed and
-        # allocated afresh cost re-faulted pages (on the optimized net, 5-8x the
-        # minor page faults and 16-19% more CPU time when freed after every
-        # step), and fresh evaluation chunks raised the peak RSS by about a set.
-        self._grads = None
-        return evaluate(self.spec, self.params, split.images, split.labels, buffers=self._caches)
+        # Evaluation frees the working set, activations and gradients, before it
+        # allocates its own chunk set, so the two are never held at once; the
+        # first step after it allocates the working set again.
+        self._caches = []
+        return evaluate(self.spec, self.params, split.images, split.labels)
 
 
 def train(spec: NetSpec, data, config: TrainConfig) -> Run:

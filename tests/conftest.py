@@ -47,15 +47,25 @@ def require_mnist():
     return directory
 
 
-def peak_alloc_bytes(fn) -> int:
+def peak_alloc_bytes(fn, setup=None) -> int:
     """Peak bytes allocated while `fn()` runs, above what was live when it began.
 
-    Counts what `tracemalloc` sees, which includes numpy's array buffers.
+    Counts what `tracemalloc` sees, which includes numpy's array buffers,
+    and it sees only blocks allocated while it traces: freeing an array
+    made before tracing began lowers no count.  So a call that frees one
+    set of arrays and then allocates another reads as the whole second
+    set unless the first was made under the same trace.  `setup()`, when
+    given, runs just before `fn()` with tracing already on, and what it
+    allocates and `fn()` frees is counted as freed; the peak is still
+    taken from the start of `fn()`, so it may read less than the second
+    set.
     """
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
     try:
+        if setup is not None:
+            setup()
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         fn()

@@ -85,6 +85,21 @@ def test_checkpoint_writer_copies_no_payload(tmp_path):
     assert peak_alloc_bytes(lambda: save_checkpoint(tmp_path / "ckpt", params, state, 3)) < 2**20
 
 
+def test_a_write_that_fails_midway_leaves_the_earlier_file_whole(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    write_tensors(path, {"a": np.arange(3.0)})
+    before = path.read_bytes()
+
+    class Unreadable:
+        def __array__(self, dtype=None, copy=None):
+            raise OSError("tensor lost")
+
+    with pytest.raises(OSError, match="tensor lost"):  # after "a", 800 kB, has been written
+        write_tensors(path, {"a": np.arange(1e5), "b": Unreadable()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]  # no temporary file left behind
+
+
 def test_header_fields(tmp_path):
     path = tmp_path / "t.bin"
     write_tensors(path, {"x": np.zeros(2)})

@@ -3,7 +3,7 @@ import pytest
 
 from slimnet import ops
 from slimnet.gradcheck import check_layer, max_rel_err, numerical_gradient, run_suite
-from slimnet.netspec import LayerSpec, NetSpec
+from slimnet.netspec import LayerSpec, NetSpec, layer_names
 from slimnet.network import backward, forward
 from slimnet.ops import softmax_xent
 from slimnet.rng import substream
@@ -63,7 +63,8 @@ def network_gradient_errors(spec, x, labels, params, dropout_seed=None, out=None
     With `dropout_seed` every forward, the analytic one and each difference's,
     trains with a generator in the same state, so all draw the same dropout
     masks; without it each is the whole-batch chain with dropout at keep=1.
-    `out` is handed to `backward` as the arrays to write into.
+    `out` maps layer names to `(grad_w, grad_b)` pairs put into those layers'
+    caches (as `"gw"`, `"gb"`) before `backward`, which must write into them.
     """
     def run(trial):
         if dropout_seed is None:
@@ -78,7 +79,11 @@ def network_gradient_errors(spec, x, labels, params, dropout_seed=None, out=None
 
     logits, caches = run(params)
     _, grad_logits = softmax_xent(logits, labels)
-    grads = backward(spec, params, caches, grad_logits, out=out)
+    for name, cache in zip(layer_names(spec), caches):
+        if out and name in out:
+            cache["gw"], cache["gb"] = out[name]
+    grads = backward(spec, params, caches, grad_logits)
+    assert all(a is b for name in out or () for a, b in zip(grads[name], out[name]))
     errors = {}
     for name, p in params.items():
         for suffix, arr, analytic in (("w", p.weights, grads[name][0]), ("b", p.bias, grads[name][1])):
@@ -114,7 +119,7 @@ def test_whole_network_gradient_matches_finite_differences():
 
 def test_every_chain_rule_of_the_stock_nets_matches_finite_differences_through_out_arrays():
     """Two convs (so col2im is in the chain), a hidden dense with ReLU and
-    dropout, with the gradients written into NaN-filled `out` arrays."""
+    dropout, with the gradients written into NaN-filled arrays held in the caches."""
     spec = NetSpec(
         "mini-deep",
         (

@@ -29,7 +29,7 @@ def avgpool_forward(layer, h, p, cache, rng):
     return h.reshape(n, height // k, k, width // k, k, c).mean(axis=(2, 4))
 
 
-def avgpool_backward(layer, cache, g, p, input_grad, out):
+def avgpool_backward(layer, cache, g, p, input_grad):
     k = layer.window
     return np.repeat(np.repeat(g, k, axis=1), k, axis=2) / (k * k), None
 

@@ -3,9 +3,11 @@ import math
 import re
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from slimnet import network, trainer
 from slimnet.container import load_checkpoint, save_checkpoint
@@ -15,8 +17,11 @@ from slimnet.netspec import (
     NetSpec,
     baseline_spec,
     dropped_conv2_spec,
+    layer_names,
     load_spec,
+    optimized_3x3_spec,
     optimized_spec,
+    parse_spec,
     propagate_shapes,
 )
 from slimnet.network import backward, forward, param_arrays
@@ -414,34 +419,37 @@ def test_adam_step_allocates_no_parameter_sized_scratch():
     assert peak_alloc_bytes(lambda: adam_step(params, grads, state, TrainConfig())) < 2**20
 
 
-def test_evaluation_in_train_releases_the_gradients_and_runs_through_the_step_buffers(monkeypatch):
-    refs, step_caches, evaluations = [], [], []
+def test_evaluation_in_train_runs_after_the_run_has_freed_its_working_set(monkeypatch):
+    refs, evaluations = [], []
     real_backward, real_evaluate = trainer.backward, trainer.evaluate
 
-    def recording_backward(spec, params, caches, grad_logits, out=None):
-        grads = real_backward(spec, params, caches, grad_logits, out=out)
-        refs.extend(weakref.ref(a) for pair in grads.values() for a in pair)
-        step_caches.append(caches)
+    def recording_backward(spec, params, caches, grad_logits):
+        grads = real_backward(spec, params, caches, grad_logits)
+        assert caches is run._caches and len(caches) == len(spec.layers)
+        refs.extend(weakref.ref(a) for cache in caches for a in cache.values())  # activations and gradients
         return grads
 
-    def checking_evaluate(*args, buffers):
-        assert refs and all(ref() is None for ref in refs)
-        evaluations.append(buffers)
-        return real_evaluate(*args, buffers=buffers)
+    def checking_evaluate(*args):
+        assert run._caches == [] and refs and all(ref() is None for ref in refs)
+        evaluations.append(args)
+        return real_evaluate(*args)
 
     monkeypatch.setattr(trainer, "backward", recording_backward)
     monkeypatch.setattr(trainer, "evaluate", checking_evaluate)
     run = Run(tiny_dropout_spec(), tiny_data(), TrainConfig(iterations=4, batch_size=10, seed=3, eval_every=2))
     run.train()
     assert len(evaluations) == 3  # after steps 2 and 4, then the test split
-    assert all(caches is step_caches[0] for caches in step_caches + evaluations)
-    assert len(step_caches[0]) == len(run.spec.layers)
-    assert run._caches == [] and run._grads is None  # a finished run holds neither
+    assert run._caches == []  # a finished run holds no working set
 
 
 # What a step may allocate beyond step 1's peak less the gradient set: the
 # run's first step allocates the gradients, and no later step may again.
 GRADIENT_REUSE_SLACK = 2**20
+
+
+def held_gradients(run):
+    """`{name: (grad_w, grad_b)}` as the run's caches hold them."""
+    return {name: (cache["gw"], cache["gb"]) for name, cache in zip(layer_names(run.spec), run._caches) if "gw" in cache}
 
 
 def test_a_run_keeps_one_set_of_gradients():
@@ -451,17 +459,18 @@ def test_a_run_keeps_one_set_of_gradients():
     run = Run(spec, tiny_data(), TrainConfig(iterations=3, batch_size=10, seed=2))
     assert run.params["fc1"].weights.nbytes >= 8 * 2**20
     step1 = peak_alloc_bytes(run.step)
-    after_step1 = dict(run._grads)
+    after_step1 = held_gradients(run)
+    assert after_step1.keys() == run.params.keys()
     step2 = peak_alloc_bytes(run.step)
-    assert run._grads.keys() == after_step1.keys()
-    for name, (grad_w, grad_b) in run._grads.items():
+    assert held_gradients(run).keys() == after_step1.keys()
+    for name, (grad_w, grad_b) in held_gradients(run).items():
         assert grad_w is after_step1[name][0] and grad_b is after_step1[name][1], name
     grad_bytes = sum(a.nbytes for pair in after_step1.values() for a in pair)
     assert step2 <= step1 - grad_bytes + GRADIENT_REUSE_SLACK, (step1, step2, grad_bytes)
 
 
 def working_set_arrays(run):
-    """The distinct allocations behind a run's caches (each cache array is a leading-rows view of one)."""
+    """The distinct arrays behind a run's caches (a layer's input `"x"` may be a view of the output below it)."""
     owners = {}
     for cache in run._caches:
         for array in cache.values():
@@ -470,20 +479,71 @@ def working_set_arrays(run):
     return list(owners.values())
 
 
+def cache_bytes(spec, n, training=True):
+    """Bytes a run's caches hold after one pass of `n` images, from the spec's shapes.
+
+    A training step holds every layer's activations and the gradients of
+    each layer with weights; an evaluation chunk holds the image layers'
+    activations, with no pooling argmax.  A layer's input and a flatten
+    are views of the array below them and hold nothing of their own.
+    """
+    shapes = propagate_shapes(spec)
+    flat = next(i for i, shape in enumerate(shapes) if len(shape) == 1)
+    total = 0
+    for i, (layer, shape) in enumerate(zip(spec.layers, shapes)):
+        if not training and i == flat:
+            break
+        out = n * math.prod(shape) * 8
+        if layer.kind == "input":
+            total += out
+        elif layer.kind == "conv":
+            (height, width, c_in), k = shapes[i - 1], layer.kernel
+            total += n * (height + k - 1) * (width + k - 1) * c_in * 8 + n * height * width * k * k * c_in * 8 + out
+            total += training * (k * k * c_in + 1) * layer.out_channels * 8
+        elif layer.kind == "maxpool":
+            total += out + training * n * math.prod(shape) * np.min_scalar_type(layer.window**2 - 1).itemsize
+        elif layer.kind == "dense":
+            total += out + (math.prod(shapes[i - 1]) + 1) * layer.out_features * 8
+        elif layer.kind == "dropout" and training and layer.keep_prob < 1:
+            total += 2 * out
+    return total
+
+
+# `network._image_chunks` gives this net a 1276-image evaluation chunk.
+CHEAP_CONV_SPEC = parse_spec("input h=28 w=28 c=1\nconv k=1 out=2\nmaxpool window=2\nflatten\n"
+                             "dense out=128\ndropout keep=0.5\ndense out=10\n")
+
+
+@pytest.mark.parametrize("spec", [CHEAP_CONV_SPEC, optimized_3x3_spec()], ids=["conv1-1x1x2", "optimized-3x3"])
+def test_a_runs_working_set_holds_exactly_one_minibatch_of_activations_and_gradients(spec, synth_data):
+    run = Run(spec, synth_data, TrainConfig(iterations=1, batch_size=50, seed=5))
+    run.step()
+    held = sum(a.nbytes for a in working_set_arrays(run))
+    assert held == cache_bytes(spec, 50)
+    if spec is CHEAP_CONV_SPEC:
+        assert network._image_chunks(spec)[1] == 1276
+        assert held <= 2.5 * 2**20  # a set sized for the evaluation chunk held 46.3 MiB
+
+
 def test_a_run_keeps_one_working_set_from_its_first_step_on(synth_data):
     run = Run(optimized_spec(), synth_data, TrainConfig(iterations=5, batch_size=50, seed=4))
     run.step()
     first = [dict(cache) for cache in run._caches]
-    assert first[1]["cols"].base.shape == (52 * 784, 25)  # room for an evaluation chunk of 52 images
+    assert first[1]["cols"].shape == (50 * 784, 25) and first[1]["cols"].base is None  # one minibatch, no more
     for _ in range(4):
         run.step()
-        assert [cache.keys() for cache in run._caches] == [cache.keys() for cache in first]
-        for i, (cache, before) in enumerate(zip(run._caches, first)):
-            for key, array in cache.items():
-                if key == "x":  # the layer's input: a view of the layer below's array, made again
-                    assert np.shares_memory(array, before[key]) and array.shape == before[key].shape, (i, key)
-                else:
-                    assert array is before[key], (i, key)
+        assert_same_working_set(run, first)
+
+
+def assert_same_working_set(run, first):
+    """Each array of the run's caches is the one `first` (copies of them) held."""
+    assert [cache.keys() for cache in run._caches] == [cache.keys() for cache in first]
+    for i, (cache, before) in enumerate(zip(run._caches, first)):
+        for key, array in cache.items():
+            if key == "x":  # the layer's input: a view of the layer below's array, made again
+                assert np.shares_memory(array, before[key]) and array.shape == before[key].shape, (i, key)
+            else:
+                assert array is before[key], (i, key)
 
 
 # What a step or an evaluation may allocate beyond the bound its test names:
@@ -494,23 +554,37 @@ WORKING_SET_SLACK = 2**18
 def test_no_step_after_the_first_allocates_a_cache_or_a_gradient(synth_data):
     run = Run(optimized_spec(), synth_data, TrainConfig(iterations=5, batch_size=50, seed=6))
     step1 = peak_alloc_bytes(run.step)
-    held = sum(a.nbytes for a in working_set_arrays(run)) + sum(a.nbytes for pair in run._grads.values() for a in pair)
-    assert held > 8 * 2**20  # conv1's im2col alone is 52 * 784 * 25 float64s, 7.8 MiB
+    held = sum(a.nbytes for a in working_set_arrays(run))  # activations and gradients
+    assert held > 8 * 2**20  # conv1's im2col alone is 50 * 784 * 25 float64s, 7.5 MiB
     for _ in range(4):
         step = peak_alloc_bytes(run.step)
         assert step <= step1 - held + WORKING_SET_SLACK, (step1, step, held)
 
 
-def test_a_runs_evaluation_allocates_no_image_layer_activations(synth_data):
+def test_a_runs_evaluation_holds_its_chunk_set_in_place_of_the_freed_step_set(synth_data):
     spec = optimized_spec()
     run = Run(spec, synth_data, TrainConfig(iterations=2, batch_size=50, seed=7))
-    run.step()
     test = synth_data.test
     assert len(test.images) == 1000
+    chunk_set = cache_bytes(spec, network._image_chunks(spec)[1], training=False)
     # the image layers' output of the whole batch, flattened, and each dense output
     batch_outputs = sum(len(test.images) * math.prod(shape) * 8
                         for layer, shape in zip(spec.layers, propagate_shapes(spec)) if layer.kind in ("flatten", "dense"))
-    assert peak_alloc_bytes(lambda: run._evaluate(test)) <= batch_outputs + WORKING_SET_SLACK
+    # traced from the step on, so the step set the evaluation frees counts as freed
+    peak = peak_alloc_bytes(lambda: run._evaluate(test), setup=run.step)
+    assert peak <= chunk_set - cache_bytes(spec, 50) + batch_outputs + WORKING_SET_SLACK
+
+
+def test_peak_alloc_bytes_counts_an_array_its_setup_made_and_the_call_freed():
+    held = []
+
+    def remake():  # frees the 8 MiB array held, then allocates another
+        held.clear()
+        held.append(np.ones(2**20))
+
+    remake()
+    assert peak_alloc_bytes(remake) >= 8 * 2**20  # the array made before tracing began is freed unseen
+    assert peak_alloc_bytes(remake, setup=remake) < 2**16
 
 
 @pytest.mark.parametrize("batch", [50, 7])
@@ -537,7 +611,67 @@ def test_a_runs_evaluation_gives_the_logits_of_a_standalone_and_a_whole_batch_fo
     assert logits.tobytes() == forward(spec, run.params, images)[0].tobytes()
     assert logits.tobytes() == whole_batch_forward(spec, run.params, images)[0].tobytes()
     assert run.final_test_accuracy == evaluate(spec, run.params, images, labels)
-    assert len(evaluated) == 2  # the validation split after step 2, between steps that reuse the arrays
+    assert len(evaluated) == 2  # the validation split after step 2
+
+
+@st.composite
+def classifier_specs(draw):
+    """Small valid classifiers of 28x28x1 images: one or two convs, each
+    maybe pooled or dropped out, a flatten, maybe a hidden dense with or
+    without dropout, and dense 10."""
+    layers = [LayerSpec.input(28, 28, 1)]
+    for _ in range(draw(st.integers(1, 2))):
+        layers.append(LayerSpec.conv(draw(st.sampled_from([1, 3, 5])), draw(st.integers(1, 6))))
+        if draw(st.booleans()):
+            layers.append(LayerSpec.maxpool(2))
+        if draw(st.booleans()):
+            layers.append(LayerSpec.dropout(0.75))
+    layers.append(LayerSpec.flatten())
+    if draw(st.booleans()):
+        layers.append(LayerSpec.dense(draw(st.integers(1, 32))))
+        if draw(st.booleans()):
+            layers.append(LayerSpec.dropout(0.5))
+    layers.append(LayerSpec.dense(10))
+    return NetSpec("random", tuple(layers))
+
+
+@given(classifier_specs(), st.integers(0, 2**16))
+@settings(max_examples=30, deadline=None)
+def test_evaluation_gives_the_whole_batch_logits_around_every_chunk_boundary(spec, seed):
+    chunk = network._image_chunks(spec)[1]
+    assume(chunk <= 320)  # keeps the batches small
+    params = init_params(spec, TrainConfig(), substream(seed, "init"))
+    rng = np.random.default_rng(seed)
+    passes = []
+    real = trainer.forward
+
+    def recording(spec, params, x, **kwargs):
+        logits, caches = real(spec, params, x, **kwargs)
+        passes.append((x, logits.copy()))
+        return logits, caches
+
+    # passes of two chunks, so the largest batch ends in a pass of 3 images through the same caches
+    with mock.patch.object(trainer, "forward", recording), mock.patch.object(trainer, "_EVAL_BATCH", 2 * chunk):
+        for n in (1, chunk - 1, chunk + 1, 2 * chunk + 3):
+            evaluate(spec, params, rng.integers(0, 256, size=(n, 28, 28, 1), dtype=np.uint8), rng.integers(0, 10, n))
+    assert [len(x) for x, _ in passes] == [1, chunk - 1, chunk + 1, 2 * chunk, 3]
+    for x, logits in passes:
+        assert logits.tobytes() == whole_batch_forward(spec, params, x)[0].tobytes()
+
+
+@given(classifier_specs(), st.integers(1, 6))
+@settings(max_examples=30, deadline=None)
+def test_steps_after_the_first_reuse_every_array_of_the_first(spec, batch):
+    images = np.random.default_rng(batch).integers(0, 256, size=(20, 28, 28, 1), dtype=np.uint8)
+    split = Dataset(images, np.arange(20) % 10)
+    run = Run(spec, DataSplits(train=split, validation=split, test=split),
+              TrainConfig(iterations=3, batch_size=batch, seed=batch))
+    run.step()
+    first = [dict(cache) for cache in run._caches]
+    assert held_gradients(run).keys() == run.params.keys()
+    for _ in range(2):
+        run.step()
+        assert_same_working_set(run, first)
 
 
 def reference_batches(n, batch_size, rng):
